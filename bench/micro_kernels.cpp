@@ -53,7 +53,8 @@ BENCHMARK(BM_GenerateRR_IC);
 
 void BM_GenerateRR_IC_Fused(benchmark::State &state) {
   const CsrGraph &graph = shared_graph();
-  FusedSampler sampler(graph);
+  const FusedEdgeTable table(graph, DiffusionModel::IndependentCascade);
+  FusedSampler sampler(table);
   std::array<RRRSet, FusedSampler::kLanes> outs;
   std::array<std::uint64_t, FusedSampler::kLanes> indices;
   std::uint64_t index = 0;

@@ -169,22 +169,25 @@ make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budge
 /// One governed admission batch: the RRR sets at global indices
 /// [first, first + count), drawn from their per-sample counter streams —
 /// byte-identical to the ungoverned samplers' output for the same indices.
-/// A governed fused window pre-reserves its per-thread lane structures and
-/// falls back to the scalar kernel (same bytes out) when refused — the lane
-/// arrays are real memory the budget must see (DESIGN.md §12).
+/// A governed fused window reserves what it holds — its own edge table
+/// (IC only) plus each thread's sampler scratch — for exactly as long as it
+/// holds it, and falls back to the scalar kernel (same bytes out) when
+/// refused (DESIGN.md §12).
 void sample_governed_window(const CsrGraph &graph, const ImmOptions &options,
                             unsigned num_threads, RRRCollection &scratch,
                             std::uint64_t first, std::uint64_t count) {
   std::vector<std::uint64_t> indices(count);
   std::iota(indices.begin(), indices.end(), first);
   if (options.sampler == SamplerEngine::Fused) {
-    const std::size_t lane_bytes =
-        FusedSampler::lane_bytes(graph) * num_threads;
-    if (MemoryTracker::instance().try_reserve(lane_bytes,
-                                              "sampler.fused_lanes")) {
-      sample_counter_indices_fused(graph, options.model, options.seed, indices,
-                                   num_threads, scratch);
-      MemoryTracker::instance().release(lane_bytes);
+    const std::size_t held =
+        FusedSampler::window_bytes(graph, options.model, num_threads);
+    if (MemoryTracker::instance().try_reserve(held, "sampler.fused_lanes")) {
+      {
+        const FusedEdgeTable table(graph, options.model);
+        sample_counter_indices_fused(table, options.seed, indices, num_threads,
+                                     scratch);
+      }
+      MemoryTracker::instance().release(held);
       return;
     }
   }

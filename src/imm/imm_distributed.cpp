@@ -82,15 +82,17 @@ metrics::Counter &stolen_sets_counter() {
 /// §10), so both the extend and heal paths can dispatch through here.
 /// The LeapfrogLcg mode is inherently sequential per stream (one shared
 /// LCG walked draw by draw) and keeps the scalar kernel.
-/// \p governed additionally routes the fused engine's per-thread lane
-/// structures through the budget (consumer "sampler.fused_lanes"),
+/// \p shared_table is the solve's fused edge table, built once before the
+/// ranks start; ungoverned fused runs always pass it.  A governed call
+/// passes null: its window builds its own table inside a budget
+/// reservation of exactly what it holds (consumer "sampler.fused_lanes"),
 /// falling back to the byte-identical scalar kernel when refused —
 /// DESIGN.md §12's fused-lane rung.
 std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        const ImmOptions &options,
+                                       const FusedEdgeTable *shared_table,
                                        std::span<const std::uint64_t> indices,
-                                       RRRCollection &collection,
-                                       bool governed = false) {
+                                       RRRCollection &collection) {
   // Intra-rank stealing (DESIGN.md §13): route multi-threaded generation
   // through the chunked per-thread queues.  Byte-identical to the unchunked
   // kernels — every position writes its pre-grown slot — so the dispatch is
@@ -98,39 +100,31 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
   const bool intra =
       (options.steal == StealMode::Intra || options.steal == StealMode::On) &&
       options.num_threads > 1;
-  if (options.sampler == SamplerEngine::Fused) {
-    if (!governed) {
-      if (intra)
-        return detail::sample_counter_chunked(
-            graph, options.model, options.seed, indices, options.num_threads,
-            options.steal_chunk, /*fused=*/true, collection);
-      return sample_counter_indices_fused(graph, options.model, options.seed,
-                                          indices, options.num_threads,
-                                          collection);
-    }
-    const std::size_t lane_bytes =
-        FusedSampler::lane_bytes(graph) * options.num_threads;
-    if (MemoryTracker::instance().try_reserve(lane_bytes,
-                                              "sampler.fused_lanes")) {
-      const std::uint64_t generated =
-          intra ? detail::sample_counter_chunked(
-                      graph, options.model, options.seed, indices,
-                      options.num_threads, options.steal_chunk, /*fused=*/true,
-                      collection)
-                : sample_counter_indices_fused(graph, options.model,
-                                               options.seed, indices,
-                                               options.num_threads, collection);
-      MemoryTracker::instance().release(lane_bytes);
-      return generated;
-    }
+  // A null table selects the scalar engine.
+  auto generate = [&](const FusedEdgeTable *table) -> std::uint64_t {
+    if (intra)
+      return detail::sample_counter_chunked(
+          graph, options.model, options.seed, indices, options.num_threads,
+          options.steal_chunk, table, collection);
+    if (table != nullptr)
+      return sample_counter_indices_fused(*table, options.seed, indices,
+                                          options.num_threads, collection);
+    return sample_counter_indices(graph, options.model, options.seed, indices,
+                                  options.num_threads, collection);
+  };
+  if (options.sampler != SamplerEngine::Fused) return generate(nullptr);
+  if (shared_table != nullptr) return generate(shared_table);
+  const std::size_t held = FusedSampler::window_bytes(graph, options.model,
+                                                      options.num_threads);
+  if (!MemoryTracker::instance().try_reserve(held, "sampler.fused_lanes"))
+    return generate(nullptr);
+  std::uint64_t generated = 0;
+  {
+    const FusedEdgeTable window_table(graph, options.model);
+    generated = generate(&window_table);
   }
-  if (intra)
-    return detail::sample_counter_chunked(graph, options.model, options.seed,
-                                          indices, options.num_threads,
-                                          options.steal_chunk, /*fused=*/false,
-                                          collection);
-  return sample_counter_indices(graph, options.model, options.seed, indices,
-                                options.num_threads, collection);
+  MemoryTracker::instance().release(held);
+  return generated;
 }
 
 } // namespace
@@ -167,6 +161,17 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
   // its peers keep reserving — the heal-composition scenario.
   detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
                               detail::oom_faults_from_plan(options.fault_plan));
+
+  // The fused engine's edge table (DESIGN.md §10), built once per solve:
+  // mpsim ranks are threads sharing the graph, so every rank and thread
+  // reads this one copy, and a steal chunk costs no O(m) set-up.  Governed
+  // runs leave it unbuilt — each admission window charges and builds its
+  // own (generate_counter_indices).
+  std::optional<FusedEdgeTable> fused_table;
+  if (options.sampler == SamplerEngine::Fused &&
+      options.rng_mode == RngMode::CounterSequence && !budget.governed())
+    fused_table.emplace(graph, options.model);
+  const FusedEdgeTable *shared_table = fused_table ? &*fused_table : nullptr;
 
   // Checkpoint/restart (DESIGN.md §9): the martingale state is replicated —
   // every rank reaches each round boundary with identical progress — so the
@@ -285,8 +290,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           for (std::uint64_t i = leapfrog_first_index(lo, os.stream, stride);
                i < hi; i += stride)
             indices.push_back(i);
-        generate_counter_indices(graph, options, indices, scratch,
-                                 /*governed=*/true);
+        generate_counter_indices(graph, options, /*governed*/ nullptr,
+                                 indices, scratch);
       }
     };
 
@@ -318,8 +323,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
                   for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
                        i < hi; i += stride)
                     indices.push_back(i);
-                generate_counter_indices(graph, options, indices, scratch,
-                                         /*governed=*/true);
+                generate_counter_indices(graph, options, /*governed*/ nullptr,
+                                         indices, scratch);
               });
         }
       } else if (options.rng_mode == RngMode::LeapfrogLcg) {
@@ -360,7 +365,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           trace::Span chunk_span("sampler", "sampler.steal_chunk", "stream",
                                  c.stream, "count", indices.size());
           if (stolen) chunk_span.arg("stolen", 1);
-          generate_counter_indices(graph, options, indices, local);
+          generate_counter_indices(graph, options, shared_table, indices,
+                                   local);
           inventory.add(c.stream, c.begin, c.end);
           if (stolen && metrics::enabled()) {
             stolen_chunks_counter().increment();
@@ -418,7 +424,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
                    leapfrog_first_index(global_count, os.stream, stride);
                i < target; i += stride)
             indices.push_back(i);
-        generate_counter_indices(graph, options, indices, local);
+        generate_counter_indices(graph, options, shared_table, indices, local);
       }
       global_count = target;
       batch_span.arg("local_sets", local_size());
@@ -646,8 +652,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
                    leapfrog_first_index(m.begin, m.stream, stride);
                i < m.end; i += stride)
             indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, indices,
-                                                  local);
+          regenerated += generate_counter_indices(graph, options, shared_table,
+                                                  indices, local);
           inventory.add(m.stream, m.begin, m.end);
         }
         global_count = heal_target;
@@ -692,8 +698,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
                   for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
                        i < hi; i += stride)
                     indices.push_back(i);
-                  generate_counter_indices(graph, options, indices, scratch,
-                                           /*governed=*/true);
+                  generate_counter_indices(graph, options,
+                                           /*governed*/ nullptr, indices,
+                                           scratch);
                 });
             if (s < global_count)
               regenerated += (global_count - s + stride - 1) / stride;
@@ -705,8 +712,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           std::vector<std::uint64_t> indices;
           for (std::uint64_t i = s; i < global_count; i += stride)
             indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, indices,
-                                                  local);
+          regenerated += generate_counter_indices(graph, options, shared_table,
+                                                  indices, local);
         }
         owned.push_back({s, engine});
       }

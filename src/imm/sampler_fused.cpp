@@ -39,9 +39,9 @@ void flush_fused_counters(const FusedSampler &sampler) {
 
 } // namespace
 
-FusedSampler::FusedSampler(const CsrGraph &graph)
-    : graph_(graph), visited_(graph.num_vertices()),
-      touched_(graph.num_vertices() + 1) {
+FusedEdgeTable::FusedEdgeTable(const CsrGraph &graph, DiffusionModel model)
+    : graph_(&graph), model_(model) {
+  if (model != DiffusionModel::IndependentCascade) return;
   const std::uint64_t n = graph.num_vertices();
   thresholds_.resize(graph.num_edges());
   packed_edges_.resize(graph.num_edges());
@@ -58,12 +58,27 @@ FusedSampler::FusedSampler(const CsrGraph &graph)
   }
 }
 
-std::size_t FusedSampler::lane_bytes(const CsrGraph &graph) {
+std::size_t FusedEdgeTable::bytes(const CsrGraph &graph,
+                                  DiffusionModel model) {
+  if (model != DiffusionModel::IndependentCascade) return 0;
+  return graph.num_edges() * sizeof(std::uint64_t) * 2; // thresholds + packed
+}
+
+FusedSampler::FusedSampler(const FusedEdgeTable &table)
+    : table_(table), graph_(table.graph()),
+      visited_(graph_.num_vertices()), touched_(graph_.num_vertices() + 1) {}
+
+std::size_t FusedSampler::scratch_bytes(const CsrGraph &graph) {
   const std::size_t n = graph.num_vertices();
-  const std::size_t m = graph.num_edges();
-  return n * sizeof(std::uint64_t)            // visited_ lane masks
-         + (n + 1) * sizeof(vertex_t)         // touched_
-         + m * sizeof(std::uint64_t) * 2;     // thresholds_ + packed_edges_
+  return n * sizeof(std::uint64_t)      // visited_ lane masks
+         + (n + 1) * sizeof(vertex_t);  // touched_
+}
+
+std::size_t FusedSampler::window_bytes(const CsrGraph &graph,
+                                       DiffusionModel model,
+                                       unsigned num_threads) {
+  return FusedEdgeTable::bytes(graph, model) +
+         scratch_bytes(graph) * num_threads;
 }
 
 void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
@@ -71,6 +86,8 @@ void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
                             RRRSet *outs) {
   const auto lanes = static_cast<unsigned>(sample_indices.size());
   RIPPLES_ASSERT(lanes >= 1 && lanes <= kLanes);
+  RIPPLES_ASSERT_MSG(model == table_.model(),
+                     "sampler model differs from its edge table's");
   const std::uint64_t n = graph_.num_vertices();
   touched_len_ = 0;
   for (unsigned l = 0; l < lanes; ++l) {
@@ -129,8 +146,8 @@ void FusedSampler::run_ic(unsigned lanes, RRRSet *outs) {
   vertex_t *touched = touched_.data();
   std::size_t touched_len = touched_len_;
   std::uint64_t *vis = visited_.word_data();
-  const std::uint64_t *thresholds = thresholds_.data();
-  const std::uint64_t *packed = packed_edges_.data();
+  const std::uint64_t *thresholds = table_.thresholds();
+  const std::uint64_t *packed = table_.packed_edges();
   const edge_offset_t *offsets = graph_.in_offsets().data();
   std::uint64_t passes = 0;
   for (;;) {
@@ -305,7 +322,8 @@ void sample_sequential_fused(const CsrGraph &graph, DiffusionModel model,
                    target_total - collection.size());
   std::uint64_t first = collection.grow(target_total - collection.size());
   auto &sets = collection.mutable_sets();
-  FusedSampler sampler(graph);
+  const FusedEdgeTable table(graph, model);
+  FusedSampler sampler(table);
   std::array<std::uint64_t, FusedSampler::kLanes> indices;
   for (std::uint64_t base = first; base < target_total;
        base += FusedSampler::kLanes) {
@@ -335,9 +353,10 @@ void sample_multithreaded_fused(const CsrGraph &graph, DiffusionModel model,
   const std::uint64_t count = target_total - first;
   const auto num_blocks = static_cast<std::int64_t>(
       (count + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
+  const FusedEdgeTable table(graph, model);
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
-    FusedSampler sampler(graph);
+    FusedSampler sampler(table);
     trace::Span worker("sampler", "sampler.worker_fused");
     std::array<std::uint64_t, FusedSampler::kLanes> indices;
     std::uint64_t generated = 0;
@@ -362,7 +381,7 @@ void sample_multithreaded_fused(const CsrGraph &graph, DiffusionModel model,
 }
 
 std::uint64_t sample_counter_indices_fused(
-    const CsrGraph &graph, DiffusionModel model, std::uint64_t seed,
+    const FusedEdgeTable &table, std::uint64_t seed,
     std::span<const std::uint64_t> indices, unsigned num_threads,
     RRRCollection &collection) {
   RIPPLES_ASSERT(num_threads >= 1);
@@ -373,14 +392,14 @@ std::uint64_t sample_counter_indices_fused(
       (indices.size() + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
-    FusedSampler sampler(graph);
+    FusedSampler sampler(table);
 #pragma omp for schedule(dynamic, 1)
     for (std::int64_t b = 0; b < num_blocks; ++b) {
       const std::size_t j =
           static_cast<std::size_t>(b) * FusedSampler::kLanes;
       const std::size_t lanes =
           std::min<std::size_t>(FusedSampler::kLanes, indices.size() - j);
-      sampler.generate(model, seed, indices.subspan(j, lanes),
+      sampler.generate(table.model(), seed, indices.subspan(j, lanes),
                        &sets[first_slot + j]);
     }
     flush_fused_counters(sampler);

@@ -13,6 +13,11 @@
 /// (rng/philox_buffered.hpp), the per-edge Bernoulli test is a precomputed
 /// integer compare, and the sorted output lists are *emitted* from the lane
 /// masks in vertex order instead of sorted per set.
+///
+/// The graph-derived state lives in a FusedEdgeTable built once per solve
+/// and shared read-only by every worker; a FusedSampler holds only
+/// per-worker scratch, so a 64-draw batch costs its traversals plus O(n)
+/// scratch and no O(m) set-up.
 #ifndef RIPPLES_IMM_SAMPLER_FUSED_HPP
 #define RIPPLES_IMM_SAMPLER_FUSED_HPP
 
@@ -28,20 +33,69 @@
 
 namespace ripples {
 
+/// Immutable per-graph Bernoulli state of the fused IC kernel, indexed by
+/// flat in-edge position.  Built once per solve and shared read-only by
+/// every sampling thread and every mpsim rank; it refers to \p graph, which
+/// must outlive it.  Only IC reads it: an LT table holds no edges, because
+/// the LT walk reads graph.in_neighbors directly.
+class FusedEdgeTable {
+public:
+  FusedEdgeTable(const CsrGraph &graph, DiffusionModel model);
+
+  [[nodiscard]] const CsrGraph &graph() const { return *graph_; }
+  [[nodiscard]] DiffusionModel model() const { return model_; }
+
+  /// Heap bytes this table holds.
+  [[nodiscard]] std::size_t bytes() const {
+    return (thresholds_.capacity() + packed_edges_.capacity()) *
+           sizeof(std::uint64_t);
+  }
+  /// Heap bytes a table for (\p graph, \p model) holds: 16 per edge for
+  /// IC, 0 for LT.
+  [[nodiscard]] static std::size_t bytes(const CsrGraph &graph,
+                                         DiffusionModel model);
+
+  /// thresholds()[e] = ceil(weight(e) * 2^53) for flat in-edge index e:
+  /// uniform_unit(x) < weight  ⟺  (x >> 11) < thresholds()[e], exactly —
+  /// weight is a float (24-bit significand), so weight * 2^53 is an exact
+  /// double and the ceiling is the exact integer compare bound.  Turns the
+  /// per-edge Bernoulli test into one integer compare, no FP.
+  [[nodiscard]] const std::uint64_t *thresholds() const {
+    return thresholds_.data();
+  }
+  /// Hot-loop edge stream, one word per in-edge:
+  /// (thresholds()[e] >> 22) << 32 | target-vertex.  A single 8-byte load
+  /// yields the target and the top 32 bits of the 54-bit threshold, so the
+  /// kernel streams the same bytes per edge as the scalar engine's
+  /// Adjacency walk; the (x >> 33) vs threshold-high compare decides every
+  /// draw except the ~2^-31 ties, which fall back to thresholds().
+  [[nodiscard]] const std::uint64_t *packed_edges() const {
+    return packed_edges_.data();
+  }
+
+private:
+  const CsrGraph *graph_;
+  DiffusionModel model_;
+  std::vector<std::uint64_t> thresholds_;
+  std::vector<std::uint64_t> packed_edges_;
+};
+
 /// Reusable fused GenerateRR kernel: one instance per thread, holding the
 /// lane-mask visited array, per-lane frontier scratch, and 64 buffered
-/// Philox engines so repeated batches allocate nothing.
+/// Philox engines so repeated batches allocate nothing.  It reads the
+/// shared \p table it was built over, which must outlive it.
 class FusedSampler {
 public:
   static constexpr unsigned kLanes = 64;
 
-  explicit FusedSampler(const CsrGraph &graph);
+  explicit FusedSampler(const FusedEdgeTable &table);
 
   /// Generates the RRR sets for global sample indices \p sample_indices
   /// (at most kLanes of them), writing lane l into outs[l].  Each lane
   /// draws from sample_stream(seed, sample_indices[l]) with the scalar
   /// engines' exact draw order, so the output is byte-identical to calling
-  /// RRRGenerator::generate_random_root per index.
+  /// RRRGenerator::generate_random_root per index.  \p model must be the
+  /// table's model (asserted: an LT table has no IC thresholds).
   void generate(DiffusionModel model, std::uint64_t seed,
                 std::span<const std::uint64_t> sample_indices, RRRSet *outs);
 
@@ -52,13 +106,19 @@ public:
   [[nodiscard]] std::uint64_t words_touched() const { return words_; }
   [[nodiscard]] std::uint64_t passes() const { return passes_; }
 
-  /// Heap bytes one instance's lane structures hold for \p graph (the
-  /// visited lane masks, touched list, and packed edge/threshold streams —
-  /// the frontier buffers grow on demand and are excluded).  The budget
-  /// governor pre-reserves this per sampling thread before a governed fused
-  /// window (consumer "sampler.fused_lanes") and falls back to the scalar
-  /// engine — byte-identical output — when refused (DESIGN.md §12).
-  [[nodiscard]] static std::size_t lane_bytes(const CsrGraph &graph);
+  /// Heap bytes one instance's fixed scratch holds for \p graph (the
+  /// visited lane masks and the touched list — the frontier buffers grow
+  /// on demand and are excluded).
+  [[nodiscard]] static std::size_t scratch_bytes(const CsrGraph &graph);
+
+  /// What a governed fused window holds while it runs: one edge table for
+  /// \p model, charged once, plus \p num_threads samplers' scratch.  The
+  /// budget governor reserves exactly this around the window (consumer
+  /// "sampler.fused_lanes") and falls back to the scalar engine —
+  /// byte-identical output — when refused (DESIGN.md §12).
+  [[nodiscard]] static std::size_t window_bytes(const CsrGraph &graph,
+                                                DiffusionModel model,
+                                                unsigned num_threads);
 
 private:
   /// Growable uninitialized append buffer for the per-lane BFS frontiers.
@@ -87,6 +147,7 @@ private:
   /// of lane l's set, accumulated during the traversal).
   void emit_sorted(unsigned lanes, const std::size_t *counts, RRRSet *outs);
 
+  const FusedEdgeTable &table_;
   const CsrGraph &graph_;
   LaneMaskVector visited_;
   /// Distinct vertices whose lane-mask word is nonzero, maintained
@@ -96,19 +157,6 @@ private:
   /// every vertex is already touched).
   std::vector<vertex_t> touched_;
   std::size_t touched_len_ = 0;
-  /// thresholds_[e] = ceil(weight(e) * 2^53) for flat in-edge index e:
-  /// uniform_unit(x) < weight  ⟺  (x >> 11) < thresholds_[e], exactly —
-  /// weight is a float (24-bit significand), so weight * 2^53 is an exact
-  /// double and the ceiling is the exact integer compare bound.  Turns the
-  /// per-edge Bernoulli test into one integer compare, no FP.
-  std::vector<std::uint64_t> thresholds_;
-  /// Hot-loop edge stream, one word per in-edge:
-  /// (thresholds_[e] >> 22) << 32 | target-vertex.  A single 8-byte load
-  /// yields the target and the top 32 bits of the 54-bit threshold, so the
-  /// kernel streams the same bytes per edge as the scalar engine's
-  /// Adjacency walk; the (x >> 33) vs threshold-high compare decides every
-  /// draw except the ~2^-31 ties, which fall back to thresholds_.
-  std::vector<std::uint64_t> packed_edges_;
   std::array<BufferedPhilox, kLanes> rng_;
   std::array<FrontierBuffer, kLanes> frontier_;
   std::array<FrontierBuffer, kLanes> next_;
@@ -119,22 +167,24 @@ private:
 
 /// Fused counterpart of sample_sequential: appends samples until
 /// \p target_total, batching kLanes consecutive indices per kernel call.
+/// Builds the edge table once per call.
 void sample_sequential_fused(const CsrGraph &graph, DiffusionModel model,
                              std::uint64_t target_total, std::uint64_t seed,
                              RRRCollection &collection);
 
 /// Fused counterpart of sample_multithreaded: slots are pre-grown and
 /// filled by a dynamic-schedule parallel for over kLanes-sample blocks, one
-/// FusedSampler per thread.  Bit-identical to sample_sequential for every
-/// thread count.
+/// FusedSampler per thread over one edge table built per call.
+/// Bit-identical to sample_sequential for every thread count.
 void sample_multithreaded_fused(const CsrGraph &graph, DiffusionModel model,
                                 std::uint64_t target_total, std::uint64_t seed,
                                 unsigned num_threads, RRRCollection &collection);
 
-/// Fused counterpart of sample_counter_indices: generates the RRR sets at
-/// the given global sample indices and appends them in the order given.
+/// Fused counterpart of sample_counter_indices over the caller's \p table,
+/// whose graph and model it samples: generates the RRR sets at the given
+/// global sample indices and appends them in the order given.
 std::uint64_t sample_counter_indices_fused(
-    const CsrGraph &graph, DiffusionModel model, std::uint64_t seed,
+    const FusedEdgeTable &table, std::uint64_t seed,
     std::span<const std::uint64_t> indices, unsigned num_threads,
     RRRCollection &collection);
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
+#include <optional>
 
 #include <omp.h>
 
 #include "imm/rrr.hpp"
 #include "imm/sampler.hpp"
-#include "imm/sampler_fused.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
@@ -172,8 +171,12 @@ std::uint64_t sample_counter_chunked(const CsrGraph &graph,
                                      DiffusionModel model, std::uint64_t seed,
                                      std::span<const std::uint64_t> indices,
                                      unsigned num_threads, std::uint64_t chunk,
-                                     bool fused, RRRCollection &collection) {
+                                     const FusedEdgeTable *fused_table,
+                                     RRRCollection &collection) {
   RIPPLES_ASSERT(num_threads >= 1);
+  RIPPLES_ASSERT(fused_table == nullptr ||
+                 (&fused_table->graph() == &graph &&
+                  fused_table->model() == model));
   if (indices.empty()) return 0;
   if (chunk == 0) chunk = 1;
   const std::uint64_t first_slot = collection.grow(indices.size());
@@ -198,12 +201,17 @@ std::uint64_t sample_counter_chunked(const CsrGraph &graph,
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
     const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
-    RRRGenerator generator(graph);
-    std::unique_ptr<FusedSampler> sampler;
-    if (fused) sampler = std::make_unique<FusedSampler>(graph);
+    // Only the engine this call uses: the scalar generator's n-bit visited
+    // vector, or a sampler's O(n) scratch over the caller's shared table.
+    std::optional<RRRGenerator> generator;
+    std::optional<FusedSampler> sampler;
+    if (fused_table != nullptr)
+      sampler.emplace(*fused_table);
+    else
+      generator.emplace(graph);
 
     auto execute = [&](const ChunkRange &c) {
-      if (fused) {
+      if (sampler) {
         for (std::uint64_t lo = c.begin; lo < c.end;) {
           const std::uint64_t lanes =
               std::min<std::uint64_t>(FusedSampler::kLanes, c.end - lo);
@@ -217,7 +225,7 @@ std::uint64_t sample_counter_chunked(const CsrGraph &graph,
         for (std::uint64_t j = c.begin; j < c.end; ++j) {
           Philox4x32 rng =
               sample_stream(seed, indices[static_cast<std::size_t>(j)]);
-          generator.generate_random_root(model, rng, sets[first_slot + j]);
+          generator->generate_random_root(model, rng, sets[first_slot + j]);
         }
       }
     };

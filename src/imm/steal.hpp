@@ -22,6 +22,7 @@
 #include "diffusion/model.hpp"
 #include "graph/csr.hpp"
 #include "imm/rrr_collection.hpp"
+#include "imm/sampler_fused.hpp"
 
 namespace ripples::detail {
 
@@ -119,13 +120,16 @@ missing_ranges(std::span<const std::uint64_t> gathered,
 /// steal_schedule perturbation hook).  Every position j writes its set into
 /// slot first_slot + j of \p collection, so the result is byte-identical to
 /// sample_counter_indices / sample_counter_indices_fused on the same
-/// indices regardless of which thread ran which chunk.  Returns the number
-/// of sets generated.
+/// indices regardless of which thread ran which chunk.  A non-null
+/// \p fused_table selects the fused engine over that shared table (built
+/// for \p graph and \p model); null selects the scalar engine.  Returns the
+/// number of sets generated.
 std::uint64_t sample_counter_chunked(const CsrGraph &graph,
                                      DiffusionModel model, std::uint64_t seed,
                                      std::span<const std::uint64_t> indices,
                                      unsigned num_threads, std::uint64_t chunk,
-                                     bool fused, RRRCollection &collection);
+                                     const FusedEdgeTable *fused_table,
+                                     RRRCollection &collection);
 
 } // namespace ripples::detail
 

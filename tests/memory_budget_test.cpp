@@ -18,9 +18,11 @@
 #include "imm/budget.hpp"
 #include "imm/imm.hpp"
 #include "imm/rrr_collection.hpp"
+#include "imm/sampler_fused.hpp"
 #include "imm/select.hpp"
 #include "imm/theta.hpp"
 #include "support/memory.hpp"
+#include "support/metrics.hpp"
 
 namespace ripples {
 namespace {
@@ -582,6 +584,48 @@ TEST(GovernedDrivers, ImpossibleBudgetDegradesWithCertifiedEpsilon) {
   const ImmResult threaded = imm_multithreaded(graph, mt);
   EXPECT_EQ(threaded.seeds, degraded.seeds);
   EXPECT_DOUBLE_EQ(threaded.epsilon_achieved, degraded.epsilon_achieved);
+}
+
+TEST(GovernedDrivers, LtFusedWindowReservesNoEdgeTable) {
+  // LT never reads the fused edge table, so a governed LT window reserves
+  // only its threads' sampler scratch.  A dense graph makes the table
+  // (16 bytes per edge) dwarf the RRR store; the budget fits the store and
+  // the scratch but not a per-thread table, so the fused engine must run —
+  // no refusal anywhere — and give the ungoverned run's seeds.
+  CsrGraph graph(complete_graph(200));
+  assign_uniform_weights(graph, 23);
+  renormalize_linear_threshold(graph);
+  ImmOptions options = driver_options();
+  options.model = DiffusionModel::LinearThreshold;
+  options.sampler = SamplerEngine::Fused;
+  options.rng_mode = RngMode::CounterSequence;
+  options.num_threads = 4;
+  const ImmResult plain = imm_multithreaded(graph, options);
+
+  const auto lt = DiffusionModel::LinearThreshold;
+  const std::size_t scratch = FusedSampler::scratch_bytes(graph);
+  const std::size_t table =
+      FusedEdgeTable::bytes(graph, DiffusionModel::IndependentCascade);
+  ASSERT_EQ(FusedSampler::window_bytes(graph, lt, 4), 4 * scratch);
+  options.mem_budget = 4 * plain.rrr_peak_bytes + 4 * scratch;
+  ASSERT_GT(4 * (scratch + table), options.mem_budget)
+      << "the budget must refuse a window that charges a table per thread";
+
+  metrics::Registry &registry = metrics::Registry::instance();
+  metrics::Counter &refusals = registry.counter("mem.budget.refusals");
+  metrics::Counter &fused_words = registry.counter("sampler.fused.words");
+  metrics::set_enabled(true);
+  const std::uint64_t refusals_before = refusals.value();
+  const std::uint64_t words_before = fused_words.value();
+  const ImmResult governed = imm_multithreaded(graph, options);
+  metrics::set_enabled(false);
+
+  EXPECT_EQ(refusals.value(), refusals_before);
+  EXPECT_GT(fused_words.value(), words_before);
+  EXPECT_FALSE(governed.degraded);
+  EXPECT_EQ(governed.seeds, plain.seeds);
+  EXPECT_EQ(governed.theta, plain.theta);
+  EXPECT_EQ(governed.num_samples, plain.num_samples);
 }
 
 TEST(GovernedDrivers, DistributedRefusesAnImpossibleBudgetWithDiagnostic) {

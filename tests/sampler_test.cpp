@@ -1,9 +1,14 @@
 // Tests for the sampling engines: thread-count invariance (the central
-// parallel-correctness property), incremental extension, and equivalence of
-// the compact and hypergraph storage paths.
+// parallel-correctness property), incremental extension, equivalence of
+// the compact and hypergraph storage paths, and the fused engine's shared
+// edge table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
@@ -280,11 +285,76 @@ TEST(FusedSamplerEngine, CounterIndicesMatchScalarOnScatteredIndices) {
   RRRCollection scalar, fused;
   sample_counter_indices(graph, DiffusionModel::IndependentCascade, 47,
                          indices, 2, scalar);
-  sample_counter_indices_fused(graph, DiffusionModel::IndependentCascade, 47,
-                               indices, 2, fused);
+  const FusedEdgeTable table(graph, DiffusionModel::IndependentCascade);
+  sample_counter_indices_fused(table, 47, indices, 2, fused);
   ASSERT_EQ(scalar.size(), fused.size());
   for (std::size_t i = 0; i < scalar.size(); ++i)
     EXPECT_EQ(scalar.sets()[i], fused.sets()[i]) << "index " << indices[i];
+}
+
+// --- shared edge table ------------------------------------------------------
+//
+// The edge table is per-graph state built once per solve and read by every
+// worker.  Only IC reads it, so an LT table must hold nothing.
+
+TEST(FusedEdgeTable, LtTableHoldsNoBytesAndIcTableHoldsItsFormula) {
+  CsrGraph graph = test_graph(16);
+  renormalize_linear_threshold(graph);
+  const FusedEdgeTable lt(graph, DiffusionModel::LinearThreshold);
+  EXPECT_EQ(lt.bytes(), 0u);
+  EXPECT_EQ(FusedEdgeTable::bytes(graph, DiffusionModel::LinearThreshold), 0u);
+  const FusedEdgeTable ic(graph, DiffusionModel::IndependentCascade);
+  EXPECT_EQ(ic.bytes(),
+            FusedEdgeTable::bytes(graph, DiffusionModel::IndependentCascade));
+  EXPECT_EQ(ic.bytes(), 16u * graph.num_edges());
+}
+
+TEST(FusedEdgeTable, OneIcTableSharedByFourThreadsMatchesScalar) {
+  // Four samplers over one table on four threads, each taking every fourth
+  // 64-draw batch: the table is read concurrently and never written.
+  CsrGraph graph = test_graph(17);
+  constexpr std::uint64_t kSets = 600;
+  constexpr unsigned kThreads = 4;
+  RRRCollection scalar;
+  sample_sequential(graph, DiffusionModel::IndependentCascade, kSets, 53,
+                    scalar);
+
+  const FusedEdgeTable table(graph, DiffusionModel::IndependentCascade);
+  std::vector<RRRSet> fused(kSets);
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t)
+    workers.emplace_back([&table, &fused, t] {
+      FusedSampler sampler(table);
+      std::array<std::uint64_t, FusedSampler::kLanes> indices;
+      for (std::uint64_t base = t * FusedSampler::kLanes; base < kSets;
+           base += kThreads * FusedSampler::kLanes) {
+        const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
+            FusedSampler::kLanes, kSets - base));
+        for (unsigned l = 0; l < lanes; ++l) indices[l] = base + l;
+        sampler.generate(DiffusionModel::IndependentCascade, 53,
+                         std::span(indices.data(), lanes), &fused[base]);
+      }
+    });
+  for (std::thread &worker : workers) worker.join();
+  for (std::uint64_t i = 0; i < kSets; ++i)
+    EXPECT_EQ(scalar.sets()[i], fused[i]) << "sample " << i;
+}
+
+using FusedEdgeTableDeathTest = ::testing::Test;
+
+TEST(FusedEdgeTableDeathTest, SamplerRejectsAModelItsTableWasNotBuiltFor) {
+  CsrGraph graph = test_graph(18);
+  renormalize_linear_threshold(graph);
+  const FusedEdgeTable lt(graph, DiffusionModel::LinearThreshold);
+  EXPECT_DEATH(
+      {
+        FusedSampler sampler(lt);
+        const std::uint64_t index = 0;
+        RRRSet out;
+        sampler.generate(DiffusionModel::IndependentCascade, 59,
+                         std::span(&index, 1), &out);
+      },
+      "edge table");
 }
 
 // --- leap-frog index arithmetic --------------------------------------------

@@ -6,7 +6,8 @@
 // schedule perturbations (plus the steal-everything and steal-nothing
 // extremes) against a no-steal baseline; the unit tests below pin the chunk
 // machinery (queue split semantics, partition exactness, overflow guard,
-// inventory gap computation) and the steal channel's protocol, and the
+// inventory gap computation), the intra-rank chunked sampler's identity
+// with the unchunked one, and the steal channel's protocol, and the
 // ledger regression pins executing-rank attribution under a forced-steal
 // schedule.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <array>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -171,6 +173,45 @@ TEST(MissingRanges, SkipsGapsContainingNoDrawOfTheStream) {
                                                1, 5, 9, 2, 0, 9, 3, 0, 9};
   EXPECT_TRUE(detail::missing_ranges(gathered, 4, 9).empty());
 }
+
+// --- intra-rank chunked sampler ---------------------------------------------
+
+/// (fused engine, model, threads, chunk)
+using ChunkedCell = std::tuple<bool, DiffusionModel, unsigned, std::uint64_t>;
+
+class ChunkedSampler : public ::testing::TestWithParam<ChunkedCell> {};
+
+TEST_P(ChunkedSampler, MatchesUnchunkedScalarOnScatteredIndices) {
+  const auto [fused, model, threads, chunk] = GetParam();
+  CsrGraph graph(barabasi_albert(300, 3, 31));
+  assign_uniform_weights(graph, 32);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
+  // 149 non-contiguous, out-of-order indices: chunks of 7 and of 64 both
+  // end with a short one.
+  std::vector<std::uint64_t> indices;
+  for (std::uint64_t i = 0; i < 447; i += 3) indices.push_back(i ^ 5);
+
+  RRRCollection expected, chunked;
+  sample_counter_indices(graph, model, 71, indices, 1, expected);
+  const FusedEdgeTable table(graph, model);
+  EXPECT_EQ(detail::sample_counter_chunked(graph, model, 71, indices, threads,
+                                           chunk, fused ? &table : nullptr,
+                                           chunked),
+            indices.size());
+  ASSERT_EQ(chunked.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(chunked.sets()[i], expected.sets()[i]) << "index " << indices[i];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesModelsThreadsChunks, ChunkedSampler,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(DiffusionModel::IndependentCascade,
+                                         DiffusionModel::LinearThreshold),
+                       ::testing::Values(1u, 4u),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{7},
+                                         std::uint64_t{64})));
 
 // --- mpsim steal-channel protocol -------------------------------------------
 
