@@ -73,8 +73,9 @@
 #
 # The ASan stage builds with -DRIPPLES_SANITIZE=address and runs imm_test,
 # rrr_test, and sampler_test — the drivers with the largest allocation
-# churn (RRR collections, flat storage, hypergraph index, fused lane-mask
-# scratch) and therefore the best leak/overflow coverage per test second.
+# churn (RRR collections, compressed arena, hypergraph index, fused
+# lane-mask scratch) and therefore the best leak/overflow coverage per test
+# second.
 #
 # The UBSan stage builds with -DRIPPLES_SANITIZE=undefined
 # (-fno-sanitize-recover=all, so any UB report fails the run) and runs

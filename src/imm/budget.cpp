@@ -300,7 +300,7 @@ SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
                                  unsigned num_threads) {
   scrub();
   if (compressed_active_)
-    return select_seeds_compressed(num_vertices, k, compressed_);
+    return select_seeds(num_vertices, k, compressed_);
   if (num_threads > 1)
     return select_seeds_multithreaded(num_vertices, k, plain_.sets(),
                                       num_threads);
@@ -316,25 +316,14 @@ void RRRStore::count_into(std::span<std::uint32_t> counters) {
 }
 
 std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
-                               std::vector<std::uint8_t> &retired) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
-  return compressed_active_
-             ? retire_samples_containing(seed, compressed_, counters, retired)
-             : retire_samples_containing(seed, plain_.sets(), counters,
-                                         retired);
-}
-
-std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
                                std::vector<std::uint8_t> &retired,
-                               std::span<std::uint32_t> pending_dec,
-                               std::vector<vertex_t> &pending_touched) {
+                               RetireLog *log) {
   if (policy_.scrub == ScrubMode::Paranoid) scrub();
   return compressed_active_
              ? retire_samples_containing(seed, compressed_, counters, retired,
-                                         pending_dec, pending_touched)
+                                         log)
              : retire_samples_containing(seed, plain_.sets(), counters,
-                                         retired, pending_dec,
-                                         pending_touched);
+                                         retired, log);
 }
 
 void RRRStore::record_sizes(metrics::HistogramData &out) {

@@ -181,11 +181,8 @@ public:
   // representation.  Under ScrubMode::Paranoid each one scrubs first.
   void count_into(std::span<std::uint32_t> counters);
   std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
-                       std::vector<std::uint8_t> &retired);
-  std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
                        std::vector<std::uint8_t> &retired,
-                       std::span<std::uint32_t> pending_dec,
-                       std::vector<vertex_t> &pending_touched);
+                       RetireLog *log = nullptr);
 
   /// Records every stored sample's size into \p out (the report histogram).
   void record_sizes(metrics::HistogramData &out);

@@ -1,5 +1,8 @@
 #include "imm/imm.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -14,38 +17,58 @@
 
 namespace ripples {
 
+namespace {
+
+/// The shared diagnostic of the mode readers below: a typo'd value would
+/// otherwise run silently with the default and turn a test leg into a
+/// false pass.
+[[noreturn]] void reject_env(const char *name, const char *expected,
+                             const char *value) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, value);
+  std::exit(2);
+}
+
+bool unset_or_is(const char *value, const char *default_spelling) {
+  return value == nullptr || *value == '\0' ||
+         std::strcmp(value, default_spelling) == 0;
+}
+
+} // namespace
+
 SelectionExchange selection_exchange_from_env() {
   const char *value = std::getenv("RIPPLES_SELECTION_EXCHANGE");
-  if (value != nullptr && std::strcmp(value, "sparse") == 0)
-    return SelectionExchange::Sparse;
-  return SelectionExchange::Dense;
+  if (unset_or_is(value, "dense")) return SelectionExchange::Dense;
+  if (std::strcmp(value, "sparse") == 0) return SelectionExchange::Sparse;
+  reject_env("RIPPLES_SELECTION_EXCHANGE", "dense|sparse", value);
 }
 
 SamplerEngine sampler_engine_from_env() {
   const char *value = std::getenv("RIPPLES_SAMPLER");
-  if (value != nullptr && std::strcmp(value, "fused") == 0)
-    return SamplerEngine::Fused;
-  return SamplerEngine::Sequential;
+  if (unset_or_is(value, "seq")) return SamplerEngine::Sequential;
+  if (std::strcmp(value, "fused") == 0) return SamplerEngine::Fused;
+  reject_env("RIPPLES_SAMPLER", "seq|fused", value);
 }
 
 StealMode steal_mode_from_env() {
   const char *value = std::getenv("RIPPLES_STEAL");
-  if (value == nullptr) return StealMode::Off;
-  if (std::strcmp(value, "on") == 0) return StealMode::On;
+  if (unset_or_is(value, "off")) return StealMode::Off;
   if (std::strcmp(value, "intra") == 0) return StealMode::Intra;
   if (std::strcmp(value, "inter") == 0) return StealMode::Inter;
-  return StealMode::Off;
+  if (std::strcmp(value, "on") == 0) return StealMode::On;
+  reject_env("RIPPLES_STEAL", "off|intra|inter|on", value);
 }
 
 std::uint64_t steal_chunk_from_env() {
   const char *value = std::getenv("RIPPLES_STEAL_CHUNK");
-  if (value != nullptr) {
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end != value && *end == '\0' && parsed > 0)
-      return static_cast<std::uint64_t>(parsed);
-  }
-  return 64; // one fused batch per chunk
+  if (value == nullptr || *value == '\0') return 64; // one fused batch
+  char *end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value, &end, 10);
+  // strtoull would accept leading blanks and a sign; a chunk is digits only.
+  if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
+      errno == ERANGE || parsed == 0)
+    reject_env("RIPPLES_STEAL_CHUNK", "a positive integer", value);
+  return static_cast<std::uint64_t>(parsed);
 }
 
 bool steal_skew_from_env() {

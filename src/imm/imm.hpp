@@ -54,10 +54,9 @@ enum class SelectionExchange {
   Sparse,
 };
 
-/// Reads RIPPLES_SELECTION_EXCHANGE ("sparse" selects Sparse; anything else
-/// — including unset — selects Dense), mirroring the RIPPLES_METRICS /
-/// RIPPLES_FAULTS idiom so test legs can flip the protocol without touching
-/// call sites.
+/// Reads RIPPLES_SELECTION_EXCHANGE: `dense` (default, also when unset or
+/// empty) or `sparse`, so test legs can flip the protocol without touching
+/// call sites.  Any other value terminates with a diagnostic (exit 2).
 [[nodiscard]] SelectionExchange selection_exchange_from_env();
 
 /// RRR-generation engine (DESIGN.md §10).  Both engines draw sample i from
@@ -70,10 +69,10 @@ enum class SamplerEngine {
   Fused,
 };
 
-/// Reads RIPPLES_SAMPLER ("fused" selects Fused; anything else — including
-/// unset — selects Sequential), the same idiom as
-/// selection_exchange_from_env so check.sh can rerun the whole suite under
-/// the fused engine without touching call sites.
+/// Reads RIPPLES_SAMPLER: `seq` (default, also when unset or empty) or
+/// `fused`, so check.sh can rerun the whole suite under the fused engine
+/// without touching call sites.  Any other value terminates with a
+/// diagnostic (exit 2).
 [[nodiscard]] SamplerEngine sampler_engine_from_env();
 
 /// Work-stealing scope of the sampling phase (DESIGN.md §13).  Because the
@@ -95,14 +94,15 @@ enum class StealMode {
   On,
 };
 
-/// Reads RIPPLES_STEAL ("on", "intra", "inter"; anything else — including
-/// unset — selects Off), same idiom as sampler_engine_from_env.
+/// Reads RIPPLES_STEAL: `off` (default, also when unset or empty), `intra`,
+/// `inter` or `on`.  Any other value terminates with a diagnostic (exit 2).
 [[nodiscard]] StealMode steal_mode_from_env();
 
 [[nodiscard]] const char *to_string(StealMode mode);
 
-/// Reads RIPPLES_STEAL_CHUNK (draws per chunk; 0/unset/garbage selects the
-/// default of 64 — one fused batch per chunk).
+/// Reads RIPPLES_STEAL_CHUNK: draws per chunk, a positive integer; unset or
+/// empty selects the default of 64 (one fused batch per chunk).  Anything
+/// else terminates with a diagnostic (exit 2).
 [[nodiscard]] std::uint64_t steal_chunk_from_env();
 
 /// Reads RIPPLES_STEAL_SKEW ("1"/"on" enables).

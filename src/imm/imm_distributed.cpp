@@ -468,11 +468,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // restart re-enters select() and rebuilds it from the (intact) local
       // counters, so a failure inside any sparse collective recovers to the
       // same place a dense run would.  `global_counts` doubles as the
-      // stage-3 cache of the true global vector; `pending_*` accumulate the
-      // retirement decrements not yet folded into it.
+      // stage-3 cache of the true global vector; `retire_log` accumulates
+      // the retirement decrements not yet folded into it.
       bool cache_valid = false;
-      std::vector<std::uint32_t> pending_dec(sparse ? n : 0, 0);
-      std::vector<vertex_t> pending_touched;
+      RetireLog retire_log(sparse ? n : 0);
 
       // Stage 3: brings the cached global counter vector current — a full
       // allreduce the first time, afterwards an allgatherv of only the
@@ -488,8 +487,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           cache_valid = true;
         } else {
           std::vector<CounterPair> deltas;
-          deltas.reserve(pending_touched.size());
-          for (vertex_t v : pending_touched) deltas.push_back({v, pending_dec[v]});
+          deltas.reserve(retire_log.pending_touched.size());
+          for (vertex_t v : retire_log.pending_touched)
+            deltas.push_back({v, retire_log.pending_dec[v]});
           detail::record_exchange_words(2 * deltas.size());
           const std::vector<CounterPair> all =
               comm.allgatherv(std::span<const CounterPair>(deltas));
@@ -498,8 +498,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
             global_counts[d.vertex] -= d.count;
           }
         }
-        for (vertex_t v : pending_touched) pending_dec[v] = 0;
-        pending_touched.clear();
+        for (vertex_t v : retire_log.pending_touched)
+          retire_log.pending_dec[v] = 0;
+        retire_log.pending_touched.clear();
       };
 
       // One sparse round: escalate through the three stages until one
@@ -580,18 +581,11 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         // mode additionally logs the decrements so stage 3 can delta-sync.
         selected[seed] = 1;
         selection.seeds.push_back(seed);
-        if (store)
-          local_covered +=
-              sparse ? store->retire(seed, local_counts, retired, pending_dec,
-                                     pending_touched)
-                     : store->retire(seed, local_counts, retired);
-        else
-          local_covered +=
-              sparse ? retire_samples_containing(seed, local.sets(),
-                                                 local_counts, retired,
-                                                 pending_dec, pending_touched)
-                     : retire_samples_containing(seed, local.sets(),
-                                                 local_counts, retired);
+        RetireLog *const round_log = sparse ? &retire_log : nullptr;
+        local_covered +=
+            store ? store->retire(seed, local_counts, retired, round_log)
+                  : retire_samples_containing(seed, local.sets(), local_counts,
+                                              retired, round_log);
       }
 
       std::uint64_t totals[2] = {local_covered, local_size()};

@@ -51,85 +51,6 @@ std::size_t RRRCollection::grow(std::size_t count) {
   return first;
 }
 
-void FlatRRRCollection::append(std::span<const vertex_t> members) {
-  check_growth("FlatRRRCollection payload", payload_.size(), members.size(),
-               payload_.max_size());
-  payload_.insert(payload_.end(), members.begin(), members.end());
-  offsets_.push_back(payload_.size());
-  if (checksums_) extend_page_crcs();
-}
-
-void FlatRRRCollection::enable_checksums() {
-  if (checksums_) return;
-  checksums_ = true;
-  extend_page_crcs();
-}
-
-/// Hashes payload bytes [hashed_bytes_, total) into the page structure —
-/// CRC chaining lets the open page accumulate across appends and finalize
-/// exactly at each kPageBytes boundary.
-void FlatRRRCollection::extend_page_crcs() {
-  const auto *bytes = reinterpret_cast<const std::uint8_t *>(payload_.data());
-  const std::size_t total = payload_.size() * sizeof(vertex_t);
-  while (hashed_bytes_ < total) {
-    const std::size_t page_end = (page_crcs_.size() + 1) * kPageBytes;
-    const std::size_t upto = std::min(total, page_end);
-    tail_crc_ = checkpoint::crc32({bytes + hashed_bytes_, upto - hashed_bytes_},
-                                  tail_crc_);
-    hashed_bytes_ = upto;
-    if (hashed_bytes_ == page_end) {
-      page_crcs_.push_back(tail_crc_);
-      tail_crc_ = 0;
-    }
-  }
-}
-
-std::vector<std::size_t> FlatRRRCollection::verify_pages() const {
-  std::vector<std::size_t> corrupt;
-  if (!checksums_) return corrupt;
-  const auto *bytes = reinterpret_cast<const std::uint8_t *>(payload_.data());
-  for (std::size_t page = 0; page < page_crcs_.size(); ++page) {
-    if (crc_bytes(bytes + page * kPageBytes, kPageBytes) != page_crcs_[page])
-      corrupt.push_back(page);
-  }
-  const std::size_t tail_begin = page_crcs_.size() * kPageBytes;
-  if (tail_begin < hashed_bytes_ &&
-      crc_bytes(bytes + tail_begin, hashed_bytes_ - tail_begin) != tail_crc_)
-    corrupt.push_back(page_crcs_.size());
-  return corrupt;
-}
-
-void FlatRRRCollection::flip_payload_bit(std::size_t bit) {
-  auto *bytes = reinterpret_cast<std::uint8_t *>(payload_.data());
-  const std::size_t total = payload_.size() * sizeof(vertex_t);
-  RIPPLES_ASSERT(total > 0);
-  bit %= total * 8;
-  bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-}
-
-void FlatRRRCollection::rehash_page(std::size_t page) {
-  const auto *bytes = reinterpret_cast<const std::uint8_t *>(payload_.data());
-  const std::size_t begin = page * kPageBytes;
-  if (page < page_crcs_.size()) {
-    page_crcs_[page] = crc_bytes(bytes + begin, kPageBytes);
-  } else if (begin < hashed_bytes_) {
-    tail_crc_ = crc_bytes(bytes + begin, hashed_bytes_ - begin);
-  }
-}
-
-void FlatRRRCollection::overwrite(std::size_t offset,
-                                  std::span<const vertex_t> values) {
-  RIPPLES_ASSERT(offset + values.size() <= payload_.size());
-  if (values.empty()) return;
-  std::memcpy(payload_.data() + offset, values.data(),
-              values.size() * sizeof(vertex_t));
-  if (!checksums_) return;
-  const std::size_t first_page = offset * sizeof(vertex_t) / kPageBytes;
-  const std::size_t last_byte = (offset + values.size()) * sizeof(vertex_t) - 1;
-  for (std::size_t page = first_page; page <= last_byte / kPageBytes; ++page)
-    rehash_page(page);
-}
-
 std::size_t RRRCollection::footprint_bytes() const {
   std::size_t bytes = sets_.capacity() * sizeof(RRRSet);
   for (const RRRSet &set : sets_) bytes += set.capacity() * sizeof(vertex_t);
@@ -143,14 +64,6 @@ std::size_t RRRCollection::total_associations() const {
 }
 
 // --- CompressedRRRCollection ------------------------------------------------
-
-void CompressedRRRCollection::put_varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    payload_.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  payload_.push_back(static_cast<std::uint8_t>(value));
-}
 
 void CompressedRRRCollection::encode_record(std::vector<std::uint8_t> &out,
                                             std::span<const vertex_t> members) {
@@ -181,14 +94,7 @@ void CompressedRRRCollection::append(std::span<const vertex_t> members) {
     block_offsets_.push_back(payload_.size());
   }
   const std::size_t start = payload_.size();
-  put_varint(members.size());
-  vertex_t previous = 0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    RIPPLES_DEBUG_ASSERT(i == 0 || members[i] > previous);
-    put_varint(i == 0 ? static_cast<std::uint64_t>(members[i])
-                      : static_cast<std::uint64_t>(members[i]) - previous);
-    previous = members[i];
-  }
+  encode_record(payload_, members);
   if (checksums_)
     tail_crc_ =
         crc_bytes(payload_.data() + start, payload_.size() - start, tail_crc_);

@@ -13,14 +13,13 @@
 ///  * HypergraphCollection — the dual-direction baseline (Tang et al.'s IMM),
 ///    built here to reproduce Table 2's time and memory comparison.
 ///
-/// Scrubbing (DESIGN.md §14): the two arena representations optionally carry
-/// checksums over their contiguous payloads — per-block CRC-32 for the
-/// compressed arena, 64 KiB pages for the flat arena — maintained
-/// incrementally on append and verified before the selection kernels consume
-/// the bytes.  Because every stored sample is a pure function of its RNG
-/// coordinates, a damaged block is *repairable*: the owner regenerates the
-/// block's sets bit-identically and re-encodes them in place.  Checksums are
-/// opt-in (enable_checksums) so the default path pays nothing.
+/// Scrubbing (DESIGN.md §14): the compressed arena optionally carries a
+/// CRC-32 per block of its contiguous payload, maintained incrementally on
+/// append and verified before the selection kernels consume the bytes.
+/// Because every stored sample is a pure function of its RNG coordinates, a
+/// damaged block is *repairable*: the owner regenerates the block's sets
+/// bit-identically and re-encodes them in place.  Checksums are opt-in
+/// (enable_checksums) so the default path pays nothing.
 #ifndef RIPPLES_IMM_RRR_COLLECTION_HPP
 #define RIPPLES_IMM_RRR_COLLECTION_HPP
 
@@ -65,81 +64,6 @@ private:
   std::vector<RRRSet> sets_;
 };
 
-/// Arena storage: all samples concatenated in one vertex array with an
-/// offsets index — the logical next step of the paper's compact
-/// representation.  Removes the per-sample vector header (24 bytes) and
-/// capacity slack, improves counting locality (one linear array), at the
-/// price of append-only semantics.  Compared against RRRCollection in
-/// ablation_storage.
-class FlatRRRCollection {
-public:
-  /// Scrub granularity: one CRC-32 per this many payload bytes.  Large
-  /// enough that the checksum array is negligible, small enough that one
-  /// flipped bit damages (and re-derives) a bounded byte range.
-  static constexpr std::size_t kPageBytes = 64 * 1024;
-
-  [[nodiscard]] std::size_t size() const { return offsets_.size() - 1; }
-
-  /// Sorted members of sample \p j.
-  [[nodiscard]] std::span<const vertex_t> sample(std::size_t j) const {
-    RIPPLES_DEBUG_ASSERT(j + 1 < offsets_.size());
-    return {payload_.data() + offsets_[j],
-            static_cast<std::size_t>(offsets_[j + 1] - offsets_[j])};
-  }
-
-  /// Appends one sample (members already sorted).  Throws std::length_error
-  /// when the concatenated payload would no longer be representable.
-  void append(std::span<const vertex_t> members);
-
-  [[nodiscard]] std::size_t footprint_bytes() const {
-    return payload_.capacity() * sizeof(vertex_t) +
-           offsets_.capacity() * sizeof(std::uint64_t) +
-           page_crcs_.capacity() * sizeof(std::uint32_t);
-  }
-
-  [[nodiscard]] std::size_t total_associations() const {
-    return payload_.size();
-  }
-
-  /// Releases growth slack after the collection stops growing.
-  void shrink_to_fit() {
-    payload_.shrink_to_fit();
-    offsets_.shrink_to_fit();
-    page_crcs_.shrink_to_fit();
-  }
-
-  /// Turns on page checksums (idempotent).  Already-appended payload is
-  /// hashed on the spot; subsequent appends extend the page CRCs
-  /// incrementally.  Off by default so the ungoverned path pays nothing.
-  void enable_checksums();
-  [[nodiscard]] bool checksums_enabled() const { return checksums_; }
-
-  /// Recomputes every page CRC and returns the indices of pages whose
-  /// payload no longer matches.  Empty when checksums are disabled.
-  [[nodiscard]] std::vector<std::size_t> verify_pages() const;
-
-  /// Deterministic fault-injection surface (the storage-level analogue of
-  /// mpsim's kind=corrupt): flips one payload bit, leaving the stored page
-  /// CRC describing the clean bytes.
-  void flip_payload_bit(std::size_t bit);
-
-  /// Repair: overwrites payload vertices [offset, offset + values.size())
-  /// with regenerated (bit-identical) values and rehashes the touched
-  /// pages, so a subsequent verify_pages() reflects the restored bytes.
-  void overwrite(std::size_t offset, std::span<const vertex_t> values);
-
-private:
-  void extend_page_crcs();
-  void rehash_page(std::size_t page);
-
-  std::vector<vertex_t> payload_;
-  std::vector<std::uint64_t> offsets_{0};
-  std::vector<std::uint32_t> page_crcs_; // finalized (full) pages
-  std::uint32_t tail_crc_ = 0;           // running CRC of the partial page
-  std::size_t hashed_bytes_ = 0;
-  bool checksums_ = false;
-};
-
 /// Delta+varint compressed arena (DESIGN.md §12): each sample is one record
 /// `[varint member_count][varint first][varint deltas...]` — members are
 /// sorted and unique, so consecutive differences are small positive integers
@@ -168,7 +92,7 @@ public:
 
   /// Appends one sample (members sorted ascending, unique).  Throws
   /// std::length_error when the encoded payload would no longer be
-  /// representable, mirroring FlatRRRCollection::append.
+  /// representable.
   void append(std::span<const vertex_t> members);
 
   /// Decodes sample \p j into \p out (cleared first).  Block-indexed: seeks
@@ -253,7 +177,6 @@ public:
   [[nodiscard]] Cursor cursor() const { return Cursor(*this); }
 
 private:
-  void put_varint(std::uint64_t value);
   /// Encodes one record (count header + delta varints) into \p out —
   /// shared by append and repair_block so a repaired block is byte-for-byte
   /// what append would have produced.

@@ -73,24 +73,6 @@ void sample_multithreaded(const CsrGraph &graph, DiffusionModel model,
   trace::counter("rrr_sets", collection.size());
 }
 
-void sample_sequential_flat(const CsrGraph &graph, DiffusionModel model,
-                            std::uint64_t target_total, std::uint64_t seed,
-                            FlatRRRCollection &collection) {
-  RRRGenerator generator(graph);
-  RRRSet scratch;
-  std::uint64_t first = collection.size();
-  if (first >= target_total) return;
-  trace::Span span("sampler", "sampler.batch_flat", "first", first, "count",
-                   target_total - first);
-  for (std::uint64_t i = first; i < target_total; ++i) {
-    Philox4x32 rng = sample_stream(seed, i);
-    generator.generate_random_root(model, rng, scratch);
-    collection.append(scratch);
-  }
-  count_generated(target_total - first);
-  trace::counter("rrr_sets", collection.size());
-}
-
 void sample_hypergraph(const CsrGraph &graph, DiffusionModel model,
                        std::uint64_t target_total, std::uint64_t seed,
                        HypergraphCollection &collection) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <omp.h>
 
 #include "support/assert.hpp"
@@ -12,129 +13,205 @@ namespace ripples {
 
 namespace {
 
-/// True if the sorted sample contains \p v.
-bool sample_contains(const RRRSet &sample, vertex_t v) {
-  return std::binary_search(sample.begin(), sample.end(), v);
+/// The set walker under every sequential kernel: calls
+/// `visit(j, members)` for each sample j not flagged in \p retired (null:
+/// none is), in index order.  Plain storage hands out the stored vector
+/// itself; the compressed arena decodes each live record into one scratch
+/// buffer and skips retired ones without decoding.  Always inlined: the
+/// visitor's captures must fold into registers of the calling kernel, or
+/// every set pays loads through the closure.
+template <typename Source, typename Visit>
+[[gnu::always_inline]] inline void
+for_each_live_set(const Source &source, const std::uint8_t *retired,
+                  Visit &&visit) {
+  if constexpr (std::is_same_v<Source, CompressedRRRCollection>) {
+    auto cursor = source.cursor();
+    std::vector<vertex_t> members;
+    for (std::size_t j = 0; j < source.size(); ++j) {
+      const std::uint32_t count = cursor.next_header();
+      if (retired != nullptr && retired[j]) {
+        cursor.skip_members(count);
+        continue;
+      }
+      cursor.decode_members(count, members);
+      visit(j, std::span<const vertex_t>(members));
+    }
+  } else {
+    // A local copy of the span: the retire visitor's byte stores may alias
+    // anything in memory, so a referenced span would be reloaded per set.
+    const std::span<const RRRSet> sets(source);
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      if (retired != nullptr && retired[j]) continue;
+      visit(j, std::span<const vertex_t>(sets[j]));
+    }
+  }
+}
+
+template <typename Source>
+void count_live(const Source &source, std::span<std::uint32_t> counters) {
+  for_each_live_set(source, nullptr,
+                    [&](std::size_t, std::span<const vertex_t> members) {
+                      for (vertex_t v : members) {
+                        RIPPLES_DEBUG_ASSERT(v < counters.size());
+                        ++counters[v];
+                      }
+                    });
+}
+
+/// Retirement body; \p kLog is fixed per call so the dense inner loop
+/// carries no per-member test of the log.
+template <bool kLog, typename Source>
+std::uint64_t retire_live(vertex_t seed, const Source &source,
+                          std::span<std::uint32_t> counters,
+                          std::vector<std::uint8_t> &retired, RetireLog *log) {
+  std::uint64_t retired_count = 0;
+  std::uint8_t *const flags = retired.data();
+  for_each_live_set(
+      source, flags, [&](std::size_t j, std::span<const vertex_t> members) {
+        if (!std::binary_search(members.begin(), members.end(), seed)) return;
+        flags[j] = 1;
+        ++retired_count;
+        for (vertex_t u : members) {
+          RIPPLES_DEBUG_ASSERT(counters[u] > 0);
+          --counters[u];
+          if constexpr (kLog)
+            if (log->pending_dec[u]++ == 0) log->pending_touched.push_back(u);
+        }
+      });
+  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
+  return retired_count;
+}
+
+template <typename Source>
+std::uint64_t retire(vertex_t seed, const Source &source,
+                     std::span<std::uint32_t> counters,
+                     std::vector<std::uint8_t> &retired, RetireLog *log) {
+  return log != nullptr
+             ? retire_live<true>(seed, source, counters, retired, log)
+             : retire_live<false>(seed, source, counters, retired, log);
+}
+
+/// Eager picker: one argmax scan over the unselected counters per round.
+class ArgmaxPicker {
+public:
+  explicit ArgmaxPicker(std::span<const std::uint32_t> counters)
+      : selected_(counters.size(), 0) {}
+
+  vertex_t pick(std::span<const std::uint32_t> counters, trace::Span &) {
+    const vertex_t seed = argmax_counter(counters, selected_);
+    selected_[seed] = 1;
+    return seed;
+  }
+  void finish() const {}
+
+private:
+  std::vector<std::uint8_t> selected_;
+};
+
+/// CELF picker: a max-heap of cached counter values.  Counters only
+/// decrease as samples retire, so a popped entry whose cached value still
+/// matches the live counter is globally maximal; stale entries are
+/// refreshed and reinserted.
+class CelfPicker {
+public:
+  explicit CelfPicker(std::span<const std::uint32_t> counters) {
+    heap_.reserve(counters.size());
+    for (vertex_t v = 0; v < counters.size(); ++v)
+      heap_.push_back({counters[v], v});
+    std::make_heap(heap_.begin(), heap_.end(), lower_priority);
+  }
+
+  vertex_t pick(std::span<const std::uint32_t> counters, trace::Span &round) {
+    std::uint64_t round_stale = 0;
+    for (;; ++round_stale) {
+      RIPPLES_ASSERT_MSG(!heap_.empty(), "k exceeds the number of vertices");
+      std::pop_heap(heap_.begin(), heap_.end(), lower_priority);
+      Entry &top = heap_.back();
+      if (top.count == counters[top.vertex]) break;
+      top.count = counters[top.vertex]; // stale: refresh and reinsert
+      std::push_heap(heap_.begin(), heap_.end(), lower_priority);
+    }
+    const vertex_t seed = heap_.back().vertex;
+    heap_.pop_back();
+    stale_refreshes_ += round_stale;
+    round.arg("stale", round_stale);
+    return seed;
+  }
+  void finish() const {
+    trace::instant("select", "select.lazy_done", "stale_refreshes",
+                   stale_refreshes_);
+  }
+
+private:
+  struct Entry {
+    std::uint32_t count;
+    vertex_t vertex;
+  };
+  /// Higher count first, ties to the smaller vertex id so the output
+  /// matches the eager picker.
+  static constexpr auto lower_priority = [](const Entry &a, const Entry &b) {
+    return a.count < b.count || (a.count == b.count && a.vertex > b.vertex);
+  };
+  std::vector<Entry> heap_;
+  std::uint64_t stale_refreshes_ = 0;
+};
+
+/// The sequential greedy: count once, then k rounds of pick and retire.
+template <typename Picker, typename Source>
+SelectionResult greedy(vertex_t num_vertices, std::uint32_t k,
+                       const Source &source, const char *name) {
+  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
+  trace::Span span("select", name, "k", k, "samples", source.size());
+  std::vector<std::uint32_t> counters(num_vertices, 0);
+  {
+    trace::Span count_span("select", "select.count_memberships");
+    count_live(source, counters);
+  }
+  Picker picker(counters);
+  std::vector<std::uint8_t> retired(source.size(), 0);
+
+  SelectionResult result;
+  result.total_samples = source.size();
+  result.seeds.reserve(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    trace::Span round("select", "select.round", "round", i);
+    const vertex_t seed = picker.pick(counters, round);
+    result.seeds.push_back(seed);
+    const std::uint64_t covered =
+        retire_live<false>(seed, source, counters, retired, nullptr);
+    result.covered_samples += covered;
+    round.arg("covered", covered);
+  }
+  picker.finish();
+  return result;
 }
 
 } // namespace
 
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters) {
-  for (const RRRSet &sample : samples)
-    for (vertex_t v : sample) {
-      RIPPLES_DEBUG_ASSERT(v < counters.size());
-      ++counters[v];
-    }
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired) {
-  std::uint64_t retired_count = 0;
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    if (retired[j]) continue;
-    if (!sample_contains(samples[j], seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : samples[j]) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched) {
-  std::uint64_t retired_count = 0;
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    if (retired[j]) continue;
-    if (!sample_contains(samples[j], seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : samples[j]) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-      if (pending_dec[u]++ == 0) pending_touched.push_back(u);
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
+  count_live(samples, counters);
 }
 
 void count_memberships(const CompressedRRRCollection &collection,
                        std::span<std::uint32_t> counters) {
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    cursor.decode_members(cursor.next_header(), members);
-    for (vertex_t v : members) {
-      RIPPLES_DEBUG_ASSERT(v < counters.size());
-      ++counters[v];
-    }
-  }
+  count_live(collection, counters);
 }
 
 std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
+                                        std::span<const RRRSet> samples,
                                         std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired) {
-  std::uint64_t retired_count = 0;
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    const std::uint32_t count = cursor.next_header();
-    if (retired[j]) {
-      cursor.skip_members(count);
-      continue;
-    }
-    cursor.decode_members(count, members);
-    if (!std::binary_search(members.begin(), members.end(), seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : members) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
+                                        std::vector<std::uint8_t> &retired,
+                                        RetireLog *log) {
+  return retire(seed, samples, counters, retired, log);
 }
 
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         const CompressedRRRCollection &collection,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched) {
-  std::uint64_t retired_count = 0;
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    const std::uint32_t count = cursor.next_header();
-    if (retired[j]) {
-      cursor.skip_members(count);
-      continue;
-    }
-    cursor.decode_members(count, members);
-    if (!std::binary_search(members.begin(), members.end(), seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : members) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-      if (pending_dec[u]++ == 0) pending_touched.push_back(u);
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
+                                        RetireLog *log) {
+  return retire(seed, collection, counters, retired, log);
 }
 
 vertex_t argmax_counter(std::span<const std::uint32_t> counters,
@@ -156,32 +233,17 @@ vertex_t argmax_counter(std::span<const std::uint32_t> counters,
 
 SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
                              std::span<const RRRSet> samples) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.greedy", "k", k, "samples",
-                   samples.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  {
-    trace::Span count_span("select", "select.count_memberships");
-    count_memberships(samples, counters);
-  }
+  return greedy<ArgmaxPicker>(num_vertices, k, samples, "select.greedy");
+}
 
-  std::vector<std::uint8_t> retired(samples.size(), 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
+SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
+                             const CompressedRRRCollection &collection) {
+  return greedy<ArgmaxPicker>(num_vertices, k, collection, "select.compressed");
+}
 
-  SelectionResult result;
-  result.total_samples = samples.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    trace::Span round("select", "select.round", "round", i);
-    vertex_t seed = argmax_counter(counters, selected);
-    selected[seed] = 1;
-    result.seeds.push_back(seed);
-    std::uint64_t covered =
-        retire_samples_containing(seed, samples, counters, retired);
-    result.covered_samples += covered;
-    round.arg("covered", covered);
-  }
-  return result;
+SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
+                                  std::span<const RRRSet> samples) {
+  return greedy<CelfPicker>(num_vertices, k, samples, "select.lazy");
 }
 
 SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
@@ -207,7 +269,10 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     std::uint32_t count;
     vertex_t vertex;
   };
-  std::vector<Candidate> local_best(num_threads);
+  // Slots start at the "no candidate" sentinel: when the team comes out
+  // smaller than requested (a nested call, OMP_THREAD_LIMIT), the slots no
+  // thread writes must not pose as vertex 0.
+  std::vector<Candidate> local_best(num_threads, Candidate{0, num_vertices});
   vertex_t chosen = 0;
 
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
@@ -286,7 +351,8 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
           const std::size_t j =
               static_cast<std::size_t>(&sample - samples.data());
           if (retired[j]) continue;
-          if (!sample_contains(sample, chosen)) continue;
+          if (!std::binary_search(sample.begin(), sample.end(), chosen))
+            continue;
           if (j % p == t) my_retired.push_back(j);
           auto it = std::lower_bound(sample.begin(), sample.end(), vl);
           for (; it != sample.end() && *it < vh; ++it) {
@@ -306,127 +372,6 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
 #pragma omp atomic
     result.covered_samples += my_covered;
   }
-  return result;
-}
-
-SelectionResult select_seeds_flat(vertex_t num_vertices, std::uint32_t k,
-                                  const FlatRRRCollection &collection) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.flat", "k", k, "samples",
-                   collection.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  for (std::size_t j = 0; j < collection.size(); ++j)
-    for (vertex_t v : collection.sample(j)) ++counters[v];
-
-  std::vector<std::uint8_t> retired(collection.size(), 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
-
-  SelectionResult result;
-  result.total_samples = collection.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    vertex_t seed = argmax_counter(counters, selected);
-    selected[seed] = 1;
-    result.seeds.push_back(seed);
-    for (std::size_t j = 0; j < collection.size(); ++j) {
-      if (retired[j]) continue;
-      auto sample = collection.sample(j);
-      if (!std::binary_search(sample.begin(), sample.end(), seed)) continue;
-      retired[j] = 1;
-      ++result.covered_samples;
-      for (vertex_t u : sample) {
-        RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-        --counters[u];
-      }
-    }
-  }
-  return result;
-}
-
-SelectionResult select_seeds_compressed(vertex_t num_vertices, std::uint32_t k,
-                                        const CompressedRRRCollection &collection) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.compressed", "k", k, "samples",
-                   collection.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  {
-    trace::Span count_span("select", "select.count_memberships");
-    count_memberships(collection, counters);
-  }
-
-  std::vector<std::uint8_t> retired(collection.size(), 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
-
-  SelectionResult result;
-  result.total_samples = collection.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    trace::Span round("select", "select.round", "round", i);
-    vertex_t seed = argmax_counter(counters, selected);
-    selected[seed] = 1;
-    result.seeds.push_back(seed);
-    std::uint64_t covered =
-        retire_samples_containing(seed, collection, counters, retired);
-    result.covered_samples += covered;
-    round.arg("covered", covered);
-  }
-  return result;
-}
-
-SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
-                                  std::span<const RRRSet> samples) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.lazy", "k", k, "samples", samples.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  {
-    trace::Span count_span("select", "select.count_memberships");
-    count_memberships(samples, counters);
-  }
-
-  // Max-heap of (cached count, vertex), higher count first, ties to the
-  // smaller vertex id so the output matches the eager implementations.
-  struct Entry {
-    std::uint32_t count;
-    vertex_t vertex;
-  };
-  auto lower_priority = [](const Entry &a, const Entry &b) {
-    return a.count < b.count || (a.count == b.count && a.vertex > b.vertex);
-  };
-  std::vector<Entry> heap;
-  heap.reserve(num_vertices);
-  for (vertex_t v = 0; v < num_vertices; ++v) heap.push_back({counters[v], v});
-  std::make_heap(heap.begin(), heap.end(), lower_priority);
-
-  std::vector<std::uint8_t> retired(samples.size(), 0);
-  SelectionResult result;
-  result.total_samples = samples.size();
-  result.seeds.reserve(k);
-  std::uint64_t stale_refreshes = 0;
-  while (result.seeds.size() < k) {
-    trace::Span round("select", "select.round", "round", result.seeds.size());
-    std::uint64_t round_stale = 0;
-    for (;;) {
-      RIPPLES_ASSERT_MSG(!heap.empty(), "k exceeds the number of vertices");
-      std::pop_heap(heap.begin(), heap.end(), lower_priority);
-      Entry top = heap.back();
-      heap.pop_back();
-      if (top.count != counters[top.vertex]) {
-        // Stale cache: counters only decrease, so refresh and reinsert.
-        heap.push_back({counters[top.vertex], top.vertex});
-        std::push_heap(heap.begin(), heap.end(), lower_priority);
-        ++round_stale;
-        continue;
-      }
-      result.seeds.push_back(top.vertex);
-      result.covered_samples +=
-          retire_samples_containing(top.vertex, samples, counters, retired);
-      break;
-    }
-    stale_refreshes += round_stale;
-    round.arg("stale", round_stale);
-  }
-  trace::instant("select", "select.lazy_done", "stale_refreshes",
-                 stale_refreshes);
   return result;
 }
 

@@ -6,8 +6,11 @@
 /// take the argmax, then retire every sample containing it (those samples
 /// can no longer add influence) and decrement the counters of their members.
 ///
-/// Three implementations:
-///  * select_seeds            — sequential reference.
+/// One sequential greedy and two specialised bodies:
+///  * select_seeds / select_seeds_lazy — the sequential greedy, written once
+///    over a set walker that visits the live samples of either storage (the
+///    sorted vectors, or the compressed arena decoded on iterate), with one
+///    of two pickers for the next seed: an eager argmax scan, or a CELF heap.
 ///  * select_seeds_multithreaded — Algorithm 4: each thread owns the
 ///    counters of a vertex interval [vl, vh), so counting and decrementing
 ///    need no atomics; sorted samples let a thread binary-search directly to
@@ -51,6 +54,14 @@ struct SelectionResult {
                                            std::uint32_t k,
                                            std::span<const RRRSet> samples);
 
+/// The same greedy over the compressed representation (DESIGN.md §12):
+/// every kernel pass walks the arena front to back with a cursor, decoding
+/// live sets into a scratch buffer and skipping retired ones at
+/// continuation-bit-scan cost.
+[[nodiscard]] SelectionResult
+select_seeds(vertex_t num_vertices, std::uint32_t k,
+             const CompressedRRRCollection &collection);
+
 /// Algorithm 4: interval-partitioned multithreaded selection.  \p
 /// num_threads <= omp_get_max_threads(); the result is identical to the
 /// sequential version for any thread count.
@@ -63,20 +74,6 @@ select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
 [[nodiscard]] SelectionResult
 select_seeds_hypergraph(vertex_t num_vertices, std::uint32_t k,
                         const HypergraphCollection &collection);
-
-/// Selection over the arena representation: identical greedy and
-/// tie-breaking, counters and retirement walk the flat payload directly.
-[[nodiscard]] SelectionResult
-select_seeds_flat(vertex_t num_vertices, std::uint32_t k,
-                  const FlatRRRCollection &collection);
-
-/// Selection over the compressed representation (DESIGN.md §12): identical
-/// greedy and tie-breaking, decode-on-iterate — every kernel pass walks the
-/// arena front to back with a cursor, decoding live sets into a scratch
-/// buffer and skipping retired ones at continuation-bit-scan cost.
-[[nodiscard]] SelectionResult
-select_seeds_compressed(vertex_t num_vertices, std::uint32_t k,
-                        const CompressedRRRCollection &collection);
 
 /// Lazy-greedy selection (the paper's future-work item "exploitation of
 /// problem properties such as submodularity", realized CELF-style at the
@@ -98,47 +95,36 @@ select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
 /// samples containing each vertex.
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters);
+void count_memberships(const CompressedRRRCollection &collection,
+                       std::span<std::uint32_t> counters);
+
+/// Retirement-delta log of the sparse selection exchange: a retirement
+/// given one also accumulates every decrement here, so a later fallback can
+/// synchronize a cached global counter vector by exchanging only the
+/// touched entries.
+struct RetireLog {
+  explicit RetireLog(vertex_t num_vertices) : pending_dec(num_vertices, 0) {}
+  /// Dense per-vertex sum of the decrements not yet synchronized.
+  std::vector<std::uint32_t> pending_dec;
+  /// Vertices whose pending_dec left zero, in first-touch order.
+  std::vector<vertex_t> pending_touched;
+};
 
 /// Retires every live sample containing \p seed: marks it in \p retired
 /// (one byte per sample — byte granularity so parallel callers can write
 /// disjoint entries racelessly), decrements the counters of all its
 /// members, and returns how many samples were retired.  `counters[seed]`
-/// ends at 0.
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired);
-
-/// As above, additionally accumulating every decrement into \p pending_dec
-/// (a dense per-vertex accumulator; vertices touched for the first time are
-/// appended to \p pending_touched).  The sparse selection exchange records
-/// retirement deltas this way so a later fallback can synchronize a cached
-/// global counter vector by exchanging only the touched entries.
+/// ends at 0.  A non-null \p log additionally records every decrement.
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         std::span<const RRRSet> samples,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched);
-
-/// Compressed counterparts of the three kernels above: same counters, same
-/// retirement semantics, decode-on-iterate access.  The distributed driver
-/// dispatches to these when its budget governor has switched the rank-local
-/// partition to the compressed representation.
-void count_memberships(const CompressedRRRCollection &collection,
-                       std::span<std::uint32_t> counters);
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired);
-
+                                        RetireLog *log = nullptr);
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         const CompressedRRRCollection &collection,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched);
+                                        RetireLog *log = nullptr);
 
 /// Smallest-id argmax over the counters, skipping already-selected vertices;
 /// if every unselected counter is zero, returns the smallest unselected id.

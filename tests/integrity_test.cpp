@@ -407,36 +407,6 @@ TEST(CompressedScrub, NonIdenticalRegenerationIsRefused) {
   }
 }
 
-TEST(FlatScrub, PageChecksumsDetectAFlipAndOverwriteRepairsIt) {
-  // ~360 KB of payload: several full 64 KiB pages plus a partial tail.
-  std::vector<vertex_t> all;
-  FlatRRRCollection flat;
-  flat.enable_checksums();
-  std::mt19937_64 rng(71);
-  std::uniform_int_distribution<vertex_t> dist(0, 1 << 20);
-  for (int j = 0; j < 3000; ++j) {
-    RRRSet set(30);
-    for (vertex_t &v : set) v = dist(rng);
-    std::sort(set.begin(), set.end());
-    flat.append(set);
-    all.insert(all.end(), set.begin(), set.end());
-  }
-  EXPECT_TRUE(flat.verify_pages().empty());
-
-  flat.flip_payload_bit(777777);
-  const std::vector<std::size_t> corrupt = flat.verify_pages();
-  ASSERT_EQ(corrupt.size(), 1u);
-
-  flat.overwrite(0, all); // regenerated (here: remembered) clean values
-  EXPECT_TRUE(flat.verify_pages().empty());
-  for (std::size_t j = 0; j < 5; ++j) {
-    const std::span<const vertex_t> sample = flat.sample(j);
-    ASSERT_EQ(std::vector<vertex_t>(sample.begin(), sample.end()),
-              std::vector<vertex_t>(all.begin() + 30 * j,
-                                    all.begin() + 30 * (j + 1)));
-  }
-}
-
 // --- RRRStore: scrub passes, journal replay, repair --------------------------
 
 /// Deterministic replay-safe generator (the memory_budget_test shape): set j

@@ -188,7 +188,7 @@ TEST(CompressedKernels, CountAndSelectMatchPlainRepresentation) {
 
   const SelectionResult from_plain = select_seeds(kVertices, 10, plain.sets());
   const SelectionResult from_compressed =
-      select_seeds_compressed(kVertices, 10, compressed);
+      select_seeds(kVertices, 10, compressed);
   EXPECT_EQ(from_plain.seeds, from_compressed.seeds);
   EXPECT_EQ(from_plain.covered_samples, from_compressed.covered_samples);
 }
@@ -210,35 +210,27 @@ TEST(CompressedKernels, RetireMatchesPlainIncludingPendingDeltas) {
 
   std::vector<std::uint8_t> plain_retired(sets.size(), 0);
   std::vector<std::uint8_t> compressed_retired(sets.size(), 0);
-  std::vector<std::uint32_t> plain_pending(kVertices, 0);
-  std::vector<std::uint32_t> compressed_pending(kVertices, 0);
-  std::vector<vertex_t> plain_touched, compressed_touched;
+  RetireLog plain_log(kVertices), compressed_log(kVertices);
 
-  // Retire through a few greedy rounds, alternating the plain-delta and
-  // pending-delta overloads.
+  // Retire through a few greedy rounds, alternating unlogged and logged
+  // retirement.
   for (int round = 0; round < 4; ++round) {
     const std::vector<std::uint8_t> nothing_selected(kVertices, 0);
     const vertex_t seed = argmax_counter(plain_counts, nothing_selected);
-    std::uint64_t from_plain = 0, from_compressed = 0;
-    if (round % 2 == 0) {
-      from_plain = retire_samples_containing(seed, plain.sets(), plain_counts,
-                                             plain_retired);
-      from_compressed = retire_samples_containing(
-          seed, compressed, compressed_counts, compressed_retired);
-    } else {
-      from_plain = retire_samples_containing(seed, plain.sets(), plain_counts,
-                                             plain_retired, plain_pending,
-                                             plain_touched);
-      from_compressed = retire_samples_containing(
-          seed, compressed, compressed_counts, compressed_retired,
-          compressed_pending, compressed_touched);
-    }
+    const bool logged = round % 2 == 1;
+    const std::uint64_t from_plain =
+        retire_samples_containing(seed, plain.sets(), plain_counts,
+                                  plain_retired, logged ? &plain_log : nullptr);
+    const std::uint64_t from_compressed = retire_samples_containing(
+        seed, compressed, compressed_counts, compressed_retired,
+        logged ? &compressed_log : nullptr);
     EXPECT_EQ(from_plain, from_compressed) << "round " << round;
     EXPECT_EQ(plain_counts, compressed_counts) << "round " << round;
     EXPECT_EQ(plain_retired, compressed_retired) << "round " << round;
   }
-  EXPECT_EQ(plain_pending, compressed_pending);
-  EXPECT_EQ(plain_touched, compressed_touched);
+  EXPECT_EQ(plain_log.pending_dec, compressed_log.pending_dec);
+  EXPECT_EQ(plain_log.pending_touched, compressed_log.pending_touched);
+  EXPECT_FALSE(plain_log.pending_touched.empty());
 }
 
 // --- MemoryTracker: budget and sticky oom faults ------------------------------

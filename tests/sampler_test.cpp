@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "imm/imm.hpp"
 #include "imm/sampler.hpp"
 #include "imm/sampler_fused.hpp"
 
@@ -96,34 +98,6 @@ TEST(SampleMultithreaded, IncrementalExtensionMatchesOneShot) {
   ASSERT_EQ(one_shot.size(), incremental.size());
   for (std::size_t i = 0; i < one_shot.size(); ++i)
     EXPECT_EQ(one_shot.sets()[i], incremental.sets()[i]);
-}
-
-TEST(SampleSequentialFlat, MatchesCompactSamplesExactly) {
-  CsrGraph graph = test_graph(10);
-  RRRCollection compact;
-  FlatRRRCollection flat;
-  sample_sequential(graph, DiffusionModel::IndependentCascade, 120, 29, compact);
-  sample_sequential_flat(graph, DiffusionModel::IndependentCascade, 120, 29,
-                         flat);
-  ASSERT_EQ(flat.size(), compact.size());
-  for (std::size_t j = 0; j < flat.size(); ++j) {
-    auto slice = flat.sample(j);
-    ASSERT_EQ(slice.size(), compact.sets()[j].size()) << "sample " << j;
-    for (std::size_t i = 0; i < slice.size(); ++i)
-      EXPECT_EQ(slice[i], compact.sets()[j][i]);
-  }
-  EXPECT_EQ(flat.total_associations(), compact.total_associations());
-}
-
-TEST(SampleSequentialFlat, ArenaFootprintBeatsPerSampleVectors) {
-  CsrGraph graph = test_graph(11);
-  RRRCollection compact;
-  FlatRRRCollection flat;
-  sample_sequential(graph, DiffusionModel::IndependentCascade, 300, 31, compact);
-  sample_sequential_flat(graph, DiffusionModel::IndependentCascade, 300, 31,
-                         flat);
-  flat.shrink_to_fit();
-  EXPECT_LT(flat.footprint_bytes(), compact.footprint_bytes());
 }
 
 TEST(SampleHypergraph, StoresSameSamplesWithIncidence) {
@@ -355,6 +329,18 @@ TEST(FusedEdgeTableDeathTest, SamplerRejectsAModelItsTableWasNotBuiltFor) {
                          std::span(&index, 1), &out);
       },
       "edge table");
+}
+
+using SamplerEnvDeathTest = ::testing::Test;
+
+TEST(SamplerEnvDeathTest, TypoedEngineIsRejected) {
+  EXPECT_EXIT(
+      {
+        setenv("RIPPLES_SAMPLER", "fussed", 1);
+        (void)sampler_engine_from_env();
+      },
+      ::testing::ExitedWithCode(2),
+      "RIPPLES_SAMPLER: expected seq.fused, got 'fussed'");
 }
 
 // --- leap-frog index arithmetic --------------------------------------------

@@ -1,11 +1,13 @@
 // Tests for SelectSeeds: greedy max-coverage correctness against brute
-// force, equivalence of the three implementations (sequential, Algorithm 4
-// multithreaded, hypergraph baseline) for all thread counts, and the
-// counter/retirement building blocks.
+// force, equivalence of every implementation (the sequential greedy over
+// plain and compressed storage with either picker, Algorithm 4 at several
+// thread counts, the hypergraph baseline), and the counter/retirement
+// building blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "imm/select.hpp"
@@ -156,25 +158,6 @@ TEST(SelectSeedsMultithreaded, MoreThreadsThanVerticesIsSafe) {
   EXPECT_EQ(sequential.seeds, parallel.seeds);
 }
 
-// --- flat (arena) storage equivalence ----------------------------------------------
-
-class FlatEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FlatEquivalence, FlatSelectionMatchesCompactExactly) {
-  const vertex_t n = 160;
-  std::vector<RRRSet> samples = random_samples(n, 400, 9, GetParam());
-  FlatRRRCollection flat;
-  for (const RRRSet &sample : samples) flat.append(sample);
-  SelectionResult compact = select_seeds(n, 9, samples);
-  SelectionResult arena = select_seeds_flat(n, 9, flat);
-  EXPECT_EQ(compact.seeds, arena.seeds);
-  EXPECT_EQ(compact.covered_samples, arena.covered_samples);
-  EXPECT_EQ(compact.total_samples, arena.total_samples);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlatEquivalence,
-                         ::testing::Values(61, 62, 63));
-
 // --- lazy-greedy (CELF-style) equivalence ------------------------------------------
 
 class LazyEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -230,37 +213,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HypergraphEquivalence,
 
 // --- cross-variant determinism ------------------------------------------------------
 
+CompressedRRRCollection compress(const std::vector<RRRSet> &samples) {
+  CompressedRRRCollection compressed;
+  for (const RRRSet &sample : samples) compressed.append(sample);
+  return compressed;
+}
+
 /// Runs every selection variant on the same samples and demands bit-identical
-/// seed sequences: one greedy max-coverage definition, five implementations.
+/// seed sequences and coverage: one greedy max-coverage definition, every
+/// storage and implementation.
 void expect_all_variants_agree(vertex_t n, std::uint32_t k,
                                const std::vector<RRRSet> &samples) {
-  SelectionResult reference = select_seeds(n, k, samples);
+  const SelectionResult reference = select_seeds(n, k, samples);
+  ASSERT_EQ(reference.seeds.size(), k);
+  auto expect_same = [&](const SelectionResult &other, const char *variant) {
+    EXPECT_EQ(reference.seeds, other.seeds) << variant;
+    EXPECT_EQ(reference.covered_samples, other.covered_samples) << variant;
+    EXPECT_EQ(reference.total_samples, other.total_samples) << variant;
+  };
 
-  for (unsigned threads : {1u, 2u, 7u}) {
-    SelectionResult mt = select_seeds_multithreaded(n, k, samples, threads);
-    EXPECT_EQ(reference.seeds, mt.seeds) << "threads=" << threads;
-    EXPECT_EQ(reference.covered_samples, mt.covered_samples)
-        << "threads=" << threads;
-  }
-
-  SelectionResult lazy = select_seeds_lazy(n, k, samples);
-  EXPECT_EQ(reference.seeds, lazy.seeds);
-  EXPECT_EQ(reference.covered_samples, lazy.covered_samples);
-
-  FlatRRRCollection flat;
-  for (const RRRSet &sample : samples) flat.append(sample);
-  SelectionResult arena = select_seeds_flat(n, k, flat);
-  EXPECT_EQ(reference.seeds, arena.seeds);
-  EXPECT_EQ(reference.covered_samples, arena.covered_samples);
+  expect_same(select_seeds(n, k, compress(samples)), "compressed");
+  expect_same(select_seeds_lazy(n, k, samples), "lazy");
+  for (unsigned threads : {1u, 2u, 7u})
+    expect_same(select_seeds_multithreaded(n, k, samples, threads),
+                ("threads=" + std::to_string(threads)).c_str());
 
   HypergraphCollection hypergraph(n);
   for (const RRRSet &sample : samples) {
     RRRSet copy = sample;
     hypergraph.add(std::move(copy));
   }
-  SelectionResult dual = select_seeds_hypergraph(n, k, hypergraph);
-  EXPECT_EQ(reference.seeds, dual.seeds);
-  EXPECT_EQ(reference.covered_samples, dual.covered_samples);
+  expect_same(select_seeds_hypergraph(n, k, hypergraph), "hypergraph");
 }
 
 TEST(SelectDeterminism, AllVariantsAgreeOnRandomFixtures) {
@@ -281,6 +264,27 @@ TEST(SelectDeterminism, AllVariantsAgreeOnZeroCoverageTail) {
   // must also match across variants.
   std::vector<RRRSet> samples = {{4}, {4}, {6}};
   expect_all_variants_agree(9, 5, samples);
+}
+
+TEST(SelectDeterminism, AllVariantsAgreeOnAnEmptyCollection) {
+  // No samples at all: every variant falls back to the smallest ids.
+  expect_all_variants_agree(6, 3, {});
+  const SelectionResult compressed =
+      select_seeds(6, 3, CompressedRRRCollection{});
+  EXPECT_EQ(compressed.seeds, (std::vector<vertex_t>{0, 1, 2}));
+  EXPECT_EQ(compressed.total_samples, 0u);
+}
+
+TEST(SelectSeedsMultithreaded, NestedCallWithASmallerTeamPicksDistinctSeeds) {
+  // Inside another parallel region the inner team gets fewer threads than
+  // requested, so some per-thread candidate slots are never written.  Once
+  // every remaining counter is 0 those slots must not pose as vertex 0.
+  const std::vector<RRRSet> samples = {{0}, {0}};
+  SelectionResult nested;
+#pragma omp parallel num_threads(2)
+#pragma omp single
+  nested = select_seeds_multithreaded(5, 3, samples, 4);
+  EXPECT_EQ(nested.seeds, (std::vector<vertex_t>{0, 1, 2}));
 }
 
 // --- building blocks ----------------------------------------------------------------

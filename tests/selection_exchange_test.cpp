@@ -489,9 +489,23 @@ TEST(SparseEquivalence, EnvironmentVariableSelectsTheProtocol) {
   EXPECT_EQ(selection_exchange_from_env(), SelectionExchange::Sparse);
   ASSERT_EQ(setenv("RIPPLES_SELECTION_EXCHANGE", "dense", 1), 0);
   EXPECT_EQ(selection_exchange_from_env(), SelectionExchange::Dense);
+  ASSERT_EQ(setenv("RIPPLES_SELECTION_EXCHANGE", "", 1), 0);
+  EXPECT_EQ(selection_exchange_from_env(), SelectionExchange::Dense);
   ASSERT_EQ(unsetenv("RIPPLES_SELECTION_EXCHANGE"), 0);
   if (ambient != nullptr)
     ASSERT_EQ(setenv("RIPPLES_SELECTION_EXCHANGE", saved.c_str(), 1), 0);
+}
+
+using SparseEquivalenceDeathTest = ::testing::Test;
+
+TEST(SparseEquivalenceDeathTest, TypoedEnvironmentValueIsRejected) {
+  EXPECT_EXIT(
+      {
+        setenv("RIPPLES_SELECTION_EXCHANGE", "sprase", 1);
+        (void)selection_exchange_from_env();
+      },
+      ::testing::ExitedWithCode(2),
+      "RIPPLES_SELECTION_EXCHANGE: expected dense.sparse, got 'sprase'");
 }
 
 // --- word-count reduction ----------------------------------------------------
