@@ -5,9 +5,9 @@
 /// The paper sweeps 2..20 threads of one Puma node at eps=0.5, k=100 and
 /// reports the phase-decomposed runtime per thread count, observing
 /// near-linear speedups on large IC inputs and limited LT scalability (LT's
-/// tiny RRR sets leave too little work per thread).  On this container the
-/// sweep still exercises the full OpenMP machinery; wall-clock speedup is
-/// bounded by the single physical core.
+/// tiny RRR sets leave too little work per thread).  Wall-clock speedup is
+/// bounded by the cores of the machine that runs the sweep; thread counts
+/// beyond them still exercise the full OpenMP machinery.
 #ifndef RIPPLES_BENCH_THREAD_SCALING_HPP
 #define RIPPLES_BENCH_THREAD_SCALING_HPP
 

@@ -8,7 +8,9 @@
 ///   imm_cli --input graph.txt [--weights uniform|constant:<p>|wc|keep]
 ///           [--driver seq|baseline|mt|dist|dist-part|tim|ris]
 ///           [--model IC|LT] [--epsilon 0.5] [-k 50]
-///           [--threads N] [--ranks P] [--rng counter|leapfrog]
+///           [--threads N] [--ranks P]     (each 1..1024, the paper's
+///                                          largest run; exit 2 beyond)
+///           [--rng counter|leapfrog]
 ///           [--sampler seq|fused]         (RRR engine; fused batches 64
 ///                                          samples per traversal pass,
 ///                                          byte-identical output; also
@@ -100,6 +102,11 @@ namespace {
 
 using namespace ripples;
 
+/// Upper bound of --threads and --ranks: the paper's largest run (1024
+/// Edison cores).  Without it a huge count reaches the OpenMP runtime or the
+/// rank vector and dies allocating instead of exiting 2.
+constexpr std::int64_t kMaxWorkers = 1024;
+
 CsrGraph load_graph(const CommandLine &cli, std::uint64_t seed,
                     DiffusionModel model) {
   CsrGraph graph = [&] {
@@ -143,9 +150,10 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       cli.get_bounded("k", 50, 1, UINT32_MAX));
   options.model = model;
   options.seed = seed;
-  options.num_threads =
-      static_cast<unsigned>(cli.get_bounded("threads", 1, 1, UINT32_MAX));
-  options.num_ranks = static_cast<int>(cli.get_bounded("ranks", 2, 1, INT32_MAX));
+  options.num_threads = static_cast<unsigned>(
+      cli.get_bounded("threads", 1, 1, kMaxWorkers));
+  options.num_ranks =
+      static_cast<int>(cli.get_bounded("ranks", 2, 1, kMaxWorkers));
   if (cli.get("rng", std::string("counter")) == "leapfrog")
     options.rng_mode = RngMode::LeapfrogLcg;
   options.recover_failures = cli.has_flag("recover");

@@ -454,7 +454,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // Local membership counts over this rank's partition...
       std::fill(local_counts.begin(), local_counts.end(), 0);
       {
-        trace::Span count_span("select", "select.count_memberships");
+        trace::Span count_span("select", "select.count");
         if (store)
           store->count_into(local_counts);
         else

@@ -164,7 +164,7 @@ SelectionResult greedy(vertex_t num_vertices, std::uint32_t k,
   trace::Span span("select", name, "k", k, "samples", source.size());
   std::vector<std::uint32_t> counters(num_vertices, 0);
   {
-    trace::Span count_span("select", "select.count_memberships");
+    trace::Span count_span("select", "select.count");
     count_live(source, counters);
   }
   Picker picker(counters);
@@ -256,7 +256,6 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
                    samples.size());
 
   std::vector<std::uint32_t> counters(num_vertices, 0);
-  std::vector<std::uint8_t> retired(samples.size(), 0);
   std::vector<std::uint8_t> selected(num_vertices, 0);
 
   SelectionResult result;
@@ -273,22 +272,39 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   // smaller than requested (a nested call, OMP_THREAD_LIMIT), the slots no
   // thread writes must not pose as vertex 0.
   std::vector<Candidate> local_best(num_threads, Candidate{0, num_vertices});
+  // Per-sample scratch, one slice per thread's sample block: the block's
+  // live sets, and those of them the current round retires.  Allocated
+  // here rather than per thread, so each is one mapping that leaves with
+  // the call.
+  std::vector<const RRRSet *> live(samples.size());
+  std::vector<const RRRSet *> hits(samples.size());
+  // Each thread's hits of the current round, published for the whole team
+  // (padded like the candidates).
+  struct alignas(64) Hits {
+    std::span<const RRRSet *const> sets;
+  };
+  std::vector<Hits> round_hits(num_threads);
   vertex_t chosen = 0;
 
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
     const auto p = static_cast<unsigned>(omp_get_num_threads());
-    // Samples this thread retires (owner-computes: j % p == t).  Collected
-    // during the decrement pass, flagged only after the barrier so other
-    // threads never observe a mid-round `retired` update.
-    std::vector<std::size_t> my_retired;
-    std::uint64_t my_covered = 0;
     // Vertex interval owned by this thread rank (Alg. 4: vl, vh).
     const auto vl = static_cast<vertex_t>(
         (static_cast<std::uint64_t>(num_vertices) * t) / p);
     const auto vh = static_cast<vertex_t>(
         (static_cast<std::uint64_t>(num_vertices) * (t + 1)) / p);
+    // Sample block owned by this thread: [sl, sh).  Its live sets, the only
+    // ones it searches for the seed, are live[sl, live_end).
+    const std::size_t sl = samples.size() * t / p;
+    const std::size_t sh = samples.size() * (t + 1) / p;
+    // Raw pointers: stores through the vectors' own accessors would make
+    // the compiler reload their data pointers after every store.
+    const RRRSet **const live_sets = live.data();
+    const RRRSet **const hit_sets = hits.data();
+    std::size_t live_end = sh;
+    for (std::size_t j = sl; j < sh; ++j) live_sets[j] = &samples[j];
 
     // Counting step: every thread visits all samples but touches only the
     // counters it owns; the sorted sample lets it binary-search to vl and
@@ -316,9 +332,14 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
         }
       }
       local_best[t] = found ? best : Candidate{0, num_vertices};
+      // This barrier also ends every thread's reads of the previous round's
+      // hit slices, so the search below may overwrite its own.
 #pragma omp barrier
-      // ...then one thread combines (higher count wins, ties to smaller id).
-#pragma omp single
+      // ...then thread 0 combines (higher count wins, ties to smaller id).
+      // Thread 0 is the caller's own thread and the only one to write
+      // `result`: TSan cannot see libgomp's barriers, so a caller reading
+      // what a worker wrote would be reported outside this function.
+#pragma omp masked
       {
         Candidate global{0, num_vertices};
         for (const Candidate &c : local_best) {
@@ -333,44 +354,41 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
         selected[chosen] = 1;
         result.seeds.push_back(chosen);
         trace::instant("select", "select.round", "round", i, "seed", chosen);
-      } // implicit barrier: `chosen` is visible to all threads
+      }
+#pragma omp barrier
 
-      // Decrement phase, with retirement fused in: for every live sample
-      // containing the seed, each thread decrements the members inside its
-      // own interval — no atomics (Alg. 4) — and the sample's owner
-      // (j % p == t) queues it for retirement.  This reuses the one
-      // containment search per (thread, sample); the former separate
-      // retirement sweep searched every sample a second time.  `retired` is
-      // only read during this pass; the queued flags are written after the
-      // barrier below, so all threads see a consistent view.
-      my_retired.clear();
-      {
-        trace::Span decrement_span("select", "select.decrement", "round", i,
-                                   "thread", t);
-        for (const RRRSet &sample : samples) {
-          const std::size_t j =
-              static_cast<std::size_t>(&sample - samples.data());
-          if (retired[j]) continue;
-          if (!std::binary_search(sample.begin(), sample.end(), chosen))
-            continue;
-          if (j % p == t) my_retired.push_back(j);
-          auto it = std::lower_bound(sample.begin(), sample.end(), vl);
-          for (; it != sample.end() && *it < vh; ++it) {
+      trace::Span retire_span("select", "select.retire", "round", i, "thread",
+                              t);
+      // Search: each live set is tested by its block's owner only.  Hits
+      // retire, so the owner moves them to its hit slice and compacts the
+      // rest of its live slice in place.
+      const vertex_t seed = chosen;
+      std::size_t kept = sl;
+      std::size_t hit_end = sl;
+      for (std::size_t x = sl; x < live_end; ++x) {
+        const RRRSet *sample = live_sets[x];
+        if (std::binary_search(sample->begin(), sample->end(), seed))
+          hit_sets[hit_end++] = sample;
+        else
+          live_sets[kept++] = sample;
+      }
+      live_end = kept;
+      round_hits[t].sets = {hit_sets + sl, hit_end - sl};
+#pragma omp barrier
+      // Decrement: every thread walks every hit list but touches only the
+      // counters of its own interval — no atomics (Alg. 4).
+      for (unsigned owner = 0; owner < p; ++owner) {
+        const auto owner_hits = round_hits[owner].sets;
+        if (t == 0) result.covered_samples += owner_hits.size();
+        for (const RRRSet *sample : owner_hits) {
+          auto it = std::lower_bound(sample->begin(), sample->end(), vl);
+          for (; it != sample->end() && *it < vh; ++it) {
             RIPPLES_DEBUG_ASSERT(counters[*it] > 0);
             --counters[*it];
           }
         }
       }
-#pragma omp barrier
-      // Flag the queued samples (disjoint writes: ownership partitions j).
-      // The next round's pre-argmax barrier orders these writes before any
-      // thread reads `retired` again.
-      for (std::size_t j : my_retired) retired[j] = 1;
-      my_covered += my_retired.size();
     }
-
-#pragma omp atomic
-    result.covered_samples += my_covered;
   }
   return result;
 }

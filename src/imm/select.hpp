@@ -11,10 +11,13 @@
 ///    over a set walker that visits the live samples of either storage (the
 ///    sorted vectors, or the compressed arena decoded on iterate), with one
 ///    of two pickers for the next seed: an eager argmax scan, or a CELF heap.
-///  * select_seeds_multithreaded — Algorithm 4: each thread owns the
-///    counters of a vertex interval [vl, vh), so counting and decrementing
-///    need no atomics; sorted samples let a thread binary-search directly to
-///    its interval inside every sample.
+///  * select_seeds_multithreaded — Algorithm 4, with ownership in two
+///    directions.  Each thread owns the counters of a vertex interval
+///    [vl, vh), so counting and decrementing need no atomics; sorted
+///    samples let a thread binary-search directly to its interval inside
+///    every sample.  Each thread also owns a contiguous block of sample ids
+///    and is the only one to search its block's live samples for the
+///    round's seed; the whole team then decrements from the hit lists.
 ///  * select_seeds_hypergraph  — the baseline's variant that exploits the
 ///    vertex -> samples index for cheaper retirement at 2x memory.
 ///
@@ -62,9 +65,10 @@ struct SelectionResult {
 select_seeds(vertex_t num_vertices, std::uint32_t k,
              const CompressedRRRCollection &collection);
 
-/// Algorithm 4: interval-partitioned multithreaded selection.  \p
-/// num_threads <= omp_get_max_threads(); the result is identical to the
-/// sequential version for any thread count.
+/// Algorithm 4: interval-partitioned multithreaded selection on a team of
+/// up to \p num_threads threads.  A smaller team (a nested call,
+/// OMP_THREAD_LIMIT) is fine: the result is identical to the sequential
+/// version for any thread count and any team size.
 [[nodiscard]] SelectionResult
 select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
                            std::span<const RRRSet> samples,

@@ -158,6 +158,59 @@ TEST(SelectSeedsMultithreaded, MoreThreadsThanVerticesIsSafe) {
   EXPECT_EQ(sequential.seeds, parallel.seeds);
 }
 
+TEST(SelectSeedsMultithreaded, AllHitsInOneSampleBlock) {
+  // Two hubs whose sets all sit in one thread's sample block: vertex 0 in
+  // the last 60 of 700 sets, vertex n-1 in the first 50, so at 2, 3, 4 or 7
+  // threads the first two rounds each find every hit in a single block and
+  // that one hit list feeds the decrement of every interval owner.  The hub
+  // sets reach into every interval.
+  const vertex_t n = 300;
+  std::vector<RRRSet> samples = random_samples(n - 2, 700, 4, 5);
+  for (RRRSet &sample : samples)
+    for (vertex_t &v : sample) ++v; // shift off vertex 0; n-1 stays unused
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    RRRSet &sample = samples[j];
+    if (j >= samples.size() - 60) {
+      sample.insert(sample.begin(), 0);
+    } else if (j < 50) {
+      sample.push_back(n - 1);
+    } else {
+      continue;
+    }
+    for (vertex_t v = 37 + static_cast<vertex_t>(j % 13); v < n - 1; v += 41)
+      if (!std::binary_search(sample.begin(), sample.end(), v))
+        sample.insert(std::lower_bound(sample.begin(), sample.end(), v), v);
+  }
+  const SelectionResult sequential = select_seeds(n, 10, samples);
+  ASSERT_EQ(sequential.seeds[0], 0u);
+  ASSERT_EQ(sequential.seeds[1], n - 1);
+  for (unsigned threads : {2u, 3u, 4u, 7u}) {
+    const SelectionResult parallel =
+        select_seeds_multithreaded(n, 10, samples, threads);
+    EXPECT_EQ(parallel.seeds, sequential.seeds) << threads << " threads";
+    EXPECT_EQ(parallel.covered_samples, sequential.covered_samples)
+        << threads << " threads";
+  }
+}
+
+TEST(SelectSeedsMultithreaded, TinySetsRetireEverything) {
+  // LT-shaped: thousands of sets of 1-3 members, and k = n, so every set
+  // retires and every thread's live list runs empty well before the end.
+  // n stays small: over hundreds of rounds TSan loses the worker stacks its
+  // suppressions (scripts/tsan-suppressions.txt) need to match.
+  const vertex_t n = 32;
+  const std::vector<RRRSet> samples = random_samples(n, 2000, 3, 9);
+  const SelectionResult sequential = select_seeds(n, n, samples);
+  ASSERT_EQ(sequential.covered_samples, samples.size());
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    const SelectionResult parallel =
+        select_seeds_multithreaded(n, n, samples, threads);
+    EXPECT_EQ(parallel.covered_samples, parallel.total_samples)
+        << threads << " threads";
+    EXPECT_EQ(parallel.seeds, sequential.seeds) << threads << " threads";
+  }
+}
+
 // --- lazy-greedy (CELF-style) equivalence ------------------------------------------
 
 class LazyEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
