@@ -94,6 +94,7 @@
 ///   imm_cli --dataset com-DBLP --scale 0.01 ...     (surrogate input)
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "ripples/ripples.hpp"
@@ -126,8 +127,20 @@ CsrGraph load_graph(const CommandLine &cli, std::uint64_t seed,
   if (weights == "uniform") {
     assign_uniform_weights(graph, seed + 1);
   } else if (weights.rfind("constant:", 0) == 0) {
-    assign_constant_weights(graph,
-                            std::stof(weights.substr(sizeof("constant:") - 1)));
+    // The whole of <p> must parse, and as a probability: the text loader's
+    // rule.  stof alone would take "0.1xyz" as 0.1 and let 2, -0.5 or nan
+    // through to the samplers.
+    const std::string text = weights.substr(sizeof("constant:") - 1);
+    char *end = nullptr;
+    const float p = std::strtof(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(p >= 0.0f && p <= 1.0f)) {
+      std::fprintf(stderr,
+                   "option --weights constant:<p> expects a value in [0, 1], "
+                   "got '%s'\n",
+                   text.c_str());
+      std::exit(2);
+    }
+    assign_constant_weights(graph, p);
   } else if (weights == "wc") {
     assign_weighted_cascade(graph);
   } else if (weights != "keep") {

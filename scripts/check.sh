@@ -606,7 +606,11 @@ if [[ "$run_tsan" == 1 ]]; then
     -j "$jobs"
 
   echo "== tsan: run =="
-  export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan-suppressions.txt"
+  # The suppressions match OpenMP-region functions by stack frame.  At the
+  # default history a long parallel region evicts its workers' stacks
+  # ("failed to restore the stack") and the same false positives escape
+  # them; history_size=7 keeps those stacks restorable.
+  export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan-suppressions.txt history_size=7"
   ./build-tsan/tests/mpsim_test
   ./build-tsan/tests/fault_test
   ./build-tsan/tests/select_test

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,14 @@ constexpr std::uint32_t kBinaryVersion = 1;
 
 [[noreturn]] void fail(const std::string &what) {
   throw std::runtime_error("ripples graph io: " + what);
+}
+
+/// Weights are activation probabilities: [0, 1] by contract.  The !(>= 0)
+/// form also catches NaN, which compares false to everything.  \p where
+/// names the offending record; it is called only on failure.
+template <typename Where> void check_weight(float weight, Where &&where) {
+  if (!(weight >= 0.0f) || weight > 1.0f)
+    fail("weight " + std::to_string(weight) + " out of [0, 1] at " + where());
 }
 
 } // namespace
@@ -74,11 +83,7 @@ EdgeList read_edge_list_text(std::istream &input, bool compact_ids,
     // but mid-line — reject it rather than silently reading garbage.
     if (fields.fail() && !fields.eof())
       fail("malformed weight at line " + std::to_string(line_no));
-    // Weights are activation probabilities: [0, 1] by contract.  The
-    // !(>= 0) form also catches NaN, which compares false to everything.
-    if (!(weight >= 0.0f) || weight > 1.0f)
-      fail("weight " + std::to_string(weight) + " out of [0, 1] at line " +
-           std::to_string(line_no));
+    check_weight(weight, [&] { return "line " + std::to_string(line_no); });
     if (validation.reject_self_loops && raw_src == raw_dst)
       fail("self-loop " + std::to_string(raw_src) + " at line " +
            std::to_string(line_no));
@@ -134,6 +139,9 @@ EdgeList load_edge_list_binary(const std::string &path) {
     fail("'" + path + "' is not a ripples binary edge list");
   if (magic_version[1] != kBinaryVersion)
     fail("unsupported binary version in '" + path + "'");
+  if (n > std::numeric_limits<vertex_t>::max())
+    fail("header of '" + path + "' declares " + std::to_string(n) +
+         " vertices, more than a vertex id can address");
 
   // The edge count drives a preallocation, so validate it against the
   // bytes actually present before trusting it: a corrupt (or hostile)
@@ -157,6 +165,20 @@ EdgeList load_edge_list_binary(const std::string &path) {
   input.read(reinterpret_cast<char *>(list.edges.data()),
              static_cast<std::streamsize>(m * sizeof(WeightedEdge)));
   if (!input) fail("truncated payload in '" + path + "'");
+  // The payload gets the text loader's checks: an endpoint past the
+  // declared vertex count would abort the CSR builder, and an
+  // out-of-range weight breaks the samplers' probability contract.
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const WeightedEdge &e = list.edges[i];
+    auto where = [&] {
+      return "edge " + std::to_string(i) + " of '" + path + "'";
+    };
+    if (e.source >= n || e.destination >= n)
+      fail("endpoint " + std::to_string(std::max(e.source, e.destination)) +
+           " out of range for " + std::to_string(n) + " vertices at " +
+           where());
+    check_weight(e.weight, where);
+  }
   return list;
 }
 

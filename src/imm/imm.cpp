@@ -193,7 +193,7 @@ make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budge
 /// [first, first + count), drawn from their per-sample counter streams —
 /// byte-identical to the ungoverned samplers' output for the same indices.
 /// A governed fused window reserves what it holds — its own edge table
-/// (IC only) plus each thread's sampler scratch — for exactly as long as it
+/// plus each thread's sampler scratch — for exactly as long as it
 /// holds it, and falls back to the scalar kernel (same bytes out) when
 /// refused (DESIGN.md §12).
 void sample_governed_window(const CsrGraph &graph, const ImmOptions &options,

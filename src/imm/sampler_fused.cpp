@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <omp.h>
 
 #include "rng/distributions.hpp"
@@ -41,16 +43,32 @@ void flush_fused_counters(const FusedSampler &sampler) {
 
 FusedEdgeTable::FusedEdgeTable(const CsrGraph &graph, DiffusionModel model)
     : graph_(&graph), model_(model) {
-  if (model != DiffusionModel::IndependentCascade) return;
+  const bool ic = model == DiffusionModel::IndependentCascade;
   const std::uint64_t n = graph.num_vertices();
-  thresholds_.resize(graph.num_edges());
-  packed_edges_.resize(graph.num_edges());
+  if (ic) {
+    thresholds_.resize(graph.num_edges());
+    packed_edges_.resize(graph.num_edges());
+  } else {
+    lt_prefix_.resize(graph.num_edges());
+  }
   for (vertex_t v = 0; v < n; ++v) {
     auto in_neighbors = graph.in_neighbors(v);
     const std::size_t row_begin = graph.in_offsets()[v];
+    double cumulative = 0.0;
     for (std::size_t j = 0; j < in_neighbors.size(); ++j) {
+      const float weight = in_neighbors[j].weight;
+      if (!(weight >= 0.0f && weight <= 1.0f))
+        throw std::invalid_argument(
+            "fused edge table: edge " + std::to_string(in_neighbors[j].vertex) +
+            " -> " + std::to_string(v) + " has weight " +
+            std::to_string(weight) + ", expected a value in [0, 1]");
+      if (!ic) {
+        cumulative += weight;
+        lt_prefix_[row_begin + j] = cumulative;
+        continue;
+      }
       const auto threshold = static_cast<std::uint64_t>(
-          std::ceil(static_cast<double>(in_neighbors[j].weight) * 0x1.0p53));
+          std::ceil(static_cast<double>(weight) * 0x1.0p53));
       thresholds_[row_begin + j] = threshold;
       packed_edges_[row_begin + j] =
           ((threshold >> 22) << 32) | in_neighbors[j].vertex;
@@ -60,7 +78,8 @@ FusedEdgeTable::FusedEdgeTable(const CsrGraph &graph, DiffusionModel model)
 
 std::size_t FusedEdgeTable::bytes(const CsrGraph &graph,
                                   DiffusionModel model) {
-  if (model != DiffusionModel::IndependentCascade) return 0;
+  if (model != DiffusionModel::IndependentCascade)
+    return graph.num_edges() * sizeof(double); // lt_prefix
   return graph.num_edges() * sizeof(std::uint64_t) * 2; // thresholds + packed
 }
 
@@ -279,30 +298,33 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
 
 void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
   // Each pass advances every live reverse walk by one step; a lane's draw
-  // order (one uniform per step, consumed before the cumulative scan) is
-  // exactly RRRGenerator::reverse_walk_lt's.
+  // order (one uniform per step, consumed before the edge pick) is exactly
+  // RRRGenerator::reverse_walk_lt's.  The pick is a binary search for the
+  // first row prefix above x: the prefix holds the scan's running sums
+  // bit for bit, so it lands on the edge the scan stops at, and past the
+  // row's end exactly when the scan falls into the residual mass.
+  const double *prefix = table_.lt_prefix();
+  const edge_offset_t *offsets = graph_.in_offsets().data();
   std::uint64_t active =
       lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
   while (active != 0) {
     ++passes_;
     for (unsigned l = 0; l < lanes; ++l) {
       if (((active >> l) & 1) == 0) continue;
-      auto in_neighbors = graph_.in_neighbors(current_[l]);
-      if (in_neighbors.empty()) {
+      const vertex_t current = current_[l];
+      const double *row = prefix + offsets[current];
+      const double *row_end = prefix + offsets[current + 1];
+      if (row == row_end) {
         active &= ~(std::uint64_t{1} << l);
         continue;
       }
-      double x = uniform_unit(rng_[l]);
-      double cumulative = 0.0;
-      vertex_t selected = current_[l]; // sentinel: nothing selected
-      for (const Adjacency &in : in_neighbors) {
-        cumulative += in.weight;
-        if (x < cumulative) {
-          selected = in.vertex;
-          break;
-        }
-      }
-      if (selected == current_[l] || visited_.test(selected, l)) {
+      const double x = uniform_unit(rng_[l]);
+      const double *hit = std::upper_bound(row, row_end, x);
+      // Residual mass (no edge picked) or a cycle: the walk ends.
+      const vertex_t selected =
+          hit == row_end ? current
+                         : graph_.in_neighbors(current)[hit - row].vertex;
+      if (selected == current || visited_.test(selected, l)) {
         active &= ~(std::uint64_t{1} << l);
         continue;
       }

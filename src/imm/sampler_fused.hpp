@@ -11,8 +11,9 @@
 /// LaneMaskVector, after Göktürk & Kaya arXiv 2008.03095), each lane's
 /// Philox counter blocks are generated out of order in bulk
 /// (rng/philox_buffered.hpp), the per-edge Bernoulli test is a precomputed
-/// integer compare, and the sorted output lists are *emitted* from the lane
-/// masks in vertex order instead of sorted per set.
+/// integer compare, each LT walk step is a binary search over its row's
+/// precomputed cumulative weights, and the sorted output lists are
+/// *emitted* from the lane masks in vertex order instead of sorted per set.
 ///
 /// The graph-derived state lives in a FusedEdgeTable built once per solve
 /// and shared read-only by every worker; a FusedSampler holds only
@@ -33,25 +34,31 @@
 
 namespace ripples {
 
-/// Immutable per-graph Bernoulli state of the fused IC kernel, indexed by
-/// flat in-edge position.  Built once per solve and shared read-only by
-/// every sampling thread and every mpsim rank; it refers to \p graph, which
-/// must outlive it.  Only IC reads it: an LT table holds no edges, because
-/// the LT walk reads graph.in_neighbors directly.
+/// Immutable per-graph edge state of the fused kernels, indexed by flat
+/// in-edge position.  Built once per solve and shared read-only by every
+/// sampling thread and every mpsim rank; it refers to \p graph, which must
+/// outlive it.  An IC table holds the Bernoulli thresholds and the packed
+/// edge stream; an LT table holds only the per-row cumulative weights the
+/// walk binary-searches.
 class FusedEdgeTable {
 public:
+  /// Throws std::invalid_argument naming the edge if any weight lies
+  /// outside [0, 1] (NaN included): the IC thresholds overflow their
+  /// packed 32 bits above 1, and the LT prefix must be non-decreasing for
+  /// the binary search to equal the scalar engine's linear scan.
   FusedEdgeTable(const CsrGraph &graph, DiffusionModel model);
 
   [[nodiscard]] const CsrGraph &graph() const { return *graph_; }
   [[nodiscard]] DiffusionModel model() const { return model_; }
 
-  /// Heap bytes this table holds.
+  /// Heap bytes this table holds: 16 per edge for IC, 8 for LT.
   [[nodiscard]] std::size_t bytes() const {
     return (thresholds_.capacity() + packed_edges_.capacity()) *
-           sizeof(std::uint64_t);
+               sizeof(std::uint64_t) +
+           lt_prefix_.capacity() * sizeof(double);
   }
   /// Heap bytes a table for (\p graph, \p model) holds: 16 per edge for
-  /// IC, 0 for LT.
+  /// IC, 8 for LT.
   [[nodiscard]] static std::size_t bytes(const CsrGraph &graph,
                                          DiffusionModel model);
 
@@ -72,12 +79,18 @@ public:
   [[nodiscard]] const std::uint64_t *packed_edges() const {
     return packed_edges_.data();
   }
+  /// LT only: lt_prefix()[e] = the running weight sum of e's in-edge row
+  /// up to and including e, accumulated as RRRGenerator::reverse_walk_lt
+  /// does (a double, in row order), so the first entry of a row above a
+  /// draw x is exactly the edge the scalar engine's linear scan selects.
+  [[nodiscard]] const double *lt_prefix() const { return lt_prefix_.data(); }
 
 private:
   const CsrGraph *graph_;
   DiffusionModel model_;
   std::vector<std::uint64_t> thresholds_;
   std::vector<std::uint64_t> packed_edges_;
+  std::vector<double> lt_prefix_;
 };
 
 /// Reusable fused GenerateRR kernel: one instance per thread, holding the
@@ -95,7 +108,9 @@ public:
   /// draws from sample_stream(seed, sample_indices[l]) with the scalar
   /// engines' exact draw order, so the output is byte-identical to calling
   /// RRRGenerator::generate_random_root per index.  \p model must be the
-  /// table's model (asserted: an LT table has no IC thresholds).
+  /// table's model (asserted: each model reads only its own edge arrays).
+  /// An LT step picks its in-edge by binary search over the table's row
+  /// prefix, O(log in-degree), where the scalar engine scans the row.
   void generate(DiffusionModel model, std::uint64_t seed,
                 std::span<const std::uint64_t> sample_indices, RRRSet *outs);
 

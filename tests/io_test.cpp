@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -243,6 +244,51 @@ TEST_F(IoTest, BinaryHeaderCapIsExact) {
     patch.write(reinterpret_cast<const char *>(&one_more), sizeof(one_more));
   }
   EXPECT_THROW((void)load_edge_list_binary(path("exact.bin")),
+               std::runtime_error);
+}
+
+// The binary payload gets the text loader's checks: each bad record is
+// written verbatim by the saver (which trusts its input) and must come back
+// as a diagnostic naming the edge, never a CSR-builder abort.
+TEST_F(IoTest, BinaryRejectsBadPayloadRecords) {
+  struct Case {
+    const char *name;
+    WeightedEdge bad;
+    const char *message;
+  };
+  const Case cases[] = {
+      {"endpoint", {3, 40, 0.5f}, "endpoint 40 out of range for 40 vertices"},
+      {"nan", {3, 4, std::numeric_limits<float>::quiet_NaN()}, "out of [0, 1]"},
+      {"above_one", {3, 4, 1.5f}, "weight 1.500000 out of [0, 1]"},
+  };
+  for (const Case &c : cases) {
+    EdgeList list = erdos_renyi(40, 100, 23);
+    list.edges[57] = c.bad;
+    const std::string file = path(std::string(c.name) + ".bin");
+    save_edge_list_binary(file, list);
+    try {
+      (void)load_edge_list_binary(file);
+      ADD_FAILURE() << c.name << ": bad record accepted";
+    } catch (const std::runtime_error &error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(c.message), std::string::npos) << what;
+      EXPECT_NE(what.find("edge 57"), std::string::npos) << what;
+    }
+  }
+}
+
+// A vertex count past what a vertex id can address is refused from the
+// header (bytes [8, 16)), not truncated into a smaller graph.
+TEST_F(IoTest, BinaryRejectsVertexCountBeyondVertexIds) {
+  save_edge_list_binary(path("wide.bin"), erdos_renyi(30, 200, 29));
+  {
+    std::fstream patch(path("wide.bin"),
+                       std::ios::binary | std::ios::in | std::ios::out);
+    patch.seekp(8);
+    const std::uint64_t wide = std::uint64_t{1} << 32;
+    patch.write(reinterpret_cast<const char *>(&wide), sizeof(wide));
+  }
+  EXPECT_THROW((void)load_edge_list_binary(path("wide.bin")),
                std::runtime_error);
 }
 

@@ -578,12 +578,12 @@ TEST(GovernedDrivers, ImpossibleBudgetDegradesWithCertifiedEpsilon) {
   EXPECT_DOUBLE_EQ(threaded.epsilon_achieved, degraded.epsilon_achieved);
 }
 
-TEST(GovernedDrivers, LtFusedWindowReservesNoEdgeTable) {
-  // LT never reads the fused edge table, so a governed LT window reserves
-  // only its threads' sampler scratch.  A dense graph makes the table
-  // (16 bytes per edge) dwarf the RRR store; the budget fits the store and
-  // the scratch but not a per-thread table, so the fused engine must run —
-  // no refusal anywhere — and give the ungoverned run's seeds.
+TEST(GovernedDrivers, LtFusedWindowChargesItsEdgeTableOnce) {
+  // A governed LT window reserves one shared edge table (the 8-byte row
+  // prefix per edge) plus its threads' sampler scratch.  A dense graph
+  // makes the table dwarf the RRR store; the budget fits the store, one
+  // table and the scratch but not a table per thread, so the fused engine
+  // must run — no refusal anywhere — and give the ungoverned run's seeds.
   CsrGraph graph(complete_graph(200));
   assign_uniform_weights(graph, 23);
   renormalize_linear_threshold(graph);
@@ -596,10 +596,10 @@ TEST(GovernedDrivers, LtFusedWindowReservesNoEdgeTable) {
 
   const auto lt = DiffusionModel::LinearThreshold;
   const std::size_t scratch = FusedSampler::scratch_bytes(graph);
-  const std::size_t table =
-      FusedEdgeTable::bytes(graph, DiffusionModel::IndependentCascade);
-  ASSERT_EQ(FusedSampler::window_bytes(graph, lt, 4), 4 * scratch);
-  options.mem_budget = 4 * plain.rrr_peak_bytes + 4 * scratch;
+  const std::size_t table = FusedEdgeTable::bytes(graph, lt);
+  ASSERT_EQ(table, 8 * graph.num_edges());
+  ASSERT_EQ(FusedSampler::window_bytes(graph, lt, 4), table + 4 * scratch);
+  options.mem_budget = 4 * plain.rrr_peak_bytes + table + 4 * scratch;
   ASSERT_GT(4 * (scratch + table), options.mem_budget)
       << "the budget must refuse a window that charges a table per thread";
 

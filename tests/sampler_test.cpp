@@ -1,13 +1,16 @@
 // Tests for the sampling engines: thread-count invariance (the central
 // parallel-correctness property), incremental extension, equivalence of
 // the compact and hypergraph storage paths, and the fused engine's shared
-// edge table.
+// edge table, including the LT prefix search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -269,18 +272,134 @@ TEST(FusedSamplerEngine, CounterIndicesMatchScalarOnScatteredIndices) {
 // --- shared edge table ------------------------------------------------------
 //
 // The edge table is per-graph state built once per solve and read by every
-// worker.  Only IC reads it, so an LT table must hold nothing.
+// worker: the IC thresholds and packed edges, or the LT row prefixes.
 
-TEST(FusedEdgeTable, LtTableHoldsNoBytesAndIcTableHoldsItsFormula) {
+TEST(FusedEdgeTable, LtTableHoldsItsPrefixAndIcTableHoldsItsFormula) {
   CsrGraph graph = test_graph(16);
   renormalize_linear_threshold(graph);
   const FusedEdgeTable lt(graph, DiffusionModel::LinearThreshold);
-  EXPECT_EQ(lt.bytes(), 0u);
-  EXPECT_EQ(FusedEdgeTable::bytes(graph, DiffusionModel::LinearThreshold), 0u);
+  EXPECT_EQ(lt.bytes(),
+            FusedEdgeTable::bytes(graph, DiffusionModel::LinearThreshold));
+  EXPECT_EQ(lt.bytes(), 8u * graph.num_edges());
   const FusedEdgeTable ic(graph, DiffusionModel::IndependentCascade);
   EXPECT_EQ(ic.bytes(),
             FusedEdgeTable::bytes(graph, DiffusionModel::IndependentCascade));
   EXPECT_EQ(ic.bytes(), 16u * graph.num_edges());
+}
+
+TEST(FusedEdgeTable, RejectsWeightOutsideUnitInterval) {
+  // A weight above 1 overflows the packed IC threshold, and a negative or
+  // NaN weight breaks the LT prefix's order; both models refuse them and
+  // name the edge.  The interval's ends are accepted.
+  for (const DiffusionModel model : {DiffusionModel::IndependentCascade,
+                                     DiffusionModel::LinearThreshold}) {
+    for (const float bad : {2.0f, -0.5f, std::nextafter(1.0f, 2.0f),
+                            -std::numeric_limits<float>::min(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      EdgeList list{3, {{0, 1, 0.5f}, {2, 1, bad}}};
+      const CsrGraph graph(list);
+      try {
+        const FusedEdgeTable table(graph, model);
+        ADD_FAILURE() << "weight " << bad << " was accepted";
+      } catch (const std::invalid_argument &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("2 -> 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("[0, 1]"), std::string::npos) << what;
+      }
+    }
+    EdgeList ends{3, {{0, 1, 0.0f}, {2, 1, 1.0f}}};
+    const CsrGraph graph(ends);
+    EXPECT_NO_THROW(FusedEdgeTable(graph, model));
+  }
+}
+
+/// LT input shaped to exercise every branch of the prefix search: a hub
+/// whose 2,400 in-edges include zero weights and sum below 1, which most
+/// other vertices step into; a vertex whose in-edges all weigh 0; a row
+/// summing to exactly 1; a row renormalized from a sum above 1; and
+/// scattered rows with zero weights and residual mass.
+CsrGraph lt_prefix_graph() {
+  constexpr vertex_t kHub = 0, kDead = 1, kExact = 2, kRenormalized = 3;
+  constexpr vertex_t kN = 3000;
+  constexpr vertex_t kHubDegree = 2400;
+  EdgeList list{kN, {}};
+  for (vertex_t u = 1; u <= kHubDegree; ++u)
+    list.edges.push_back({u, kHub, u % 5 == 0 ? 0.0f : 1.0f / 2400});
+  for (vertex_t u = 4; u < 12; ++u) list.edges.push_back({u, kDead, 0.0f});
+  for (vertex_t u = 4; u < 8; ++u) list.edges.push_back({u, kExact, 0.25f});
+  for (vertex_t u = 4; u < 11; ++u)
+    list.edges.push_back({u, kRenormalized, 0.3f});
+  std::uint64_t state = 88172645463325252ull; // xorshift64
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (vertex_t v = 4; v < kN; ++v) {
+    // Two out of three rows lead to the hub, so walks reach it often.
+    list.edges.push_back({kHub, v, v % 3 == 0 ? 0.0f : 0.5f});
+    list.edges.push_back({kDead, v, 0.05f});
+    list.edges.push_back({kExact, v, 0.05f});
+    list.edges.push_back({kRenormalized, v, 0.05f});
+    for (int j = 0; j < 4; ++j) {
+      const auto u = static_cast<vertex_t>(next() % kN);
+      list.edges.push_back({u, v, j == 0 ? 0.0f : 0.07f});
+    }
+  }
+  CsrGraph graph(list);
+  renormalize_linear_threshold(graph);
+  return graph;
+}
+
+TEST(FusedLtPrefixSearch, EveryFusedEntryPointMatchesTheScalarScan) {
+  const CsrGraph graph = lt_prefix_graph();
+  auto row_sum = [&graph](vertex_t v) {
+    double sum = 0.0;
+    for (const Adjacency &in : graph.in_neighbors(v)) sum += in.weight;
+    return sum;
+  };
+  ASSERT_GE(graph.in_degree(0), 2000u);
+  ASSERT_LT(row_sum(0), 1.0);
+  ASSERT_EQ(row_sum(1), 0.0);
+  ASSERT_EQ(row_sum(2), 1.0);
+  ASSERT_NEAR(row_sum(3), 1.0, 1e-6);
+  ASSERT_LT(row_sum(4), 1.0);
+
+  const auto lt = DiffusionModel::LinearThreshold;
+  constexpr std::uint64_t kSets = 20000;
+  constexpr std::uint64_t kSeed = 61;
+  RRRCollection scalar;
+  sample_sequential(graph, lt, kSets, kSeed, scalar);
+  // Many walks must step into the hub, or its long row is never searched.
+  std::uint64_t through_hub = 0;
+  for (const RRRSet &set : scalar.sets())
+    through_hub += set.size() > 1 && std::binary_search(set.begin(), set.end(),
+                                                        vertex_t{0});
+  EXPECT_GT(through_hub, kSets / 4);
+
+  RRRCollection sequential;
+  sample_sequential_fused(graph, lt, kSets, kSeed, sequential);
+  ASSERT_EQ(sequential.size(), kSets);
+  RRRCollection threaded;
+  sample_multithreaded_fused(graph, lt, kSets, kSeed, 4, threaded);
+  ASSERT_EQ(threaded.size(), kSets);
+  for (std::uint64_t i = 0; i < kSets; ++i) {
+    ASSERT_EQ(sequential.sets()[i], scalar.sets()[i]) << "sample " << i;
+    ASSERT_EQ(threaded.sets()[i], scalar.sets()[i]) << "sample " << i;
+  }
+
+  // Scattered indices, descending, as a heal or a steal chunk asks for.
+  std::vector<std::uint64_t> indices;
+  for (std::uint64_t i = 0; i < kSets; i += 3) indices.push_back(kSets - 1 - i);
+  const FusedEdgeTable table(graph, lt);
+  RRRCollection scattered;
+  sample_counter_indices_fused(table, kSeed, indices, 4, scattered);
+  ASSERT_EQ(scattered.size(), indices.size());
+  for (std::size_t j = 0; j < indices.size(); ++j)
+    ASSERT_EQ(scattered.sets()[j], scalar.sets()[indices[j]])
+        << "index " << indices[j];
 }
 
 TEST(FusedEdgeTable, OneIcTableSharedByFourThreadsMatchesScalar) {
