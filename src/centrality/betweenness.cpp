@@ -68,21 +68,32 @@ void accumulate_source(const CsrGraph &graph, vertex_t source,
   }
 }
 
+/// Sources per accumulation block.  Each block sums into a zeroed partial
+/// vector, and the partials are added to the scores in block order, so the
+/// floating-point result does not depend on the thread count or schedule.
+constexpr std::size_t kSourcesPerBlock = 64;
+
 std::vector<double> brandes_over_sources(const CsrGraph &graph,
                                          std::span<const vertex_t> sources,
                                          double rescale) {
   const vertex_t n = graph.num_vertices();
   std::vector<double> scores(n, 0.0);
+  const auto num_blocks = static_cast<std::int64_t>(
+      (sources.size() + kSourcesPerBlock - 1) / kSourcesPerBlock);
 #pragma omp parallel
   {
     BrandesScratch scratch(n);
-    std::vector<double> local(n, 0.0);
-#pragma omp for schedule(dynamic, 8)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(sources.size()); ++i)
-      accumulate_source(graph, sources[static_cast<std::size_t>(i)], scratch,
-                        local);
-#pragma omp critical(ripples_betweenness_merge)
-    for (vertex_t v = 0; v < n; ++v) scores[v] += local[v];
+    std::vector<double> partial(n, 0.0);
+#pragma omp for ordered schedule(dynamic, 1)
+    for (std::int64_t b = 0; b < num_blocks; ++b) {
+      const std::size_t begin = static_cast<std::size_t>(b) * kSourcesPerBlock;
+      const std::size_t end = std::min(begin + kSourcesPerBlock, sources.size());
+      for (std::size_t i = begin; i < end; ++i)
+        accumulate_source(graph, sources[i], scratch, partial);
+#pragma omp ordered
+      for (vertex_t v = 0; v < n; ++v) scores[v] += partial[v];
+      std::fill(partial.begin(), partial.end(), 0.0);
+    }
   }
   if (rescale != 1.0)
     for (double &s : scores) s *= rescale;

@@ -301,10 +301,8 @@ SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
   scrub();
   if (compressed_active_)
     return select_seeds(num_vertices, k, compressed_);
-  if (num_threads > 1)
-    return select_seeds_multithreaded(num_vertices, k, plain_.sets(),
-                                      num_threads);
-  return select_seeds(num_vertices, k, plain_.sets());
+  return select_seeds_multithreaded(num_vertices, k, plain_.sets(),
+                                    num_threads);
 }
 
 void RRRStore::count_into(std::span<std::uint32_t> counters) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <type_traits>
 #include <omp.h>
 
@@ -90,6 +91,21 @@ std::uint64_t retire(vertex_t seed, const Source &source,
              ? retire_live<true>(seed, source, counters, retired, log)
              : retire_live<false>(seed, source, counters, retired, log);
 }
+
+/// One bit of a set's 64-bit membership signature: the top 6 bits of a
+/// Fibonacci hash of the vertex id.  A set whose signature lacks a vertex's
+/// bit cannot contain that vertex.
+inline std::uint64_t signature_bit(vertex_t v) {
+  return std::uint64_t{1}
+         << ((static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ULL) >> 58);
+}
+
+/// A live entry of Alg. 4's search: the set and the OR of its members'
+/// signature bits.
+struct LiveSet {
+  std::uint64_t signature;
+  const RRRSet *set;
+};
 
 /// Eager picker: one argmax scan over the unselected counters per round.
 class ArgmaxPicker {
@@ -233,7 +249,7 @@ vertex_t argmax_counter(std::span<const std::uint32_t> counters,
 
 SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
                              std::span<const RRRSet> samples) {
-  return greedy<ArgmaxPicker>(num_vertices, k, samples, "select.greedy");
+  return select_seeds_multithreaded(num_vertices, k, samples, 1);
 }
 
 SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
@@ -255,8 +271,15 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   trace::Span span("select", "select.multithreaded", "k", k, "samples",
                    samples.size());
 
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
+  // Every per-vertex and per-sample array below is left uninitialized here
+  // and first written inside the team by the thread that owns its range.
+  // A zeroing pass on the calling thread would be a second write of every
+  // entry, and TSan, blind to libgomp's barriers, would report each entry
+  // an owner then touches.
+  const auto counters = std::make_unique_for_overwrite<std::uint32_t[]>(
+      num_vertices);
+  const auto selected =
+      std::make_unique_for_overwrite<std::uint8_t[]>(num_vertices);
 
   SelectionResult result;
   result.total_samples = samples.size();
@@ -276,8 +299,9 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   // live sets, and those of them the current round retires.  Allocated
   // here rather than per thread, so each is one mapping that leaves with
   // the call.
-  std::vector<const RRRSet *> live(samples.size());
-  std::vector<const RRRSet *> hits(samples.size());
+  const auto live = std::make_unique_for_overwrite<LiveSet[]>(samples.size());
+  const auto hits =
+      std::make_unique_for_overwrite<const RRRSet *[]>(samples.size());
   // Each thread's hits of the current round, published for the whole team
   // (padded like the candidates).
   struct alignas(64) Hits {
@@ -296,19 +320,31 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     const auto vh = static_cast<vertex_t>(
         (static_cast<std::uint64_t>(num_vertices) * (t + 1)) / p);
     // Sample block owned by this thread: [sl, sh).  Its live sets, the only
-    // ones it searches for the seed, are live[sl, live_end).
+    // ones it searches for the seed, are live[sl, live_end); empty sets
+    // can never retire, so they are left out from the start.  A signature
+    // is saturated after ~300 members on average, so the fill stops there
+    // and reads only that prefix of a giant IC set.
     const std::size_t sl = samples.size() * t / p;
     const std::size_t sh = samples.size() * (t + 1) / p;
-    // Raw pointers: stores through the vectors' own accessors would make
-    // the compiler reload their data pointers after every store.
-    const RRRSet **const live_sets = live.data();
-    const RRRSet **const hit_sets = hits.data();
-    std::size_t live_end = sh;
-    for (std::size_t j = sl; j < sh; ++j) live_sets[j] = &samples[j];
+    // Raw pointers: stores through the owning pointers would make the
+    // compiler reload them after every store.
+    LiveSet *const live_sets = live.get();
+    const RRRSet **const hit_sets = hits.get();
+    std::size_t live_end = sl;
+    for (std::size_t j = sl; j < sh; ++j) {
+      const RRRSet &sample = samples[j];
+      std::uint64_t signature = 0;
+      for (auto it = sample.begin(); it != sample.end() && ~signature != 0;
+           ++it)
+        signature |= signature_bit(*it);
+      if (signature != 0) live_sets[live_end++] = {signature, &sample};
+    }
 
     // Counting step: every thread visits all samples but touches only the
     // counters it owns; the sorted sample lets it binary-search to vl and
     // scan its slice in cache order (Section 3.1).
+    std::fill(counters.get() + vl, counters.get() + vh, 0);
+    std::fill(selected.get() + vl, selected.get() + vh, 0);
     {
       // Per-thread span ending before the barrier, so interval imbalance in
       // the counting pass is visible as ragged span ends.
@@ -359,18 +395,21 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
 
       trace::Span retire_span("select", "select.retire", "round", i, "thread",
                               t);
-      // Search: each live set is tested by its block's owner only.  Hits
-      // retire, so the owner moves them to its hit slice and compacts the
-      // rest of its live slice in place.
+      // Search: each live set is tested by its block's owner only, and
+      // its members are read only when its signature holds the seed's bit.
+      // Hits retire, so the owner moves them to its hit slice and compacts
+      // the rest of its live slice in place.
       const vertex_t seed = chosen;
+      const std::uint64_t seed_bit = signature_bit(seed);
       std::size_t kept = sl;
       std::size_t hit_end = sl;
       for (std::size_t x = sl; x < live_end; ++x) {
-        const RRRSet *sample = live_sets[x];
-        if (std::binary_search(sample->begin(), sample->end(), seed))
-          hit_sets[hit_end++] = sample;
+        const LiveSet entry = live_sets[x];
+        if ((entry.signature & seed_bit) != 0 &&
+            std::binary_search(entry.set->begin(), entry.set->end(), seed))
+          hit_sets[hit_end++] = entry.set;
         else
-          live_sets[kept++] = sample;
+          live_sets[kept++] = entry;
       }
       live_end = kept;
       round_hits[t].sets = {hit_sets + sl, hit_end - sl};

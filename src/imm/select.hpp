@@ -6,18 +6,22 @@
 /// take the argmax, then retire every sample containing it (those samples
 /// can no longer add influence) and decrement the counters of their members.
 ///
-/// One sequential greedy and two specialised bodies:
-///  * select_seeds / select_seeds_lazy — the sequential greedy, written once
-///    over a set walker that visits the live samples of either storage (the
-///    sorted vectors, or the compressed arena decoded on iterate), with one
-///    of two pickers for the next seed: an eager argmax scan, or a CELF heap.
+/// Alg. 4, one sequential greedy and the hypergraph baseline:
 ///  * select_seeds_multithreaded — Algorithm 4, with ownership in two
 ///    directions.  Each thread owns the counters of a vertex interval
 ///    [vl, vh), so counting and decrementing need no atomics; sorted
 ///    samples let a thread binary-search directly to its interval inside
 ///    every sample.  Each thread also owns a contiguous block of sample ids
 ///    and is the only one to search its block's live samples for the
-///    round's seed; the whole team then decrements from the hit lists.
+///    round's seed, reading a sample's members only when its 64-bit
+///    membership signature holds the seed's bit; the whole team then
+///    decrements from the hit lists.  Plain-storage select_seeds is this
+///    body on a team of one.
+///  * select_seeds over compressed storage / select_seeds_lazy — the
+///    sequential greedy, written once over a set walker that visits the
+///    live samples of either storage (the sorted vectors, or the
+///    compressed arena decoded on iterate), with one of two pickers for the
+///    next seed: an eager argmax scan, or a CELF heap.
 ///  * select_seeds_hypergraph  — the baseline's variant that exploits the
 ///    vertex -> samples index for cheaper retirement at 2x memory.
 ///
@@ -52,7 +56,7 @@ struct SelectionResult {
   }
 };
 
-/// Sequential greedy max-coverage over sorted samples.
+/// Greedy max-coverage over sorted samples: Algorithm 4 on a team of one.
 [[nodiscard]] SelectionResult select_seeds(vertex_t num_vertices,
                                            std::uint32_t k,
                                            std::span<const RRRSet> samples);

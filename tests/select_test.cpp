@@ -1,8 +1,8 @@
 // Tests for SelectSeeds: greedy max-coverage correctness against brute
-// force, equivalence of every implementation (the sequential greedy over
-// plain and compressed storage with either picker, Algorithm 4 at several
-// thread counts, the hypergraph baseline), and the counter/retirement
-// building blocks.
+// force, equivalence of every implementation with a brute-force greedy
+// (Algorithm 4 at several thread counts, which plain select_seeds runs on a
+// team of one; the sequential greedy over compressed storage; CELF; the
+// hypergraph baseline), and the counter/retirement building blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,20 +17,62 @@
 namespace ripples {
 namespace {
 
-std::vector<RRRSet> random_samples(vertex_t num_vertices, std::size_t count,
-                                   std::size_t max_size, std::uint64_t seed) {
+/// \p count sorted sets of min_size..max_size distinct members drawn
+/// uniformly from [first, last).
+std::vector<RRRSet> sized_samples(vertex_t first, vertex_t last,
+                                  std::size_t count, std::size_t min_size,
+                                  std::size_t max_size, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<RRRSet> samples(count);
   for (RRRSet &sample : samples) {
-    std::size_t size = 1 + uniform_index(rng, max_size);
+    std::size_t size = min_size + uniform_index(rng, max_size - min_size + 1);
     while (sample.size() < size) {
-      auto v = static_cast<vertex_t>(uniform_index(rng, num_vertices));
+      auto v = first + static_cast<vertex_t>(uniform_index(rng, last - first));
       if (std::find(sample.begin(), sample.end(), v) == sample.end())
         sample.push_back(v);
     }
     std::sort(sample.begin(), sample.end());
   }
   return samples;
+}
+
+std::vector<RRRSet> random_samples(vertex_t num_vertices, std::size_t count,
+                                   std::size_t max_size, std::uint64_t seed) {
+  return sized_samples(0, num_vertices, count, 1, max_size, seed);
+}
+
+/// Brute-force greedy max-coverage, the reference of the equivalence tests:
+/// every round recounts the live samples from scratch, takes the largest
+/// count among unselected vertices (smallest id on ties) and retires the
+/// samples holding it.  O(k·|R|·|S|), and it shares no code with the
+/// library's kernels.
+SelectionResult greedy_oracle(vertex_t num_vertices, std::uint32_t k,
+                              const std::vector<RRRSet> &samples) {
+  SelectionResult result;
+  result.total_samples = samples.size();
+  std::vector<bool> retired(samples.size(), false);
+  std::vector<bool> selected(num_vertices, false);
+  std::vector<std::uint32_t> counts(num_vertices);
+  for (std::uint32_t round = 0; round < k; ++round) {
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t j = 0; j < samples.size(); ++j)
+      if (!retired[j])
+        for (vertex_t v : samples[j]) ++counts[v];
+    vertex_t seed = num_vertices;
+    for (vertex_t v = 0; v < num_vertices; ++v)
+      if (!selected[v] && (seed == num_vertices || counts[v] > counts[seed]))
+        seed = v;
+    selected[seed] = true;
+    result.seeds.push_back(seed);
+    for (std::size_t j = 0; j < samples.size(); ++j) {
+      if (retired[j] || std::find(samples[j].begin(), samples[j].end(),
+                                  seed) == samples[j].end())
+        continue;
+      retired[j] = true;
+      ++result.covered_samples;
+    }
+  }
+  return result;
 }
 
 /// Exhaustive max-coverage for tiny instances (the correctness oracle).
@@ -139,7 +181,7 @@ TEST_P(SelectEquivalence, MultithreadedMatchesSequentialExactly) {
   auto [threads, seed] = GetParam();
   const vertex_t n = 200;
   std::vector<RRRSet> samples = random_samples(n, 500, 12, seed);
-  SelectionResult sequential = select_seeds(n, 10, samples);
+  SelectionResult sequential = greedy_oracle(n, 10, samples);
   SelectionResult parallel = select_seeds_multithreaded(n, 10, samples, threads);
   EXPECT_EQ(sequential.seeds, parallel.seeds);
   EXPECT_EQ(sequential.covered_samples, parallel.covered_samples);
@@ -153,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SelectSeedsMultithreaded, MoreThreadsThanVerticesIsSafe) {
   std::vector<RRRSet> samples = {{0, 2}, {1, 2}, {2, 3}};
-  SelectionResult sequential = select_seeds(4, 2, samples);
+  SelectionResult sequential = greedy_oracle(4, 2, samples);
   SelectionResult parallel = select_seeds_multithreaded(4, 2, samples, 8);
   EXPECT_EQ(sequential.seeds, parallel.seeds);
 }
@@ -181,7 +223,7 @@ TEST(SelectSeedsMultithreaded, AllHitsInOneSampleBlock) {
       if (!std::binary_search(sample.begin(), sample.end(), v))
         sample.insert(std::lower_bound(sample.begin(), sample.end(), v), v);
   }
-  const SelectionResult sequential = select_seeds(n, 10, samples);
+  const SelectionResult sequential = greedy_oracle(n, 10, samples);
   ASSERT_EQ(sequential.seeds[0], 0u);
   ASSERT_EQ(sequential.seeds[1], n - 1);
   for (unsigned threads : {2u, 3u, 4u, 7u}) {
@@ -200,7 +242,7 @@ TEST(SelectSeedsMultithreaded, TinySetsRetireEverything) {
   // suppressions (scripts/tsan-suppressions.txt) need to match.
   const vertex_t n = 32;
   const std::vector<RRRSet> samples = random_samples(n, 2000, 3, 9);
-  const SelectionResult sequential = select_seeds(n, n, samples);
+  const SelectionResult sequential = greedy_oracle(n, n, samples);
   ASSERT_EQ(sequential.covered_samples, samples.size());
   for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     const SelectionResult parallel =
@@ -272,12 +314,12 @@ CompressedRRRCollection compress(const std::vector<RRRSet> &samples) {
   return compressed;
 }
 
-/// Runs every selection variant on the same samples and demands bit-identical
-/// seed sequences and coverage: one greedy max-coverage definition, every
-/// storage and implementation.
+/// Runs every selection variant on the same samples and demands the brute-
+/// force greedy's seed sequence and coverage: one greedy max-coverage
+/// definition, every storage and implementation.
 void expect_all_variants_agree(vertex_t n, std::uint32_t k,
                                const std::vector<RRRSet> &samples) {
-  const SelectionResult reference = select_seeds(n, k, samples);
+  const SelectionResult reference = greedy_oracle(n, k, samples);
   ASSERT_EQ(reference.seeds.size(), k);
   auto expect_same = [&](const SelectionResult &other, const char *variant) {
     EXPECT_EQ(reference.seeds, other.seeds) << variant;
@@ -285,6 +327,7 @@ void expect_all_variants_agree(vertex_t n, std::uint32_t k,
     EXPECT_EQ(reference.total_samples, other.total_samples) << variant;
   };
 
+  expect_same(select_seeds(n, k, samples), "plain");
   expect_same(select_seeds(n, k, compress(samples)), "compressed");
   expect_same(select_seeds_lazy(n, k, samples), "lazy");
   for (unsigned threads : {1u, 2u, 7u})
@@ -317,6 +360,38 @@ TEST(SelectDeterminism, AllVariantsAgreeOnZeroCoverageTail) {
   // must also match across variants.
   std::vector<RRRSet> samples = {{4}, {4}, {6}};
   expect_all_variants_agree(9, 5, samples);
+}
+
+// The fixtures below aim at Alg. 4's per-set signature filter: a set's
+// members are searched only when its 64-bit signature holds the seed's bit.
+
+TEST(SelectDeterminism, AllVariantsAgreeWithSignatureFalsePositives) {
+  // 20-40 members hash onto 64 signature bits, so a third or more of the
+  // sets that lack a round's seed still pass its signature test.
+  for (std::uint64_t seed : {3u, 33u})
+    expect_all_variants_agree(1000, 25,
+                              sized_samples(0, 1000, 600, 20, 40, seed));
+}
+
+TEST(SelectDeterminism, AllVariantsAgreeWithSaturatedSignatures) {
+  // 201-600 members set nearly every signature bit, and the larger sets
+  // saturate it before their last member: the filter passes almost
+  // everything and the member search decides alone.
+  expect_all_variants_agree(1000, 15, sized_samples(0, 1000, 150, 201, 600, 4));
+}
+
+TEST(SelectDeterminism, AllVariantsAgreeOnIdsNearTheTopOfALargeRange) {
+  // n = 2^20 with every member in the last 400 ids: the hash of ids near
+  // n - 1, and the top vertex interval of every team size.
+  constexpr vertex_t n = vertex_t{1} << 20;
+  expect_all_variants_agree(n, 10, sized_samples(n - 400, n, 300, 1, 12, 5));
+}
+
+TEST(SelectDeterminism, AllVariantsAgreeWithEmptySetsMixedIn) {
+  // Every third set is empty: it never retires, yet it counts in |R|.
+  std::vector<RRRSet> samples = random_samples(80, 240, 6, 6);
+  for (std::size_t j = 0; j < samples.size(); j += 3) samples[j].clear();
+  expect_all_variants_agree(80, 12, samples);
 }
 
 TEST(SelectDeterminism, AllVariantsAgreeOnAnEmptyCollection) {
