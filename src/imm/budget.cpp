@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -181,28 +180,24 @@ void RRRStore::extend_window(std::uint64_t from, std::uint64_t to,
       }
       stop_or_throw(estimate);
     }
-    RRRCollection scratch;
-    generate(scratch, next, count);
+    const std::uint64_t set_first = size();
+    if (compressed_active_) {
+      RRRCollection scratch;
+      generate(scratch, next, count);
+      for (const RRRSet &set : scratch.sets()) compressed_.append(set);
+    } else {
+      // Straight into the plain sets: a scratch copy of the window would
+      // double its peak footprint for nothing.
+      generate(plain_, next, count);
+    }
+    window_units_ += count;
     if (policy_.scrub != ScrubMode::Off)
-      journal_.push_back({next, count, size(), scratch.size(),
+      journal_.push_back({next, count, set_first, size() - set_first,
                           generators_.size() - 1});
-    admit(scratch, count);
     tracker.release(reserved);
     reconcile();
     next += count;
   }
-}
-
-void RRRStore::admit(RRRCollection &scratch, std::uint64_t window_units) {
-  if (compressed_active_) {
-    for (const RRRSet &set : scratch.sets()) compressed_.append(set);
-  } else {
-    std::vector<RRRSet> &dest = plain_.mutable_sets();
-    std::vector<RRRSet> &src = scratch.mutable_sets();
-    dest.insert(dest.end(), std::make_move_iterator(src.begin()),
-                std::make_move_iterator(src.end()));
-  }
-  window_units_ += window_units;
 }
 
 void RRRStore::switch_to_compressed() {
@@ -226,6 +221,7 @@ void RRRStore::reconcile() {
   else if (actual < charged_)
     tracker.release(charged_ - actual);
   charged_ = actual;
+  peak_bytes_ = std::max(peak_bytes_, actual);
 }
 
 void RRRStore::stop_or_throw(std::size_t refused_bytes) {

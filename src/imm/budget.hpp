@@ -22,10 +22,14 @@
 ///      MemoryBudgetExceeded naming the consumer — rank-local truncation
 ///      would silently break the cross-rank theta agreement.
 ///
-/// Every outcome is a valid answer or a diagnostic; no path aborts.  A run
-/// with no budget, no forced compression, and no oom faults never
-/// constructs a governed store — the drivers keep their exact pre-governor
-/// code path (the <2% disabled-overhead criterion).
+/// Every outcome is a valid answer or a diagnostic; no path aborts.  The
+/// shared-memory drivers store every run's sets in an RRRStore; a run with
+/// no budget, no forced compression and no oom faults has nothing that can
+/// refuse, so its store admits each extend as one window — one reservation,
+/// one generator call, one footprint reconciliation — and pays no more
+/// than a bare collection.  The distributed driver still keeps a bare
+/// collection when ungoverned: its inter-rank stealing appends chunks
+/// outside any admission window.
 #ifndef RIPPLES_IMM_BUDGET_HPP
 #define RIPPLES_IMM_BUDGET_HPP
 
@@ -103,10 +107,13 @@ public:
   ScopedBudget(const ScopedBudget &) = delete;
   ScopedBudget &operator=(const ScopedBudget &) = delete;
 
-  /// True when the run needs a governed store at all: a finite budget, a
-  /// forced representation, or an installed oom fault.  (A fault with no
-  /// governed store would never reach a reservation site and silently turn
-  /// a failure test into a false pass, so faults alone force governance.)
+  /// True when something can refuse or reshape admission: a finite budget,
+  /// a forced representation, or an installed oom fault.  Governed stores
+  /// admit in Policy::chunk batches, so every chunk is a reservation (and
+  /// oom-fault) site; ungoverned ones admit each extend whole.  (A fault
+  /// with no governed store would never reach a per-chunk reservation
+  /// site and silently turn a failure test into a false pass, so faults
+  /// alone force governance.)
   [[nodiscard]] bool governed() const { return governed_; }
 
 private:
@@ -114,8 +121,9 @@ private:
 };
 
 /// Budget-governed RRR storage: holds either the plain or the compressed
-/// representation behind the admission ladder above.  Only constructed when
-/// ScopedBudget::governed(); the ungoverned drivers never route through it.
+/// representation behind the admission ladder above.  Every shared-memory
+/// run stores its sets here; the distributed driver only when
+/// ScopedBudget::governed().
 class RRRStore {
 public:
   struct Policy {
@@ -128,6 +136,7 @@ public:
     /// Name reported by MemoryBudgetExceeded and the mem.budget trace.
     const char *consumer = "imm.rrr";
     /// Initial admission granularity in samples; halved on shed, floor 1.
+    /// Ungoverned stores set it to UINT64_MAX: one window per extend.
     std::uint64_t chunk = 16384;
     /// Storage scrubbing (DESIGN.md §14).  Checksums exist only on the
     /// compressed arena, and repair replays admission windows through the
@@ -156,13 +165,22 @@ public:
     return compressed_active_ ? compressed_.total_associations()
                               : plain_.total_associations();
   }
+  /// Largest footprint_bytes() the store has held, sampled at every
+  /// reconciliation — including the plain footprint just before a switch
+  /// to the compressed representation, which an after-the-extend reading
+  /// never sees.
+  [[nodiscard]] std::size_t peak_footprint_bytes() const {
+    return peak_bytes_;
+  }
 
-  /// Generator for one admission batch: produce the caller's samples for
-  /// the global index window [first, first + count) into \p scratch.  On
-  /// the shared-memory drivers every index is the caller's; the distributed
+  /// Generator for one admission batch: append the caller's samples for
+  /// the global index window [first, first + count) to \p out — the
+  /// store's own plain sets while that representation is active (generated
+  /// in place), an empty scratch collection otherwise.  On the
+  /// shared-memory drivers every index is the caller's; the distributed
   /// driver generates only its rank's leapfrog slice of the window.
   using WindowGenerator = std::function<void(
-      RRRCollection &scratch, std::uint64_t first, std::uint64_t count)>;
+      RRRCollection &out, std::uint64_t first, std::uint64_t count)>;
 
   /// Admits the window [from, to) in budget-charged chunks, walking the
   /// degradation ladder on refusal.  \p from must be the end of the
@@ -204,7 +222,6 @@ public:
 
 private:
   [[nodiscard]] std::size_t estimate_bytes(std::uint64_t count) const;
-  void admit(RRRCollection &scratch, std::uint64_t window_units);
   void switch_to_compressed();
   void reconcile();
   [[noreturn]] void stop_or_throw(std::size_t refused_bytes);
@@ -226,6 +243,7 @@ private:
   bool compressed_active_ = false;
   /// Bytes currently reserved in MemoryTracker for the stored sets.
   std::size_t charged_ = 0;
+  std::size_t peak_bytes_ = 0;
   /// Window indices admitted so far — the denominator of the running
   /// bytes-per-index estimate (on the distributed driver a rank owns only
   /// ~1/p of each window; estimating per *window* index absorbs that).

@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
-#include <optional>
+#include <limits>
 
 #include "imm/imm_core.hpp"
 #include "imm/sampler.hpp"
@@ -169,118 +168,86 @@ void record_sample_sizes(metrics::RunReport &report,
     report.rrr_sizes.record(sample.size());
 }
 
-/// Builds the governed store of a shared-memory driver when the run needs
-/// one (finite budget, forced compression, or an installed oom fault);
-/// nullopt otherwise, and the driver keeps its exact ungoverned path.
-std::optional<detail::RRRStore>
-make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budget,
-                    const char *consumer) {
-  if (!budget.governed()) return std::nullopt;
+/// Algorithm 1 on a team of \p num_threads — IMMOPT on a team of one,
+/// IMM_mt otherwise — over one RRRStore (DESIGN.md §12).  A run with
+/// nothing that can refuse admits each extend as one window, which is
+/// exactly the bare samplers' call pattern: one reservation, one generator
+/// call, one edge-table build and one footprint reading per extend.
+ImmResult imm_shared_memory(const CsrGraph &graph, const ImmOptions &options,
+                            unsigned num_threads, const char *driver,
+                            const char *consumer) {
+  RIPPLES_ASSERT(num_threads >= 1);
+  ImmResult result;
+  StopWatch total;
+  trace::Span driver_span("imm", driver, "k", options.k, "threads",
+                          num_threads);
+  detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
+                              detail::oom_faults_from_plan(options.fault_plan));
   detail::RRRStore::Policy policy;
   policy.budget_bytes = options.mem_budget;
   policy.compress = options.rrr_compress;
   policy.consumer = consumer;
+  if (!budget.governed())
+    policy.chunk = std::numeric_limits<std::uint64_t>::max();
   // Scrub repair replays stored windows from their counter coordinates;
   // the leapfrog engines are stateful, so scrubbing stays off there (the
   // stealing/fused silent-no-op rule).
   policy.scrub = options.rng_mode == RngMode::CounterSequence
                      ? options.scrub_rrr
                      : ScrubMode::Off;
-  return std::optional<detail::RRRStore>(std::in_place, policy);
-}
+  detail::RRRStore store(policy);
 
-/// One governed admission batch: the RRR sets at global indices
-/// [first, first + count), drawn from their per-sample counter streams —
-/// byte-identical to the ungoverned samplers' output for the same indices.
-/// A governed fused window reserves what it holds — its own edge table
-/// plus each thread's sampler scratch — for exactly as long as it
-/// holds it, and falls back to the scalar kernel (same bytes out) when
-/// refused (DESIGN.md §12).
-void sample_governed_window(const CsrGraph &graph, const ImmOptions &options,
-                            unsigned num_threads, RRRCollection &scratch,
-                            std::uint64_t first, std::uint64_t count) {
-  std::vector<std::uint64_t> indices(count);
-  std::iota(indices.begin(), indices.end(), first);
-  if (options.sampler == SamplerEngine::Fused) {
-    const std::size_t held =
-        FusedSampler::window_bytes(graph, options.model, num_threads);
-    if (MemoryTracker::instance().try_reserve(held, "sampler.fused_lanes")) {
-      {
-        const FusedEdgeTable table(graph, options.model);
-        sample_counter_indices_fused(table, options.seed, indices, num_threads,
-                                     scratch);
-      }
-      MemoryTracker::instance().release(held);
-      return;
-    }
-  }
-  sample_counter_indices(graph, options.model, options.seed, indices,
-                         num_threads, scratch);
-}
-
-} // namespace
-
-ImmResult imm_sequential(const CsrGraph &graph, const ImmOptions &options) {
-  ImmResult result;
-  StopWatch total;
-  trace::Span driver_span("imm", "imm_sequential", "k", options.k);
-  detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
-                              detail::oom_faults_from_plan(options.fault_plan));
-  RRRCollection collection;
-  std::optional<detail::RRRStore> store =
-      make_governed_store(options, budget, "imm_sequential.rrr");
-
-  auto extend_to = [&](std::uint64_t target) {
-    if (store) {
-      store->extend_window(store->size(), target,
-                           [&](RRRCollection &scratch, std::uint64_t first,
-                               std::uint64_t count) {
-                             sample_governed_window(graph, options, 1, scratch,
-                                                    first, count);
-                           });
-      result.rrr_peak_bytes =
-          std::max(result.rrr_peak_bytes, store->footprint_bytes());
-      result.total_associations =
-          std::max(result.total_associations, store->total_associations());
-      return;
-    }
+  // One admission window: the RRR sets at global indices
+  // [first, first + count) from their per-sample counter streams.  A fused
+  // window reserves what it holds — its own edge table plus each thread's
+  // sampler scratch — for exactly as long as it holds it, and falls back to
+  // the scalar kernel (same bytes out) when refused.
+  auto generate = [&](RRRCollection &out, std::uint64_t first,
+                      std::uint64_t count) {
+    auto run = [&](const FusedEdgeTable *table) {
+      if (table != nullptr)
+        detail::sample_counter_range_fused(*table, options.seed, first, count,
+                                           num_threads, out);
+      else
+        detail::sample_counter_range(graph, options.model, options.seed,
+                                     first, count, num_threads, out);
+    };
     if (options.sampler == SamplerEngine::Fused)
-      sample_sequential_fused(graph, options.model, target, options.seed,
-                              collection);
+      detail::with_fused_window(graph, options.model, num_threads, run);
     else
-      sample_sequential(graph, options.model, target, options.seed,
-                        collection);
-    result.rrr_peak_bytes =
-        std::max(result.rrr_peak_bytes, collection.footprint_bytes());
-    result.total_associations =
-        std::max(result.total_associations, collection.total_associations());
+      run(nullptr);
+  };
+  auto extend_to = [&](std::uint64_t target) {
+    store.extend_window(store.size(), target, generate);
   };
   auto select = [&] {
-    if (store) return store->select(graph.num_vertices(), options.k, 1);
-    return select_seeds(graph.num_vertices(), options.k, collection.sets());
+    return store.select(graph.num_vertices(), options.k, num_threads);
   };
 
   detail::RoundLedger ledger;
   detail::RoundAccounting acct{&ledger, 0, [&] {
-    if (store)
-      return std::pair<std::uint64_t, std::uint64_t>(store->size(),
-                                                     store->footprint_bytes());
-    return std::pair<std::uint64_t, std::uint64_t>(collection.sets().size(),
-                                                   collection.footprint_bytes());
+    return std::pair<std::uint64_t, std::uint64_t>(store.size(),
+                                                   store.footprint_bytes());
   }};
   auto outcome = detail::run_imm_martingale(
       graph.num_vertices(), options.k, options.epsilon, options.l, extend_to,
       select, result.timers, acct);
   finalize_result(result, outcome);
+  result.rrr_peak_bytes = store.peak_footprint_bytes();
+  result.total_associations = store.total_associations();
   result.report.rounds = ledger.entries();
   result.timers.add(Phase::Other,
                     total.elapsed_seconds() - result.timers.total());
-  if (store)
-    store->record_sizes(result.report.rrr_sizes);
-  else
-    record_sample_sizes(result.report, collection.sets());
-  detail::finalize_run_report(result, "imm_sequential", graph, options, outcome);
+  store.record_sizes(result.report.rrr_sizes);
+  detail::finalize_run_report(result, driver, graph, options, outcome);
   return result;
+}
+
+} // namespace
+
+ImmResult imm_sequential(const CsrGraph &graph, const ImmOptions &options) {
+  return imm_shared_memory(graph, options, 1, "imm_sequential",
+                           "imm_sequential.rrr");
 }
 
 ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
@@ -326,73 +293,8 @@ ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
 }
 
 ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
-  RIPPLES_ASSERT(options.num_threads >= 1);
-  ImmResult result;
-  StopWatch total;
-  trace::Span driver_span("imm", "imm_multithreaded", "k", options.k,
-                          "threads", options.num_threads);
-  detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
-                              detail::oom_faults_from_plan(options.fault_plan));
-  RRRCollection collection;
-  std::optional<detail::RRRStore> store =
-      make_governed_store(options, budget, "imm_multithreaded.rrr");
-
-  auto extend_to = [&](std::uint64_t target) {
-    if (store) {
-      store->extend_window(store->size(), target,
-                           [&](RRRCollection &scratch, std::uint64_t first,
-                               std::uint64_t count) {
-                             sample_governed_window(graph, options,
-                                                    options.num_threads,
-                                                    scratch, first, count);
-                           });
-      result.rrr_peak_bytes =
-          std::max(result.rrr_peak_bytes, store->footprint_bytes());
-      result.total_associations =
-          std::max(result.total_associations, store->total_associations());
-      return;
-    }
-    if (options.sampler == SamplerEngine::Fused)
-      sample_multithreaded_fused(graph, options.model, target, options.seed,
-                                 options.num_threads, collection);
-    else
-      sample_multithreaded(graph, options.model, target, options.seed,
-                           options.num_threads, collection);
-    result.rrr_peak_bytes =
-        std::max(result.rrr_peak_bytes, collection.footprint_bytes());
-    result.total_associations =
-        std::max(result.total_associations, collection.total_associations());
-  };
-  auto select = [&] {
-    if (store)
-      return store->select(graph.num_vertices(), options.k,
-                           options.num_threads);
-    return select_seeds_multithreaded(graph.num_vertices(), options.k,
-                                      collection.sets(), options.num_threads);
-  };
-
-  detail::RoundLedger ledger;
-  detail::RoundAccounting acct{&ledger, 0, [&] {
-    if (store)
-      return std::pair<std::uint64_t, std::uint64_t>(store->size(),
-                                                     store->footprint_bytes());
-    return std::pair<std::uint64_t, std::uint64_t>(collection.sets().size(),
-                                                   collection.footprint_bytes());
-  }};
-  auto outcome = detail::run_imm_martingale(
-      graph.num_vertices(), options.k, options.epsilon, options.l, extend_to,
-      select, result.timers, acct);
-  finalize_result(result, outcome);
-  result.report.rounds = ledger.entries();
-  result.timers.add(Phase::Other,
-                    total.elapsed_seconds() - result.timers.total());
-  if (store)
-    store->record_sizes(result.report.rrr_sizes);
-  else
-    record_sample_sizes(result.report, collection.sets());
-  detail::finalize_run_report(result, "imm_multithreaded", graph, options,
-                              outcome);
-  return result;
+  return imm_shared_memory(graph, options, options.num_threads,
+                           "imm_multithreaded", "imm_multithreaded.rrr");
 }
 
 } // namespace ripples

@@ -6,7 +6,8 @@
 ///  * imm_sequential          — "IMMOPT": the paper's optimized serial
 ///    implementation with compact sorted-sample storage.
 ///  * imm_multithreaded       — "IMM_mt": OpenMP sampling + Algorithm 4
-///    interval-partitioned selection.
+///    interval-partitioned selection.  imm_sequential is this driver's
+///    body on a team of one.
 ///  * imm_distributed         — "IMM_dist": hybrid ranks x threads over the
 ///    mpsim runtime (Section 3.2): replicated graph, evenly partitioned
 ///    sample generation, allreduce-based seed selection.
@@ -165,9 +166,11 @@ struct ImmOptions {
 
   // Memory-pressure resilience (DESIGN.md §12).
   /// Enforced RRR reservation budget in bytes, 0 = unlimited; defaults from
-  /// RIPPLES_MEM_BUDGET (`--mem-budget` in imm_cli).  A finite budget (or a
-  /// kind=oom fault, or rrr_compress == Always) routes RRR storage through
-  /// the budget governor; otherwise the drivers keep their ungoverned path.
+  /// RIPPLES_MEM_BUDGET (`--mem-budget` in imm_cli).  The shared-memory
+  /// drivers always store RRR sets in the governor's store; a finite budget
+  /// (or a kind=oom fault, or rrr_compress == Always) makes it admit in
+  /// budget-charged chunks, otherwise it admits each extend whole.
+  /// imm_distributed routes through the store only when governed.
   /// The baseline-hypergraph and partitioned drivers stay ungoverned: the
   /// former *is* Table 2's memory-hungry reference, the latter stores
   /// per-rank sample slices whose budget story is future work.

@@ -114,16 +114,11 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
   };
   if (options.sampler != SamplerEngine::Fused) return generate(nullptr);
   if (shared_table != nullptr) return generate(shared_table);
-  const std::size_t held = FusedSampler::window_bytes(graph, options.model,
-                                                      options.num_threads);
-  if (!MemoryTracker::instance().try_reserve(held, "sampler.fused_lanes"))
-    return generate(nullptr);
   std::uint64_t generated = 0;
-  {
-    const FusedEdgeTable window_table(graph, options.model);
-    generated = generate(&window_table);
-  }
-  MemoryTracker::instance().release(held);
+  detail::with_fused_window(graph, options.model, options.num_threads,
+                            [&](const FusedEdgeTable *table) {
+                              generated = generate(table);
+                            });
   return generated;
 }
 
@@ -218,6 +213,11 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     auto local_size = [&] { return store ? store->size() : local.size(); };
     auto local_footprint = [&] {
       return store ? store->footprint_bytes() : local.footprint_bytes();
+    };
+    // The store samples its footprint at every admission, so its peak also
+    // covers the plain sets it held just before compressing mid-window.
+    auto local_peak = [&] {
+      return store ? store->peak_footprint_bytes() : local.footprint_bytes();
     };
     auto local_assoc = [&] {
       return store ? store->total_associations() : local.total_associations();
@@ -432,7 +432,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
 
       // Aggregate representation footprint across ranks (the paper reports
       // per-node memory pressure; the sum is the cluster-wide cost).
-      std::uint64_t footprint[2] = {local_footprint(), local_assoc()};
+      std::uint64_t footprint[2] = {local_peak(), local_assoc()};
       comm.allreduce(std::span<std::uint64_t>(footprint, 2),
                      mpsim::ReduceOp::Sum);
       if (comm.rank() == 0) {

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <omp.h>
 
 #include "rng/distributions.hpp"
 #include "support/assert.hpp"
+#include "support/memory.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -335,98 +338,111 @@ void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
   }
 }
 
+namespace {
+
+/// The one fused fill loop of every entry point below: out[j] becomes the
+/// RRR set at global index index_of(j), j in [0, count), over a dynamic
+/// schedule of whole lane blocks — fused batches inherit the heavy tail of
+/// per-sample traversal cost 64 samples at a time.  kWorkerSpans follows
+/// sampler.cpp's fill_sets, under the same span names as the scalar engine
+/// (the batch span's `lanes` arg tells the engines apart): the index-list
+/// entry point runs inside mpsim ranks and emits none.
+template <bool kWorkerSpans, typename IndexOf>
+void fill_sets_fused(const FusedEdgeTable &table, std::uint64_t seed,
+                     std::uint64_t count, unsigned num_threads,
+                     IndexOf index_of, RRRSet *out) {
+  RIPPLES_ASSERT(num_threads >= 1);
+  const auto num_blocks = static_cast<std::int64_t>(
+      (count + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
+#pragma omp parallel num_threads(static_cast<int>(num_threads))
+  {
+    FusedSampler sampler(table);
+    std::optional<trace::Span> worker;
+    if constexpr (kWorkerSpans) worker.emplace("sampler", "sampler.worker");
+    std::array<std::uint64_t, FusedSampler::kLanes> indices;
+    std::uint64_t generated = 0;
+#pragma omp for schedule(dynamic, 1) nowait
+    for (std::int64_t b = 0; b < num_blocks; ++b) {
+      const std::uint64_t base =
+          static_cast<std::uint64_t>(b) * FusedSampler::kLanes;
+      const auto lanes = static_cast<unsigned>(
+          std::min<std::uint64_t>(FusedSampler::kLanes, count - base));
+      for (unsigned l = 0; l < lanes; ++l) indices[l] = index_of(base + l);
+      sampler.generate(table.model(), seed, std::span(indices.data(), lanes),
+                       &out[base]);
+      generated += lanes;
+    }
+    if constexpr (kWorkerSpans) worker->arg("sets", generated);
+    flush_fused_counters(sampler);
+  }
+  count_generated(count);
+}
+
+} // namespace
+
+namespace detail {
+
+void sample_counter_range_fused(const FusedEdgeTable &table,
+                                std::uint64_t seed, std::uint64_t first,
+                                std::uint64_t count, unsigned num_threads,
+                                RRRCollection &collection) {
+  if (count == 0) return;
+  trace::Span span("sampler", "sampler.batch", "first", first, "count",
+                   count);
+  span.arg("lanes", FusedSampler::kLanes);
+  const std::uint64_t slot = collection.grow(count);
+  fill_sets_fused<true>(
+      table, seed, count, num_threads,
+      [first](std::uint64_t j) { return first + j; },
+      &collection.mutable_sets()[slot]);
+  trace::counter("rrr_sets", first + count);
+}
+
+void with_fused_window(const CsrGraph &graph, DiffusionModel model,
+                       unsigned num_threads,
+                       const std::function<void(const FusedEdgeTable *)> &run) {
+  const std::size_t held =
+      FusedSampler::window_bytes(graph, model, num_threads);
+  if (!MemoryTracker::instance().try_reserve(held, "sampler.fused_lanes")) {
+    run(nullptr);
+    return;
+  }
+  {
+    const FusedEdgeTable table(graph, model);
+    run(&table);
+  }
+  MemoryTracker::instance().release(held);
+}
+
+} // namespace detail
+
 void sample_sequential_fused(const CsrGraph &graph, DiffusionModel model,
                              std::uint64_t target_total, std::uint64_t seed,
                              RRRCollection &collection) {
-  if (collection.size() >= target_total) return;
-  trace::Span span("sampler", "sampler.batch_fused", "first",
-                   collection.size(), "count",
-                   target_total - collection.size());
-  std::uint64_t first = collection.grow(target_total - collection.size());
-  auto &sets = collection.mutable_sets();
-  const FusedEdgeTable table(graph, model);
-  FusedSampler sampler(table);
-  std::array<std::uint64_t, FusedSampler::kLanes> indices;
-  for (std::uint64_t base = first; base < target_total;
-       base += FusedSampler::kLanes) {
-    const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
-        FusedSampler::kLanes, target_total - base));
-    for (unsigned l = 0; l < lanes; ++l) indices[l] = base + l;
-    sampler.generate(model, seed, std::span(indices.data(), lanes),
-                     &sets[base]);
-  }
-  span.arg("passes", sampler.passes());
-  count_generated(target_total - first);
-  flush_fused_counters(sampler);
-  trace::counter("rrr_sets", collection.size());
+  sample_multithreaded_fused(graph, model, target_total, seed, 1, collection);
 }
 
 void sample_multithreaded_fused(const CsrGraph &graph, DiffusionModel model,
                                 std::uint64_t target_total, std::uint64_t seed,
                                 unsigned num_threads,
                                 RRRCollection &collection) {
-  RIPPLES_ASSERT(num_threads >= 1);
   if (collection.size() >= target_total) return;
-  trace::Span span("sampler", "sampler.batch_fused", "first",
-                   collection.size(), "count",
-                   target_total - collection.size());
-  std::uint64_t first = collection.grow(target_total - collection.size());
-  auto &sets = collection.mutable_sets();
-  const std::uint64_t count = target_total - first;
-  const auto num_blocks = static_cast<std::int64_t>(
-      (count + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
   const FusedEdgeTable table(graph, model);
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    FusedSampler sampler(table);
-    trace::Span worker("sampler", "sampler.worker_fused");
-    std::array<std::uint64_t, FusedSampler::kLanes> indices;
-    std::uint64_t generated = 0;
-    // Dynamic schedule over whole lane blocks: fused batches inherit the
-    // heavy tail of per-sample traversal cost 64 samples at a time.
-#pragma omp for schedule(dynamic, 1) nowait
-    for (std::int64_t b = 0; b < num_blocks; ++b) {
-      std::uint64_t base =
-          first + static_cast<std::uint64_t>(b) * FusedSampler::kLanes;
-      const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
-          FusedSampler::kLanes, target_total - base));
-      for (unsigned l = 0; l < lanes; ++l) indices[l] = base + l;
-      sampler.generate(model, seed, std::span(indices.data(), lanes),
-                       &sets[base]);
-      generated += lanes;
-    }
-    worker.arg("sets", generated);
-    flush_fused_counters(sampler);
-  }
-  count_generated(count);
-  trace::counter("rrr_sets", collection.size());
+  detail::sample_counter_range_fused(table, seed, collection.size(),
+                                     target_total - collection.size(),
+                                     num_threads, collection);
 }
 
 std::uint64_t sample_counter_indices_fused(
     const FusedEdgeTable &table, std::uint64_t seed,
     std::span<const std::uint64_t> indices, unsigned num_threads,
     RRRCollection &collection) {
-  RIPPLES_ASSERT(num_threads >= 1);
   if (indices.empty()) return 0;
-  std::uint64_t first_slot = collection.grow(indices.size());
-  auto &sets = collection.mutable_sets();
-  const auto num_blocks = static_cast<std::int64_t>(
-      (indices.size() + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    FusedSampler sampler(table);
-#pragma omp for schedule(dynamic, 1)
-    for (std::int64_t b = 0; b < num_blocks; ++b) {
-      const std::size_t j =
-          static_cast<std::size_t>(b) * FusedSampler::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(FusedSampler::kLanes, indices.size() - j);
-      sampler.generate(table.model(), seed, indices.subspan(j, lanes),
-                       &sets[first_slot + j]);
-    }
-    flush_fused_counters(sampler);
-  }
-  count_generated(indices.size());
+  const std::uint64_t slot = collection.grow(indices.size());
+  fill_sets_fused<false>(
+      table, seed, indices.size(), num_threads,
+      [indices](std::uint64_t j) { return indices[j]; },
+      &collection.mutable_sets()[slot]);
   return indices.size();
 }
 

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -126,11 +127,11 @@ public:
   /// on demand and are excluded).
   [[nodiscard]] static std::size_t scratch_bytes(const CsrGraph &graph);
 
-  /// What a governed fused window holds while it runs: one edge table for
-  /// \p model, charged once, plus \p num_threads samplers' scratch.  The
-  /// budget governor reserves exactly this around the window (consumer
-  /// "sampler.fused_lanes") and falls back to the scalar engine —
-  /// byte-identical output — when refused (DESIGN.md §12).
+  /// What a fused admission window holds while it runs: one edge table for
+  /// \p model, charged once, plus \p num_threads samplers' scratch.
+  /// detail::with_fused_window reserves exactly this around the window and
+  /// falls back to the scalar engine — byte-identical output — when
+  /// refused (DESIGN.md §12).
   [[nodiscard]] static std::size_t window_bytes(const CsrGraph &graph,
                                                 DiffusionModel model,
                                                 unsigned num_threads);
@@ -180,9 +181,8 @@ private:
   std::uint64_t passes_ = 0;
 };
 
-/// Fused counterpart of sample_sequential: appends samples until
-/// \p target_total, batching kLanes consecutive indices per kernel call.
-/// Builds the edge table once per call.
+/// Fused counterpart of sample_sequential: sample_multithreaded_fused on a
+/// team of one.
 void sample_sequential_fused(const CsrGraph &graph, DiffusionModel model,
                              std::uint64_t target_total, std::uint64_t seed,
                              RRRCollection &collection);
@@ -202,6 +202,28 @@ std::uint64_t sample_counter_indices_fused(
     const FusedEdgeTable &table, std::uint64_t seed,
     std::span<const std::uint64_t> indices, unsigned num_threads,
     RRRCollection &collection);
+
+namespace detail {
+
+/// The range loop under sample_multithreaded_fused, over the caller's
+/// \p table: appends the RRR sets at global indices [first, first + count)
+/// to \p collection, whatever its size.
+void sample_counter_range_fused(const FusedEdgeTable &table,
+                                std::uint64_t seed, std::uint64_t first,
+                                std::uint64_t count, unsigned num_threads,
+                                RRRCollection &collection);
+
+/// The fused-lane rung of the budget ladder (DESIGN.md §12), shared by
+/// every admission window that builds its own edge table: reserves
+/// FusedSampler::window_bytes (consumer "sampler.fused_lanes"), builds the
+/// table, calls \p run with it, drops the table and releases the bytes.
+/// When the reservation is refused it calls \p run with null instead, and
+/// the caller runs the scalar kernel — the same bytes out.
+void with_fused_window(const CsrGraph &graph, DiffusionModel model,
+                       unsigned num_threads,
+                       const std::function<void(const FusedEdgeTable *)> &run);
+
+} // namespace detail
 
 } // namespace ripples
 

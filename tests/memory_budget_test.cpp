@@ -551,6 +551,45 @@ TEST(GovernedDrivers, CompressionBudgetMatchesSeedsAtLowerFootprint) {
   EXPECT_LT(governed.rrr_peak_bytes, plain.rrr_peak_bytes);
 }
 
+TEST(GovernedDrivers, PeakCoversThePlainSetsHeldBeforeAMidExtendSwitch) {
+  // A budget just under the unbudgeted peak: the store admits plain chunks
+  // until one of the last extend no longer fits, compresses, and finishes.
+  // The plain sets it held just before the switch outweigh every footprint
+  // seen at a round boundary, so the reported peak must exceed all of them
+  // — reading the footprint only after each extend under-reports it.
+  // Footprints do not depend on the team size, so the run uses a team of
+  // one: on four threads Alg. 4 over 20000 vertices takes minutes under
+  // ThreadSanitizer.
+  CsrGraph graph(barabasi_albert(20000, 3, 21));
+  assign_uniform_weights(graph, 22);
+  renormalize_linear_threshold(graph);
+  ImmOptions options = driver_options();
+  options.model = DiffusionModel::LinearThreshold;
+  options.epsilon = 0.2;
+  options.k = 20;
+  options.num_threads = 1;
+  const ImmResult plain = imm_multithreaded(graph, options);
+
+  options.mem_budget = plain.rrr_peak_bytes / 10 * 9;
+  metrics::Counter &switches =
+      metrics::Registry::instance().counter("mem.budget.compress_switches");
+  metrics::set_enabled(true);
+  const std::uint64_t switches_before = switches.value();
+  const ImmResult governed = imm_multithreaded(graph, options);
+  metrics::set_enabled(false);
+
+  ASSERT_EQ(switches.value(), switches_before + 1);
+  EXPECT_FALSE(governed.degraded);
+  EXPECT_EQ(governed.seeds, plain.seeds);
+  EXPECT_EQ(governed.num_samples, plain.num_samples);
+  ASSERT_FALSE(governed.report.rounds.empty());
+  std::uint64_t boundary_peak = 0;
+  for (const metrics::RoundEntry &entry : governed.report.rounds)
+    boundary_peak = std::max(boundary_peak, entry.rrr_bytes);
+  EXPECT_GT(governed.rrr_peak_bytes, boundary_peak);
+  EXPECT_LT(governed.rrr_peak_bytes, plain.rrr_peak_bytes);
+}
+
 TEST(GovernedDrivers, ImpossibleBudgetDegradesWithCertifiedEpsilon) {
   CsrGraph graph = driver_graph();
   ImmOptions options = driver_options();

@@ -351,14 +351,18 @@ std::set<std::string> traced_categories(const JsonValue &doc) {
   return categories;
 }
 
-TEST(Trace, MultithreadedDriverCoversItsSubsystems) {
+/// Both shared-memory drivers are one body over one RRR store; the
+/// sequential one runs it on a team of one and must trace the same
+/// subsystems.
+void expect_driver_covers_its_subsystems(
+    ImmResult (*driver)(const CsrGraph &, const ImmOptions &)) {
   ScopedTrace on;
   ImmOptions options;
   options.epsilon = 0.5;
   options.k = 5;
   options.seed = 2019;
   options.num_threads = 2;
-  (void)imm_multithreaded(trace_test_graph(), options);
+  (void)driver(trace_test_graph(), options);
 
   JsonValue doc = parse_trace();
   check_trace_schema(doc);
@@ -367,6 +371,14 @@ TEST(Trace, MultithreadedDriverCoversItsSubsystems) {
     EXPECT_TRUE(categories.count(expected)) << expected;
   EXPECT_NE(find_event(doc, "sampler.worker"), nullptr);
   EXPECT_NE(find_event(doc, "rrr_sets"), nullptr);
+}
+
+TEST(Trace, MultithreadedDriverCoversItsSubsystems) {
+  expect_driver_covers_its_subsystems(imm_multithreaded);
+}
+
+TEST(Trace, SequentialDriverCoversItsSubsystems) {
+  expect_driver_covers_its_subsystems(imm_sequential);
 }
 
 TEST(Trace, DistributedDriverCoversRanksAndCollectives) {
