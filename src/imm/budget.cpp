@@ -181,14 +181,24 @@ void RRRStore::extend_window(std::uint64_t from, std::uint64_t to,
       stop_or_throw(estimate);
     }
     const std::uint64_t set_first = size();
-    if (compressed_active_) {
-      RRRCollection scratch;
-      generate(scratch, next, count);
-      for (const RRRSet &set : scratch.sets()) compressed_.append(set);
-    } else {
-      // Straight into the plain sets: a scratch copy of the window would
-      // double its peak footprint for nothing.
-      generate(plain_, next, count);
+    // A generator that throws — a rejected edge table, a rank failure in
+    // the distributed steal loop — must not keep the window's estimate:
+    // the tracker is process-wide, and every later solve would start that
+    // much closer to refusal.  Charge what it appended and rethrow.
+    try {
+      if (compressed_active_) {
+        RRRCollection scratch;
+        generate(scratch, next, count);
+        for (const RRRSet &set : scratch.sets()) compressed_.append(set);
+      } else {
+        // Straight into the plain sets: a scratch copy of the window would
+        // double its peak footprint for nothing.
+        generate(plain_, next, count);
+      }
+    } catch (...) {
+      tracker.release(reserved);
+      reconcile();
+      throw;
     }
     window_units_ += count;
     if (policy_.scrub != ScrubMode::Off)

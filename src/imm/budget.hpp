@@ -22,14 +22,14 @@
 ///      MemoryBudgetExceeded naming the consumer — rank-local truncation
 ///      would silently break the cross-rank theta agreement.
 ///
-/// Every outcome is a valid answer or a diagnostic; no path aborts.  The
-/// shared-memory drivers store every run's sets in an RRRStore; a run with
-/// no budget, no forced compression and no oom faults has nothing that can
-/// refuse, so its store admits each extend as one window — one reservation,
-/// one generator call, one footprint reconciliation — and pays no more
-/// than a bare collection.  The distributed driver still keeps a bare
-/// collection when ungoverned: its inter-rank stealing appends chunks
-/// outside any admission window.
+/// Every outcome is a valid answer or a diagnostic; no path aborts.  Every
+/// shared-memory run, and every rank of a distributed one, stores its sets
+/// in an RRRStore; a run with no budget, no forced compression and no oom
+/// faults has nothing that can refuse, so its store admits each extend as
+/// one window — one reservation, one generator call, one footprint
+/// reconciliation — and pays no more than a bare collection.  The
+/// distributed driver's inter-rank steal loop is such a window's
+/// generator, which is why stealing needs an ungoverned store.
 #ifndef RIPPLES_IMM_BUDGET_HPP
 #define RIPPLES_IMM_BUDGET_HPP
 
@@ -121,9 +121,9 @@ private:
 };
 
 /// Budget-governed RRR storage: holds either the plain or the compressed
-/// representation behind the admission ladder above.  Every shared-memory
-/// run stores its sets here; the distributed driver only when
-/// ScopedBudget::governed().
+/// representation behind the admission ladder above.  Every driver but the
+/// hypergraph baseline and the partitioned one stores its sets here (the
+/// distributed driver one store per rank).
 class RRRStore {
 public:
   struct Policy {
@@ -183,8 +183,11 @@ public:
       RRRCollection &out, std::uint64_t first, std::uint64_t count)>;
 
   /// Admits the window [from, to) in budget-charged chunks, walking the
-  /// degradation ladder on refusal.  \p from must be the end of the
-  /// previously admitted window (the drivers' extend_to contract).
+  /// degradation ladder on refusal.  Chunks reach \p generate in ascending
+  /// order.  Windows need not be contiguous: the distributed heal admits a
+  /// dead rank's lost range of one stream.  When \p generate throws, the
+  /// chunk's reservation is returned and whatever it appended is charged
+  /// before the exception propagates.
   void extend_window(std::uint64_t from, std::uint64_t to,
                      const WindowGenerator &generate);
 

@@ -146,6 +146,22 @@ void finalize_run_report(ImmResult &result, const char *driver,
   if (metrics::enabled()) metrics::report_log().add(report);
 }
 
+RRRStore::Policy store_policy(const ImmOptions &options,
+                              const ScopedBudget &budget, const char *consumer,
+                              bool hard_refusal) {
+  RRRStore::Policy policy;
+  policy.budget_bytes = options.mem_budget;
+  policy.compress = options.rrr_compress;
+  policy.hard_refusal = hard_refusal;
+  policy.consumer = consumer;
+  if (!budget.governed())
+    policy.chunk = std::numeric_limits<std::uint64_t>::max();
+  policy.scrub = options.rng_mode == RngMode::CounterSequence
+                     ? options.scrub_rrr
+                     : ScrubMode::Off;
+  return policy;
+}
+
 } // namespace detail
 
 namespace {
@@ -183,19 +199,8 @@ ImmResult imm_shared_memory(const CsrGraph &graph, const ImmOptions &options,
                           num_threads);
   detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
                               detail::oom_faults_from_plan(options.fault_plan));
-  detail::RRRStore::Policy policy;
-  policy.budget_bytes = options.mem_budget;
-  policy.compress = options.rrr_compress;
-  policy.consumer = consumer;
-  if (!budget.governed())
-    policy.chunk = std::numeric_limits<std::uint64_t>::max();
-  // Scrub repair replays stored windows from their counter coordinates;
-  // the leapfrog engines are stateful, so scrubbing stays off there (the
-  // stealing/fused silent-no-op rule).
-  policy.scrub = options.rng_mode == RngMode::CounterSequence
-                     ? options.scrub_rrr
-                     : ScrubMode::Off;
-  detail::RRRStore store(policy);
+  detail::RRRStore store(detail::store_policy(options, budget, consumer,
+                                              /*hard_refusal=*/false));
 
   // One admission window: the RRR sets at global indices
   // [first, first + count) from their per-sample counter streams.  A fused

@@ -82,7 +82,9 @@ enum class SamplerEngine {
 /// pure placement knob, byte-identical on vs. off.  Requires
 /// RngMode::CounterSequence; the leapfrog mode silently keeps its pinned
 /// placement (tests assert the no-op).  Inter-rank stealing additionally
-/// requires the ungoverned path (budget admission windows are rank-local).
+/// requires an ungoverned store (budget admission windows are rank-local, so
+/// a migrated chunk would be charged to the wrong rank); under a budget it
+/// is a silent no-op too.
 enum class StealMode {
   /// No stealing: every draw runs where the static partition homed it.
   Off,
@@ -167,10 +169,10 @@ struct ImmOptions {
   // Memory-pressure resilience (DESIGN.md §12).
   /// Enforced RRR reservation budget in bytes, 0 = unlimited; defaults from
   /// RIPPLES_MEM_BUDGET (`--mem-budget` in imm_cli).  The shared-memory
-  /// drivers always store RRR sets in the governor's store; a finite budget
-  /// (or a kind=oom fault, or rrr_compress == Always) makes it admit in
-  /// budget-charged chunks, otherwise it admits each extend whole.
-  /// imm_distributed routes through the store only when governed.
+  /// drivers and every imm_distributed rank always store RRR sets in the
+  /// governor's store; a finite budget (or a kind=oom fault, or
+  /// rrr_compress == Always) makes it admit in budget-charged chunks,
+  /// otherwise it admits each extend whole.
   /// The baseline-hypergraph and partitioned drivers stay ungoverned: the
   /// former *is* Table 2's memory-hungry reference, the latter stores
   /// per-rank sample slices whose budget story is future work.
@@ -194,7 +196,7 @@ struct ImmOptions {
   /// on the first live rank, manufacturing the fig7 pathological partition.
   /// With stealing off this is the worst-case baseline; with inter stealing
   /// on, thieves spread the same draws — byte-identical seeds either way.
-  /// Counter mode, imm_distributed, ungoverned path only.
+  /// Counter mode, imm_distributed, ungoverned store only.
   bool steal_skew = steal_skew_from_env();
 
   // End-to-end data integrity (DESIGN.md §14).
@@ -287,6 +289,16 @@ struct MartingaleOutcome;
 void finalize_run_report(ImmResult &result, const char *driver,
                          const CsrGraph &graph, const ImmOptions &options,
                          const MartingaleOutcome &outcome);
+
+/// The RRRStore policy every driver builds (DESIGN.md §12): budget and
+/// compression from \p options; one window per extend when \p budget is
+/// ungoverned, since nothing can refuse; and scrubbing only in counter
+/// mode, whose windows replay from their coordinates — the leapfrog
+/// engines are stateful (the stealing/fused silent-no-op rule).
+[[nodiscard]] RRRStore::Policy store_policy(const ImmOptions &options,
+                                            const ScopedBudget &budget,
+                                            const char *consumer,
+                                            bool hard_refusal);
 } // namespace detail
 
 } // namespace ripples

@@ -79,15 +79,16 @@ metrics::Counter &stolen_sets_counter() {
 /// Counter-mode generation at explicit global indices, honoring the
 /// engine knob: the fused kernel batches 64 per-sample streams per
 /// traversal pass and is byte-identical to the scalar path (DESIGN.md
-/// §10), so both the extend and heal paths can dispatch through here.
-/// The LeapfrogLcg mode is inherently sequential per stream (one shared
-/// LCG walked draw by draw) and keeps the scalar kernel.
+/// §10), so every window generator — stream list, steal chunk, heal
+/// range — dispatches through here.  The LeapfrogLcg mode is inherently
+/// sequential per stream (one shared LCG walked draw by draw) and keeps
+/// the scalar kernel.
 /// \p shared_table is the solve's fused edge table, built once before the
-/// ranks start; ungoverned fused runs always pass it.  A governed call
-/// passes null: its window builds its own table inside a budget
-/// reservation of exactly what it holds (consumer "sampler.fused_lanes"),
-/// falling back to the byte-identical scalar kernel when refused —
-/// DESIGN.md §12's fused-lane rung.
+/// ranks start; every call passes it, and it is null exactly when the run
+/// is governed (or scalar).  A governed fused window then builds its own
+/// table inside a budget reservation of exactly what it holds (consumer
+/// "sampler.fused_lanes"), falling back to the byte-identical scalar
+/// kernel when refused — DESIGN.md §12's fused-lane rung.
 std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        const ImmOptions &options,
                                        const FusedEdgeTable *shared_table,
@@ -187,41 +188,17 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     const auto stride = static_cast<std::uint64_t>(p);
     const vertex_t n = graph.num_vertices();
 
-    RRRCollection local; // union of the streams this rank currently holds
-    // Governed alternative to `local` (budget, forced compression, or oom
-    // faults): every admission is budget-charged, and refusal — after the
+    // The union of the streams this rank currently holds.  Ungoverned, each
+    // extend is one admission window.  Governed (budget, forced compression,
+    // or oom faults), every chunk is budget-charged, and refusal — after the
     // compress and shed rungs — is a *hard* MemoryBudgetExceeded here
     // rather than a certified early stop, because a rank-local truncation
     // would silently break the cross-rank agreement on |R|.  The refusing
     // rank flushes pending checkpoint snapshots first and, under
     // --recover, dies like any other failed rank: survivors whose
     // reservations still succeed adopt its streams and continue.
-    std::optional<detail::RRRStore> store;
-    if (budget.governed()) {
-      detail::RRRStore::Policy policy;
-      policy.budget_bytes = options.mem_budget;
-      policy.compress = options.rrr_compress;
-      policy.hard_refusal = true;
-      policy.consumer = "imm_distributed.rrr";
-      // Counter coordinates are replayable, leapfrog engines are not —
-      // scrub follows the same counter-mode-only rule as stealing.
-      policy.scrub = options.rng_mode == RngMode::CounterSequence
-                         ? options.scrub_rrr
-                         : ScrubMode::Off;
-      store.emplace(policy);
-    }
-    auto local_size = [&] { return store ? store->size() : local.size(); };
-    auto local_footprint = [&] {
-      return store ? store->footprint_bytes() : local.footprint_bytes();
-    };
-    // The store samples its footprint at every admission, so its peak also
-    // covers the plain sets it held just before compressing mid-window.
-    auto local_peak = [&] {
-      return store ? store->peak_footprint_bytes() : local.footprint_bytes();
-    };
-    auto local_assoc = [&] {
-      return store ? store->total_associations() : local.total_associations();
-    };
+    detail::RRRStore store(detail::store_policy(
+        options, budget, "imm_distributed.rrr", /*hard_refusal=*/true));
     std::uint64_t global_count = 0;
     // The in-flight window's target: global_count only advances once a
     // window completes, so when a failure surfaces *mid-window* (the steal
@@ -258,14 +235,15 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // index-addressable counter streams — under LeapfrogLcg the one global
     // LCG is walked draw by draw per stream, so stealing and skew are
     // silent no-ops there (stealing_test pins this, the fused-engine
-    // precedent).  Inter stealing and skew additionally require the
-    // ungoverned path: budget admission windows are rank-local, so a
+    // precedent).  Inter stealing and skew additionally require an
+    // ungoverned store: budget admission windows are rank-local, so a
     // migrated chunk would be charged to the wrong rank's ladder.
     const bool counter_mode = options.rng_mode == RngMode::CounterSequence;
     const bool steal_inter =
-        counter_mode && !store && p > 1 &&
+        counter_mode && !budget.governed() && p > 1 &&
         (options.steal == StealMode::Inter || options.steal == StealMode::On);
-    const bool skew = options.steal_skew && counter_mode && !store;
+    const bool skew =
+        options.steal_skew && counter_mode && !budget.governed();
     // With inter stealing or a skewed partition the stream -> rank map no
     // longer says where samples live, so each rank records the global draw
     // ranges it actually executed; healing then gathers the survivors'
@@ -273,25 +251,124 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     const bool flexible_placement = steal_inter || skew;
     detail::StreamInventory inventory;
 
-    // This rank's slice of the global window [lo, lo + count): the governed
-    // admission batch.  Leap-frog engines are carried across batches —
-    // extend_window walks windows in ascending order, so each engine
-    // resumes exactly where the previous batch left it.
-    auto generate_slice = [&](RRRCollection &scratch, std::uint64_t lo,
-                              std::uint64_t count) {
-      const std::uint64_t hi = lo + count;
-      if (options.rng_mode == RngMode::LeapfrogLcg) {
-        for (OwnedStream &os : owned)
-          sample_leapfrog_range(graph, options.model, os.engine, os.stream,
-                                stride, lo, hi, scratch);
-      } else {
+    // Generator of the listed streams' draws in the global window
+    // [lo, lo + count).  Counter mode captures the stream ids by value: the
+    // store journals a copy of every generator for scrub repair, and healing
+    // grows `owned` — a by-reference capture would replay old windows with
+    // the new stream set and break the bit-identical-regeneration contract.
+    // Leap-frog mode advances the owned engines: extend_window walks windows
+    // in ascending order, so each engine resumes exactly where the previous
+    // window left it (scrub is off there, so nothing replays them).
+    auto stream_generator = [&](std::vector<std::uint64_t> streams)
+        -> detail::RRRStore::WindowGenerator {
+      if (!counter_mode)
+        return [&, streams](RRRCollection &out, std::uint64_t lo,
+                            std::uint64_t count) {
+          for (std::uint64_t s : streams) {
+            OwnedStream &os = *std::find_if(
+                owned.begin(), owned.end(),
+                [s](const OwnedStream &o) { return o.stream == s; });
+            sample_leapfrog_range(graph, options.model, os.engine, s, stride,
+                                  lo, lo + count, out);
+          }
+        };
+      return [&graph, &options, shared_table, stride,
+              streams = std::move(streams)](RRRCollection &out,
+                                            std::uint64_t lo,
+                                            std::uint64_t count) {
+        const std::uint64_t hi = lo + count;
         std::vector<std::uint64_t> indices;
-        for (const OwnedStream &os : owned)
-          for (std::uint64_t i = leapfrog_first_index(lo, os.stream, stride);
-               i < hi; i += stride)
+        for (std::uint64_t s : streams)
+          for (std::uint64_t i = leapfrog_first_index(lo, s, stride); i < hi;
+               i += stride)
             indices.push_back(i);
-        generate_counter_indices(graph, options, /*governed*/ nullptr,
-                                 indices, scratch);
+        generate_counter_indices(graph, options, shared_table, indices, out);
+      };
+    };
+
+    // Placement-flexible generator: the window's draws become chunks keyed
+    // by (stream, global-index range).  Under skew the first live member
+    // homes every stream's chunks (the manufactured fig7 pathology);
+    // otherwise each rank chunks its own streams.  Flexible placement needs
+    // an ungoverned store, which admits an extend as one window and never
+    // compresses: this runs once per extend and scrub never replays it.
+    auto flexible_generate = [&](RRRCollection &out, std::uint64_t lo,
+                                 std::uint64_t count) {
+      const std::uint64_t hi = lo + count;
+      std::vector<detail::ChunkRange> mine;
+      if (!skew || comm.world_rank() == comm.members().front()) {
+        auto chunk_stream = [&](std::uint64_t s) {
+          std::vector<detail::ChunkRange> chunks = detail::make_stream_chunks(
+              lo, hi, s, stride, options.steal_chunk);
+          mine.insert(mine.end(), chunks.begin(), chunks.end());
+        };
+        if (skew)
+          for (std::uint64_t s = 0; s < stride; ++s) chunk_stream(s);
+        else
+          for (const OwnedStream &os : owned) chunk_stream(os.stream);
+      }
+      // Executing a chunk is executor-independent: the RNG coordinates
+      // come from the chunk's global stream indices, so a stolen chunk
+      // emits byte-for-byte the sets its home rank would have.
+      auto execute_chunk = [&](const detail::ChunkRange &c, bool stolen) {
+        std::vector<std::uint64_t> indices;
+        for (std::uint64_t i = leapfrog_first_index(c.begin, c.stream, stride);
+             i < c.end; i += stride) {
+          indices.push_back(i);
+          if (stride > ~std::uint64_t{0} - i) break;
+        }
+        if (indices.empty()) return;
+        // Same category as the enclosing sampler.dist_batch span, so
+        // analyze_trace's toplevel-coverage invariants see one batch.
+        trace::Span chunk_span("sampler", "sampler.steal_chunk", "stream",
+                               c.stream, "count", indices.size());
+        if (stolen) chunk_span.arg("stolen", 1);
+        generate_counter_indices(graph, options, shared_table, indices, out);
+        inventory.add(c.stream, c.begin, c.end);
+        if (stolen && metrics::enabled()) {
+          stolen_chunks_counter().increment();
+          stolen_sets_counter().add(indices.size());
+        }
+      };
+      if (!steal_inter) {
+        for (const detail::ChunkRange &c : mine) execute_chunk(c, false);
+        return;
+      }
+      // Publish unconditionally — an empty list included — so every rank
+      // consumes the same steal site before its first acquire and early
+      // fault-site numbering stays deterministic.
+      std::vector<mpsim::Communicator::StealItem> items;
+      items.reserve(mine.size());
+      for (const detail::ChunkRange &c : mine)
+        items.push_back({c.stream, c.begin, c.end});
+      comm.steal_publish(items);
+      // Publish visibility barrier: a thief whose own list is empty (the
+      // skewed case) reaches the drain loop immediately, and without this
+      // sync it can scan every queue before the loaded rank has published,
+      // conclude the window is drained, and leave all the work where the
+      // static partition put it.  After the barrier, queues only shrink, so
+      // empty-everywhere really means the window's chunks are all claimed.
+      comm.barrier();
+      // Drain-and-steal loop.  No further termination protocol needed: a
+      // rank finding every queue empty proceeds to the footprint allreduce
+      // after the window, which is the window's real barrier.
+      std::uint64_t step = 0;
+      for (;;) {
+        const steal_schedule::Decision d =
+            steal_schedule::decide(comm.world_rank(), step++);
+        mpsim::Communicator::StealItem item;
+        bool have = false;
+        bool stolen = false;
+        bool tried = false;
+        auto acquire = [&] {
+          tried = true;
+          return comm.steal_acquire(item, d.victim_offset);
+        };
+        if (d.allow_steal && d.steal_first) stolen = have = acquire();
+        if (!have) have = comm.steal_pop(item);
+        if (!have && d.allow_steal && !tried) stolen = have = acquire();
+        if (!have) break;
+        execute_chunk({item.tag, item.begin, item.end}, stolen);
       }
     };
 
@@ -301,138 +378,29 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // Rank-local slice of the batch; the sets arg is attached at the end
       // because leap-frog generation doesn't know its count upfront.
       trace::Span batch_span("sampler", "sampler.dist_batch", "target", target);
-      if (store) {
-        if (options.rng_mode == RngMode::LeapfrogLcg) {
-          store->extend_window(global_count, target, generate_slice);
-        } else {
-          // Counter mode goes through a per-call generator with the stream
-          // list captured *by value*: the store journals a copy of every
-          // generator for scrub repair, and healing grows `owned` — a
-          // by-reference capture would replay old windows with the new
-          // stream set and break the bit-identical-regeneration contract.
-          std::vector<std::uint64_t> streams;
-          streams.reserve(owned.size());
-          for (const OwnedStream &os : owned) streams.push_back(os.stream);
-          store->extend_window(
-              global_count, target,
-              [&, streams](RRRCollection &scratch, std::uint64_t lo,
-                           std::uint64_t count) {
-                const std::uint64_t hi = lo + count;
-                std::vector<std::uint64_t> indices;
-                for (std::uint64_t s : streams)
-                  for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
-                       i < hi; i += stride)
-                    indices.push_back(i);
-                generate_counter_indices(graph, options, /*governed*/ nullptr,
-                                         indices, scratch);
-              });
-        }
-      } else if (options.rng_mode == RngMode::LeapfrogLcg) {
-        for (OwnedStream &os : owned)
-          sample_leapfrog_range(graph, options.model, os.engine, os.stream,
-                                stride, global_count, target, local);
-      } else if (flexible_placement) {
-        // Placement-flexible counter generation: this window's draws become
-        // chunks keyed by (stream, global-index range).  Under skew the
-        // first live member homes every stream's chunks (the manufactured
-        // fig7 pathology); otherwise each rank chunks its own streams.
-        std::vector<detail::ChunkRange> mine;
-        if (!skew || comm.world_rank() == comm.members().front()) {
-          auto chunk_stream = [&](std::uint64_t s) {
-            std::vector<detail::ChunkRange> chunks = detail::make_stream_chunks(
-                global_count, target, s, stride, options.steal_chunk);
-            mine.insert(mine.end(), chunks.begin(), chunks.end());
-          };
-          if (skew)
-            for (std::uint64_t s = 0; s < stride; ++s) chunk_stream(s);
-          else
-            for (const OwnedStream &os : owned) chunk_stream(os.stream);
-        }
-        // Executing a chunk is executor-independent: the RNG coordinates
-        // come from the chunk's global stream indices, so a stolen chunk
-        // emits byte-for-byte the sets its home rank would have.
-        auto execute_chunk = [&](const detail::ChunkRange &c, bool stolen) {
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i =
-                   leapfrog_first_index(c.begin, c.stream, stride);
-               i < c.end; i += stride) {
-            indices.push_back(i);
-            if (stride > ~std::uint64_t{0} - i) break;
-          }
-          if (indices.empty()) return;
-          // Same category as the enclosing sampler.dist_batch span, so
-          // analyze_trace's toplevel-coverage invariants see one batch.
-          trace::Span chunk_span("sampler", "sampler.steal_chunk", "stream",
-                                 c.stream, "count", indices.size());
-          if (stolen) chunk_span.arg("stolen", 1);
-          generate_counter_indices(graph, options, shared_table, indices,
-                                   local);
-          inventory.add(c.stream, c.begin, c.end);
-          if (stolen && metrics::enabled()) {
-            stolen_chunks_counter().increment();
-            stolen_sets_counter().add(indices.size());
-          }
-        };
-        if (!steal_inter) {
-          for (const detail::ChunkRange &c : mine) execute_chunk(c, false);
-        } else {
-          // Publish unconditionally — an empty list included — so every
-          // rank consumes the same steal site before its first acquire and
-          // early fault-site numbering stays deterministic.
-          std::vector<mpsim::Communicator::StealItem> items;
-          items.reserve(mine.size());
-          for (const detail::ChunkRange &c : mine)
-            items.push_back({c.stream, c.begin, c.end});
-          comm.steal_publish(items);
-          // Publish visibility barrier: a thief whose own list is empty
-          // (the skewed case) reaches the drain loop immediately, and
-          // without this sync it can scan every queue before the loaded
-          // rank has published, conclude the window is drained, and leave
-          // all the work where the static partition put it.  After the
-          // barrier, queues only shrink, so empty-everywhere really means
-          // the window's chunks are all claimed.
-          comm.barrier();
-          // Drain-and-steal loop.  No further termination protocol needed:
-          // a rank finding every queue empty proceeds to the footprint
-          // allreduce below, which is the window's real barrier.
-          std::uint64_t step = 0;
-          for (;;) {
-            const steal_schedule::Decision d =
-                steal_schedule::decide(comm.world_rank(), step++);
-            mpsim::Communicator::StealItem item;
-            bool have = false;
-            bool stolen = false;
-            bool tried = false;
-            auto acquire = [&] {
-              tried = true;
-              return comm.steal_acquire(item, d.victim_offset);
-            };
-            if (d.allow_steal && d.steal_first) stolen = have = acquire();
-            if (!have) have = comm.steal_pop(item);
-            if (!have && d.allow_steal && !tried) stolen = have = acquire();
-            if (!have) break;
-            execute_chunk({item.tag, item.begin, item.end}, stolen);
-          }
-        }
+      if (flexible_placement) {
+        store.extend_window(global_count, target, flexible_generate);
       } else {
-        // Counter mode: per-sample Philox streams keyed by the global index,
-        // so R is independent of p; local generation may additionally use
-        // OpenMP threads (the paper's hybrid MPI+OpenMP configuration).
-        std::vector<std::uint64_t> indices;
-        for (const OwnedStream &os : owned)
-          for (std::uint64_t i =
-                   leapfrog_first_index(global_count, os.stream, stride);
-               i < target; i += stride)
-            indices.push_back(i);
-        generate_counter_indices(graph, options, shared_table, indices, local);
+        // The static partition: this rank's own streams.  Counter-mode
+        // Philox streams are keyed by the global index, so R is independent
+        // of p, and generation may additionally use OpenMP threads (the
+        // paper's hybrid MPI+OpenMP configuration).
+        std::vector<std::uint64_t> streams;
+        streams.reserve(owned.size());
+        for (const OwnedStream &os : owned) streams.push_back(os.stream);
+        store.extend_window(global_count, target,
+                            stream_generator(std::move(streams)));
       }
       global_count = target;
-      batch_span.arg("local_sets", local_size());
-      trace::counter("rrr_sets", local_size());
+      batch_span.arg("local_sets", store.size());
+      trace::counter("rrr_sets", store.size());
 
       // Aggregate representation footprint across ranks (the paper reports
       // per-node memory pressure; the sum is the cluster-wide cost).
-      std::uint64_t footprint[2] = {local_peak(), local_assoc()};
+      // The store samples its footprint at every admission, so its peak also
+      // covers the plain sets it held just before compressing mid-window.
+      std::uint64_t footprint[2] = {store.peak_footprint_bytes(),
+                                    store.total_associations()};
       comm.allreduce(std::span<std::uint64_t>(footprint, 2),
                      mpsim::ReduceOp::Sum);
       if (comm.rank() == 0) {
@@ -450,18 +418,15 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     const std::uint32_t topm = std::max<std::uint32_t>(1, options.selection_topm);
     auto select = [&]() -> SelectionResult {
       trace::Span span("select", "select.distributed", "k", options.k,
-                       "samples", local_size());
+                       "samples", store.size());
       // Local membership counts over this rank's partition...
       std::fill(local_counts.begin(), local_counts.end(), 0);
       {
         trace::Span count_span("select", "select.count");
-        if (store)
-          store->count_into(local_counts);
-        else
-          count_memberships(local.sets(), local_counts);
+        store.count_into(local_counts);
       }
 
-      std::vector<std::uint8_t> retired(local_size(), 0);
+      std::vector<std::uint8_t> retired(store.size(), 0);
       std::vector<std::uint8_t> selected(n, 0);
 
       // Sparse-exchange state, all local to this invocation: a healing
@@ -582,13 +547,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         selected[seed] = 1;
         selection.seeds.push_back(seed);
         RetireLog *const round_log = sparse ? &retire_log : nullptr;
-        local_covered +=
-            store ? store->retire(seed, local_counts, retired, round_log)
-                  : retire_samples_containing(seed, local.sets(), local_counts,
-                                              retired, round_log);
+        local_covered += store.retire(seed, local_counts, retired, round_log);
       }
 
-      std::uint64_t totals[2] = {local_covered, local_size()};
+      std::uint64_t totals[2] = {local_covered, store.size()};
       comm.allreduce(std::span<std::uint64_t>(totals, 2), mpsim::ReduceOp::Sum);
       selection.covered_samples = totals[0];
       selection.total_samples = totals[1];
@@ -609,111 +571,51 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
                       holder) != shrink.newly_dead.end())
           lost.push_back(s);
       }
-      std::uint64_t regenerated = 0;
-      if (flexible_placement) {
-        // Inventory-based healing: with stealing or skew the dead ranks may
-        // have executed anyone's chunks (and survivors theirs), so the
-        // stream map cannot say what died.  Reassign ownership first (the
-        // same deterministic round-robin, keeping future windows balanced),
-        // then gather every survivor's executed-range inventory and
-        // regenerate exactly the gaps — each on the stream's new owner.
-        for (std::size_t j = 0; j < lost.size(); ++j) {
-          const std::uint64_t s = lost[j];
-          const int new_holder = shrink.members[j % shrink.members.size()];
-          stream_owner[static_cast<std::size_t>(s)] = new_holder;
-          if (new_holder == comm.world_rank())
-            owned.push_back({s, Lcg64::leapfrog_stream(options.seed, s,
-                                                       stride)});
-        }
-        // Heal to the *in-flight* window target, not just the last completed
-        // one: a corruption escalation can abort the drain loop mid-window,
-        // leaving executed-but-unacknowledged chunks in the survivors'
-        // inventories and unexecuted ones in dead (or soon-cleared) queues.
-        // Regenerating every gap up to the interrupted target and advancing
-        // global_count turns the martingale replay's extend into a no-op —
-        // nothing is sampled twice and nothing is lost.
-        const std::uint64_t heal_target = std::max(global_count, window_target);
-        const std::vector<std::uint64_t> flat = inventory.serialize();
-        const std::vector<std::uint64_t> gathered =
-            comm.allgatherv(std::span<const std::uint64_t>(flat));
-        for (const detail::ChunkRange &m :
-             detail::missing_ranges(gathered, stride, heal_target)) {
-          if (stream_owner[static_cast<std::size_t>(m.stream)] !=
-              comm.world_rank())
-            continue;
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i =
-                   leapfrog_first_index(m.begin, m.stream, stride);
-               i < m.end; i += stride)
-            indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, shared_table,
-                                                  indices, local);
-          inventory.add(m.stream, m.begin, m.end);
-        }
-        global_count = heal_target;
-        if (metrics::enabled()) regen_counter().add(regenerated);
-        span.arg("regenerated", regenerated);
-        trace::counter("rrr_sets", local_size());
-        return;
-      }
       for (std::size_t j = 0; j < lost.size(); ++j) {
         const std::uint64_t s = lost[j];
         const int new_holder = shrink.members[j % shrink.members.size()];
         stream_owner[static_cast<std::size_t>(s)] = new_holder;
-        if (new_holder != comm.world_rank()) continue;
-        Lcg64 engine = Lcg64::leapfrog_stream(options.seed, s, stride);
-        if (store) {
-          // Governed healing: the adopted stream's regeneration is admitted
-          // through the same budget-charged ladder as fresh sampling —
-          // composition means an adopting rank can itself be refused, and
-          // the refusal is the same diagnosed failure as anywhere else.
-          // Counter mode captures the stream id by value: the journalled
-          // generator copy outlives this loop iteration (scrub replay).
-          if (options.rng_mode == RngMode::LeapfrogLcg) {
-            store->extend_window(
-                0, global_count,
-                [&](RRRCollection &scratch, std::uint64_t lo,
-                    std::uint64_t count) {
-                  regenerated += sample_leapfrog_range(graph, options.model,
-                                                       engine, s, stride, lo,
-                                                       lo + count, scratch);
-                });
-          } else {
-            // Pure function of the window — no capture of heal-scope
-            // locals beyond the value-copied stream id, so the journalled
-            // copy stays valid for scrub replay after heal() returns.
-            store->extend_window(
-                0, global_count,
-                [&graph, &options, s, stride](RRRCollection &scratch,
-                                              std::uint64_t lo,
-                                              std::uint64_t count) {
-                  const std::uint64_t hi = lo + count;
-                  std::vector<std::uint64_t> indices;
-                  for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
-                       i < hi; i += stride)
-                    indices.push_back(i);
-                  generate_counter_indices(graph, options,
-                                           /*governed*/ nullptr, indices,
-                                           scratch);
-                });
-            if (s < global_count)
-              regenerated += (global_count - s + stride - 1) / stride;
-          }
-        } else if (options.rng_mode == RngMode::LeapfrogLcg) {
-          regenerated += sample_leapfrog_range(graph, options.model, engine, s,
-                                               stride, 0, global_count, local);
-        } else {
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i = s; i < global_count; i += stride)
-            indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, shared_table,
-                                                  indices, local);
-        }
-        owned.push_back({s, engine});
+        if (new_holder == comm.world_rank())
+          owned.push_back({s, Lcg64::leapfrog_stream(options.seed, s, stride)});
       }
+      // What died.  With a static partition, every sample of a lost stream.
+      // With stealing or skew the dead ranks may have executed anyone's
+      // chunks (and survivors theirs), so the stream map cannot say: gather
+      // every survivor's executed-range inventory and take its gaps.  Those
+      // heal to the *in-flight* window target, not just the last completed
+      // one: a corruption escalation can abort the drain loop mid-window,
+      // leaving executed-but-unacknowledged chunks in the survivors'
+      // inventories and unexecuted ones in dead (or soon-cleared) queues.
+      // Regenerating every gap up to the interrupted target and advancing
+      // global_count turns the martingale replay's extend into a no-op —
+      // nothing is sampled twice and nothing is lost.
+      std::uint64_t heal_target = global_count;
+      std::vector<detail::ChunkRange> ranges;
+      if (flexible_placement) {
+        heal_target = std::max(global_count, window_target);
+        const std::vector<std::uint64_t> flat = inventory.serialize();
+        const std::vector<std::uint64_t> gathered =
+            comm.allgatherv(std::span<const std::uint64_t>(flat));
+        ranges = detail::missing_ranges(gathered, stride, heal_target);
+      } else {
+        for (std::uint64_t s : lost) ranges.push_back({s, 0, global_count});
+      }
+      // Each range regenerates on its stream's new holder through the same
+      // admission as fresh sampling: under a budget an adopting rank can
+      // itself be refused, the same diagnosed failure as anywhere else.
+      const std::size_t before = store.size();
+      for (const detail::ChunkRange &r : ranges) {
+        if (stream_owner[static_cast<std::size_t>(r.stream)] !=
+            comm.world_rank())
+          continue;
+        store.extend_window(r.begin, r.end, stream_generator({r.stream}));
+        if (flexible_placement) inventory.add(r.stream, r.begin, r.end);
+      }
+      global_count = heal_target;
+      const std::uint64_t regenerated = store.size() - before;
       if (metrics::enabled()) regen_counter().add(regenerated);
       span.arg("regenerated", regenerated);
-      trace::counter("rrr_sets", local_size());
+      trace::counter("rrr_sets", store.size());
     };
 
     // Round-boundary snapshot: progress is replicated, so the current dense
@@ -736,8 +638,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // contributes one ledger row per round per attempt — truthful accounting
     // of the work actually done, not of the logical round structure.
     detail::RoundAccounting acct{&ledger, comm.world_rank(), [&] {
-      return std::pair<std::uint64_t, std::uint64_t>(local_size(),
-                                                     local_footprint());
+      return std::pair<std::uint64_t, std::uint64_t>(store.size(),
+                                                     store.footprint_bytes());
     }};
     for (;;) {
       try {
@@ -774,11 +676,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // per-rank histograms yields the exact global size distribution — the
     // adopted streams stand in for the dead ranks' contributions.
     metrics::HistogramData local_sizes;
-    if (store)
-      store->record_sizes(local_sizes);
-    else
-      for (const RRRSet &sample : local.sets())
-        local_sizes.record(sample.size());
+    store.record_sizes(local_sizes);
     {
       std::lock_guard<std::mutex> lock(report_mutex);
       result.report.rrr_sizes.merge(local_sizes);

@@ -407,11 +407,14 @@ void with_fused_window(const CsrGraph &graph, DiffusionModel model,
     run(nullptr);
     return;
   }
-  {
-    const FusedEdgeTable table(graph, model);
-    run(&table);
-  }
-  MemoryTracker::instance().release(held);
+  // Released on every exit, after the table is gone: the table rejects
+  // out-of-range weights by throwing, and so may the window's generator.
+  struct Release {
+    std::size_t bytes;
+    ~Release() { MemoryTracker::instance().release(bytes); }
+  } release{held};
+  const FusedEdgeTable table(graph, model);
+  run(&table);
 }
 
 } // namespace detail

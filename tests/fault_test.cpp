@@ -26,6 +26,7 @@
 #include "imm/imm.hpp"
 #include "mpsim/communicator.hpp"
 #include "support/json.hpp"
+#include "support/memory.hpp"
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
@@ -667,6 +668,9 @@ TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
+  // A rank that dies mid-window, and a survivor whose window it aborts,
+  // must both hand back the window's reservation.
+  const std::size_t reserved = MemoryTracker::instance().reserved_bytes();
   options.recover_failures = true;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site : {std::uint64_t{0}, std::uint64_t{3},
@@ -676,6 +680,8 @@ TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
       const ImmResult healed = imm_distributed(graph, options);
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "healed seed set diverged for " << options.fault_plan;
+      EXPECT_EQ(MemoryTracker::instance().reserved_bytes(), reserved)
+          << "reservation leaked for " << options.fault_plan;
     }
   }
 }
@@ -773,6 +779,9 @@ TEST(ImmStealHealing, CrashAtStealSitesHealsToTheFailureFreeSeedSet) {
     ASSERT_EQ(stealing.seeds, clean.seeds) << "fault-free stealing run";
   }
 
+  // The drain loop runs inside an admission window, so a crash there
+  // unwinds through the store: the window's reservation must come back.
+  const std::size_t reserved = MemoryTracker::instance().reserved_bytes();
   options.recover_failures = true;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; site += 2) {
@@ -781,6 +790,8 @@ TEST(ImmStealHealing, CrashAtStealSitesHealsToTheFailureFreeSeedSet) {
       const ImmResult healed = imm_distributed(graph, options);
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "stealing healed seed set diverged for " << options.fault_plan;
+      EXPECT_EQ(MemoryTracker::instance().reserved_bytes(), reserved)
+          << "reservation leaked for " << options.fault_plan;
     }
   }
 }

@@ -659,6 +659,38 @@ TEST(GovernedDrivers, LtFusedWindowChargesItsEdgeTableOnce) {
   EXPECT_EQ(governed.num_samples, plain.num_samples);
 }
 
+TEST(GovernedDrivers, ThrowingWindowReturnsItsReservation) {
+  // The fused edge table rejects a weight above 1 from inside an admission
+  // window, after the store reserved the window's estimate and the
+  // fused-lane rung its table.  The reservations are process-wide, so
+  // leaking them would start every later solve closer to refusal: each
+  // driver must hand back exactly what it reserved as the throw unwinds.
+  const CsrGraph graph(
+      EdgeList{4, {{0, 1, 0.5f}, {1, 2, 0.5f}, {3, 2, 2.0f}}});
+  ImmOptions options = driver_options();
+  options.k = 1;
+  options.sampler = SamplerEngine::Fused;
+  options.rng_mode = RngMode::CounterSequence;
+  ImmOptions threaded = options;
+  threaded.num_threads = 2;
+  // Ungoverned, the distributed driver builds its one shared table before
+  // any window; under a budget every window builds its own.
+  ImmOptions distributed = options;
+  distributed.num_ranks = 2;
+  distributed.mem_budget = std::size_t{1} << 30;
+
+  const MemoryTracker &tracker = MemoryTracker::instance();
+  const std::size_t before = tracker.reserved_bytes();
+  EXPECT_THROW((void)imm_sequential(graph, options), std::invalid_argument);
+  EXPECT_EQ(tracker.reserved_bytes(), before) << "imm_sequential";
+  EXPECT_THROW((void)imm_multithreaded(graph, threaded),
+               std::invalid_argument);
+  EXPECT_EQ(tracker.reserved_bytes(), before) << "imm_multithreaded";
+  EXPECT_THROW((void)imm_distributed(graph, distributed),
+               std::invalid_argument);
+  EXPECT_EQ(tracker.reserved_bytes(), before) << "imm_distributed";
+}
+
 TEST(GovernedDrivers, DistributedRefusesAnImpossibleBudgetWithDiagnostic) {
   CsrGraph graph = driver_graph();
   ImmOptions options = driver_options();
