@@ -6,8 +6,12 @@
 /// The paper reports 2.4-4.2x runtime speedups and 18-58% memory savings
 /// for IMMOPT.  This bench runs both serial implementations on each
 /// SNAP-surrogate and prints measured time/memory next to the paper's
-/// published numbers.  Default: the four smallest datasets at a small
-/// scale; --full runs all eight.
+/// published numbers.  IMMOPT's store keeps large sets as bitmap records
+/// (rrr_collection.hpp), so the paper's list-only IMMOPT footprint is
+/// measured separately: the public sampler fills a default, list-only
+/// RRRCollection with the same |R|, and Savings% compares that to IMM.
+/// Default: the four smallest datasets at a small scale; --full runs all
+/// eight.
 #include "bench_common.hpp"
 
 using namespace ripples;
@@ -31,7 +35,8 @@ int main(int argc, char **argv) {
 
   Table table("Table 2: serial IMM vs IMMOPT (eps=0.5, k=50, IC)",
               {"Graph", "IMM(s)", "IMMOPT(s)", "Speedup", "IMM(MB)",
-               "IMMOPT(MB)", "Savings%", "PaperSpeedup", "PaperSavings%"});
+               "IMMOPT(MB)", "Hybrid(MB)", "Savings%", "PaperSpeedup",
+               "PaperSavings%"});
 
   for (const std::string &dataset : datasets) {
     CsrGraph graph = build_input(dataset, config,
@@ -41,10 +46,20 @@ int main(int argc, char **argv) {
     ImmResult baseline = imm_baseline_hypergraph(graph, options);
     ImmResult optimized = imm_sequential(graph, options);
 
+    // The paper's IMMOPT store: the same |R| as sorted lists only.
+    RRRCollection lists;
+    if (options.sampler == SamplerEngine::Fused)
+      sample_sequential_fused(graph, options.model, optimized.num_samples,
+                              options.seed, lists);
+    else
+      sample_sequential(graph, options.model, optimized.num_samples,
+                        options.seed, lists);
+
     const double mb = 1024.0 * 1024.0;
     double baseline_mb = static_cast<double>(baseline.rrr_peak_bytes) / mb;
-    double optimized_mb = static_cast<double>(optimized.rrr_peak_bytes) / mb;
-    double savings = 100.0 * (1.0 - optimized_mb / baseline_mb);
+    double list_mb = static_cast<double>(lists.footprint_bytes()) / mb;
+    double hybrid_mb = static_cast<double>(optimized.rrr_peak_bytes) / mb;
+    double savings = 100.0 * (1.0 - list_mb / baseline_mb);
 
     const PaperReference &paper = find_dataset(dataset).paper;
     double paper_speedup = paper.imm_seconds > 0 && paper.immopt_seconds > 0
@@ -61,7 +76,8 @@ int main(int argc, char **argv) {
         .add(optimized.timers.total(), 2)
         .add(baseline.timers.total() / optimized.timers.total(), 2)
         .add(baseline_mb, 2)
-        .add(optimized_mb, 2)
+        .add(list_mb, 2)
+        .add(hybrid_mb, 2)
         .add(savings, 1)
         .add(paper_speedup, 2)
         .add(paper_savings, 1);
@@ -69,6 +85,9 @@ int main(int argc, char **argv) {
 
   table.emit(config.csv_path);
   std::printf("\nPaper columns: -1.00 marks values the paper could not "
-              "measure (its Massif instrumentation ran out of memory).\n");
+              "measure (its Massif instrumentation ran out of memory).\n"
+              "IMMOPT(MB) is the paper's list-only store at the same |R|; "
+              "Hybrid(MB) is this implementation's peak with bitmap "
+              "records.\n");
   return 0;
 }

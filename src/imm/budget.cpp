@@ -125,7 +125,9 @@ ScopedBudget::~ScopedBudget() {
   tracker.clear_oom_faults();
 }
 
-RRRStore::RRRStore(const Policy &policy) : policy_(policy) {
+RRRStore::RRRStore(const Policy &policy)
+    : policy_(policy), plain_(policy.num_vertices),
+      compressed_(policy.num_vertices) {
   RIPPLES_ASSERT(policy_.chunk >= 1);
   if (policy_.compress == CompressMode::Always) compressed_active_ = true;
   // Checksums are accumulated on append, so they must be live before the
@@ -187,9 +189,10 @@ void RRRStore::extend_window(std::uint64_t from, std::uint64_t to,
     // much closer to refusal.  Charge what it appended and rethrow.
     try {
       if (compressed_active_) {
-        RRRCollection scratch;
+        RRRCollection scratch(policy_.num_vertices);
         generate(scratch, next, count);
-        for (const RRRSet &set : scratch.sets()) compressed_.append(set);
+        for (std::size_t j = 0; j < scratch.size(); ++j)
+          compressed_.append(scratch.record(j));
       } else {
         // Straight into the plain sets: a scratch copy of the window would
         // double its peak footprint for nothing.
@@ -213,9 +216,11 @@ void RRRStore::extend_window(std::uint64_t from, std::uint64_t to,
 void RRRStore::switch_to_compressed() {
   RIPPLES_ASSERT(!compressed_active_);
   const std::size_t before = plain_.footprint_bytes();
-  for (const RRRSet &set : plain_.sets()) compressed_.append(set);
+  for (std::size_t j = 0; j < plain_.size(); ++j)
+    compressed_.append(plain_.record(j));
   compressed_.shrink_to_fit();
-  plain_ = RRRCollection{}; // release, not clear: the slack is the point
+  // Release, not clear: the slack is the point.
+  plain_ = RRRCollection(policy_.num_vertices);
   compressed_active_ = true;
   if (metrics::enabled()) compress_switches_counter().add(1);
   trace::instant("mem", "mem.budget", "compressed_sets", compressed_.size(),
@@ -259,12 +264,13 @@ std::size_t RRRStore::scrub() {
     // Reassemble the block's samples from the admission journal: every
     // overlapping window replays through the generator that produced it,
     // bit-identical by the counter-stream contract.
-    std::vector<RRRSet> sets(set_last - set_first);
+    RRRCollection sets(policy_.num_vertices);
+    sets.grow(set_last - set_first);
     std::vector<std::uint8_t> have(set_last - set_first, 0);
     for (const AdmissionWindow &window : journal_) {
       const std::uint64_t window_last = window.set_first + window.set_count;
       if (window.set_first >= set_last || window_last <= set_first) continue;
-      RRRCollection scratch;
+      RRRCollection scratch(policy_.num_vertices);
       generators_[window.generator](scratch, window.first, window.count);
       if (scratch.size() != window.set_count)
         throw std::runtime_error(
@@ -276,7 +282,7 @@ std::size_t RRRStore::scrub() {
                                                        window.set_first);
       const std::uint64_t hi = std::min<std::uint64_t>(set_last, window_last);
       for (std::uint64_t j = lo; j < hi; ++j) {
-        sets[j - set_first] =
+        sets.mutable_sets()[j - set_first] =
             std::move(scratch.mutable_sets()[j - window.set_first]);
         have[j - set_first] = 1;
       }
@@ -285,7 +291,11 @@ std::size_t RRRStore::scrub() {
       throw std::runtime_error(
           "RRR scrub: damaged block " + std::to_string(block) +
           " has samples missing from the admission journal");
-    compressed_.repair_block(block, sets);
+    std::vector<RRRRecord> records;
+    records.reserve(sets.size());
+    for (std::size_t j = 0; j < sets.size(); ++j)
+      records.push_back(sets.record(j));
+    compressed_.repair_block(block, records);
     if (metrics::enabled()) scrub_repaired_counter().add(1);
     trace::instant("mem", "rrr.scrub_repair", "block", block);
   }
@@ -307,8 +317,7 @@ SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
   scrub();
   if (compressed_active_)
     return select_seeds(num_vertices, k, compressed_);
-  return select_seeds_multithreaded(num_vertices, k, plain_.sets(),
-                                    num_threads);
+  return select_seeds_multithreaded(num_vertices, k, plain_, num_threads);
 }
 
 void RRRStore::count_into(std::span<std::uint32_t> counters) {
@@ -316,7 +325,7 @@ void RRRStore::count_into(std::span<std::uint32_t> counters) {
   if (compressed_active_)
     count_memberships(compressed_, counters);
   else
-    count_memberships(plain_.sets(), counters);
+    count_memberships(plain_, counters);
 }
 
 std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
@@ -326,8 +335,8 @@ std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
   return compressed_active_
              ? retire_samples_containing(seed, compressed_, counters, retired,
                                          log)
-             : retire_samples_containing(seed, plain_.sets(), counters,
-                                         retired, log);
+             : retire_samples_containing(seed, plain_, counters, retired,
+                                         log);
 }
 
 void RRRStore::record_sizes(metrics::HistogramData &out) {
@@ -339,7 +348,8 @@ void RRRStore::record_sizes(metrics::HistogramData &out) {
       out.record(count);
     }
   } else {
-    for (const RRRSet &set : plain_.sets()) out.record(set.size());
+    for (std::size_t j = 0; j < plain_.size(); ++j)
+      out.record(plain_.record(j).size());
   }
 }
 

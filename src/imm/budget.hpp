@@ -11,7 +11,9 @@
 /// reservation is refused the store degrades in documented order:
 ///
 ///   1. switch the stored sets to CompressedRRRCollection (re-encode in
-///      place, typically 3-10x smaller; selection decodes on iterate);
+///      place: list records typically shrink 3-10x, bitmap records stay
+///      bitmaps unless their delta list is shorter, and no set grows;
+///      selection decodes on iterate);
 ///   2. shed the in-flight batch and re-admit at halved granularity, down
 ///      to one sample at a time;
 ///   3. stop: shared-memory drivers raise BudgetEarlyStop, caught by the
@@ -135,6 +137,10 @@ public:
     bool hard_refusal = false;
     /// Name reported by MemoryBudgetExceeded and the mem.budget trace.
     const char *consumer = "imm.rrr";
+    /// The graph's vertex count n: both representations then store a set
+    /// of at least ⌈n/32⌉ members as an n-bit bitmap record
+    /// (rrr_collection.hpp).  0 keeps every record a list.
+    vertex_t num_vertices = 0;
     /// Initial admission granularity in samples; halved on shed, floor 1.
     /// Ungoverned stores set it to UINT64_MAX: one window per extend.
     std::uint64_t chunk = 16384;
@@ -176,7 +182,8 @@ public:
   /// Generator for one admission batch: append the caller's samples for
   /// the global index window [first, first + count) to \p out — the
   /// store's own plain sets while that representation is active (generated
-  /// in place), an empty scratch collection otherwise.  On the
+  /// in place), an empty scratch collection with the same record kinds
+  /// otherwise.  On the
   /// shared-memory drivers every index is the caller's; the distributed
   /// driver generates only its rank's leapfrog slice of the window.
   using WindowGenerator = std::function<void(

@@ -146,7 +146,8 @@ void finalize_run_report(ImmResult &result, const char *driver,
   if (metrics::enabled()) metrics::report_log().add(report);
 }
 
-RRRStore::Policy store_policy(const ImmOptions &options,
+RRRStore::Policy store_policy(const CsrGraph &graph,
+                              const ImmOptions &options,
                               const ScopedBudget &budget, const char *consumer,
                               bool hard_refusal) {
   RRRStore::Policy policy;
@@ -154,6 +155,7 @@ RRRStore::Policy store_policy(const ImmOptions &options,
   policy.compress = options.rrr_compress;
   policy.hard_refusal = hard_refusal;
   policy.consumer = consumer;
+  policy.num_vertices = graph.num_vertices();
   if (!budget.governed())
     policy.chunk = std::numeric_limits<std::uint64_t>::max();
   policy.scrub = options.rng_mode == RngMode::CounterSequence
@@ -199,7 +201,7 @@ ImmResult imm_shared_memory(const CsrGraph &graph, const ImmOptions &options,
                           num_threads);
   detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
                               detail::oom_faults_from_plan(options.fault_plan));
-  detail::RRRStore store(detail::store_policy(options, budget, consumer,
+  detail::RRRStore store(detail::store_policy(graph, options, budget, consumer,
                                               /*hard_refusal=*/false));
 
   // One admission window: the RRR sets at global indices

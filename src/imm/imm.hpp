@@ -291,11 +291,13 @@ void finalize_run_report(ImmResult &result, const char *driver,
                          const MartingaleOutcome &outcome);
 
 /// The RRRStore policy every driver builds (DESIGN.md §12): budget and
-/// compression from \p options; one window per extend when \p budget is
-/// ungoverned, since nothing can refuse; and scrubbing only in counter
-/// mode, whose windows replay from their coordinates — the leapfrog
-/// engines are stateful (the stealing/fused silent-no-op rule).
-[[nodiscard]] RRRStore::Policy store_policy(const ImmOptions &options,
+/// compression from \p options; bitmap records over \p graph's vertices;
+/// one window per extend when \p budget is ungoverned, since nothing can
+/// refuse; and scrubbing only in counter mode, whose windows replay from
+/// their coordinates — the leapfrog engines are stateful (the
+/// stealing/fused silent-no-op rule).
+[[nodiscard]] RRRStore::Policy store_policy(const CsrGraph &graph,
+                                            const ImmOptions &options,
                                             const ScopedBudget &budget,
                                             const char *consumer,
                                             bool hard_refusal);

@@ -198,7 +198,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // --recover, dies like any other failed rank: survivors whose
     // reservations still succeed adopt its streams and continue.
     detail::RRRStore store(detail::store_policy(
-        options, budget, "imm_distributed.rrr", /*hard_refusal=*/true));
+        graph, options, budget, "imm_distributed.rrr",
+        /*hard_refusal=*/true));
     std::uint64_t global_count = 0;
     // The in-flight window's target: global_count only advances once a
     // window completes, so when a failure surfaces *mid-window* (the steal

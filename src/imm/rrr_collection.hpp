@@ -13,6 +13,16 @@
 ///  * HypergraphCollection — the dual-direction baseline (Tang et al.'s IMM),
 ///    built here to reproduce Table 2's time and memory comparison.
 ///
+/// Record kinds (DESIGN.md §4): a collection built over n vertices stores a
+/// set of at least W = ⌈n/32⌉ members as an n-bit bitmap of exactly W
+/// 32-bit words instead of a list, the size at which the bitmap is no
+/// larger (HBMax, arXiv 2208.00613, codes each set by whichever is
+/// smaller).  Inside RRRCollection a record of exactly W words is a bitmap
+/// and every list record is shorter, so the kind costs no byte.  A
+/// default-constructed collection has no n and keeps every record a list,
+/// which is what the public samplers and selection entry points over plain
+/// lists see.
+///
 /// Scrubbing (DESIGN.md §14): the compressed arena optionally carries a
 /// CRC-32 per block of its contiguous payload, maintained incrementally on
 /// append and verified before the selection kernels consume the bytes.
@@ -26,6 +36,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,15 +45,191 @@
 
 namespace ripples {
 
-/// Compact storage: samples only, each a sorted vertex list.
+/// Words of an n-bit bitmap record, W = ⌈n/32⌉: vertex v is bit v % 32 of
+/// word v / 32, and the bits past n stay zero.
+[[nodiscard]] constexpr std::size_t bitmap_words(std::uint64_t num_vertices) {
+  return static_cast<std::size_t>((num_vertices + 31) / 32);
+}
+
+/// Read view of one stored set of either kind: a sorted member list, or a
+/// bitmap of W words.  Bitmap words are loaded through memcpy, so a record
+/// inside the byte-packed compressed arena needs no alignment.  Two words,
+/// so a kernel passes a view in registers.
+class RRRRecord {
+public:
+  [[nodiscard]] static RRRRecord list(std::span<const vertex_t> members) {
+    return RRRRecord(members.data(), members.size());
+  }
+  [[nodiscard]] static RRRRecord bitmap(const void *words,
+                                        std::size_t num_words) {
+    return RRRRecord(words, num_words | kBitmap);
+  }
+
+  [[nodiscard]] bool is_bitmap() const { return (size_ & kBitmap) != 0; }
+  /// The members of a list record.
+  [[nodiscard]] std::span<const vertex_t> members() const {
+    return {static_cast<const vertex_t *>(data_), size_};
+  }
+  [[nodiscard]] std::size_t num_words() const { return size_ & ~kBitmap; }
+  [[nodiscard]] std::uint32_t word(std::size_t i) const {
+    std::uint32_t w;
+    std::memcpy(&w, bytes() + i * sizeof(w), sizeof(w));
+    return w;
+  }
+
+  /// Binary search in a list, one bit test in a bitmap.  The bit test
+  /// runs out of line, so a list search keeps the registers of the
+  /// kernels' scan loops to itself.
+  [[nodiscard]] bool contains(vertex_t v) const {
+    if (is_bitmap()) return bitmap_contains(bytes(), v);
+    const std::span<const vertex_t> list = members();
+    return std::binary_search(list.begin(), list.end(), v);
+  }
+
+  /// Member count: the list length, or the bitmap's popcount.
+  [[nodiscard]] std::size_t size() const;
+
+  /// Every member, ascending.
+  template <typename Visit> void for_each_member(Visit &&visit) const {
+    if (!is_bitmap()) {
+      for (vertex_t v : members()) visit(v);
+      return;
+    }
+    const std::size_t words = num_words();
+    for (std::size_t w = 0; w < words; ++w) visit_bits(w, word(w), visit);
+  }
+
+  /// counters[v] += 1 (kDecrement: -= 1) for every member v in [lo, hi),
+  /// the counting and retirement step of the selection kernels; the
+  /// caller owns counters[lo, hi), and nothing outside it is touched.  A
+  /// list binary-searches to lo; a bitmap runs out of line, so inlining
+  /// this leaves the caller's loop a plain list loop plus one test.
+  template <bool kDecrement>
+  void adjust_counters(std::uint32_t *counters, vertex_t lo,
+                       vertex_t hi) const {
+    if (is_bitmap()) {
+      // By value: passing `this` would keep the view in memory in the
+      // callers' loops.
+      adjust_bitmap_counters<kDecrement>(bytes(), num_words(), counters, lo,
+                                         hi);
+      return;
+    }
+    const std::span<const vertex_t> list = members();
+    auto it = std::lower_bound(list.begin(), list.end(), lo);
+    for (; it != list.end() && *it < hi; ++it) {
+      if constexpr (kDecrement) {
+        RIPPLES_DEBUG_ASSERT(counters[*it] > 0);
+        --counters[*it];
+      } else {
+        ++counters[*it];
+      }
+    }
+  }
+
+  /// The same over every member, for counters of all \p num_vertices
+  /// vertices: a list needs no search for its first member.
+  template <bool kDecrement>
+  void adjust_counters(std::uint32_t *counters, vertex_t num_vertices) const {
+    if (is_bitmap()) {
+      adjust_bitmap_counters<kDecrement>(bytes(), num_words(), counters, 0,
+                                         num_vertices);
+      return;
+    }
+    for (vertex_t v : members()) {
+      if constexpr (kDecrement) {
+        RIPPLES_DEBUG_ASSERT(counters[v] > 0);
+        --counters[v];
+      } else {
+        ++counters[v];
+      }
+    }
+  }
+
+private:
+  /// The top bit of size_ marks a bitmap, whose word count is the rest.
+  static constexpr std::size_t kBitmap = ~(~std::size_t{0} >> 1);
+
+  RRRRecord(const void *data, std::size_t size) : data_(data), size_(size) {}
+  [[nodiscard]] const unsigned char *bytes() const {
+    return static_cast<const unsigned char *>(data_);
+  }
+
+  [[nodiscard]] static bool bitmap_contains(const unsigned char *bitmap,
+                                            vertex_t v);
+
+  /// The bitmap case of adjust_counters: a word wholly inside [lo, hi)
+  /// holding at least kDenseWord members updates its 32 counters
+  /// branch-free; other words visit their set bits.
+  template <bool kDecrement>
+  static void adjust_bitmap_counters(const unsigned char *bitmap,
+                                     std::size_t num_words,
+                                     std::uint32_t *counters, vertex_t lo,
+                                     vertex_t hi);
+
+  /// Members per word from which the branch-free 32-counter update beats
+  /// visiting the set bits one by one.
+  static constexpr int kDenseWord = 8;
+
+  template <typename Visit>
+  static void visit_bits(std::size_t w, std::uint32_t bits, Visit &visit) {
+    const auto base = static_cast<vertex_t>(w * 32);
+    while (bits != 0) {
+      visit(base + static_cast<vertex_t>(__builtin_ctz(bits)));
+      bits &= bits - 1;
+    }
+  }
+
+  const void *data_;
+  std::size_t size_;
+};
+
+/// The view of plain-storage record \p set in a collection whose bitmap
+/// records have \p words words (0: a list-only collection).
+[[nodiscard]] inline RRRRecord plain_record(const RRRSet &set,
+                                            std::size_t words) {
+  return words != 0 && set.size() == words
+             ? RRRRecord::bitmap(set.data(), words)
+             : RRRRecord::list(set);
+}
+
+/// Compact storage: samples only, each a sorted vertex list or, in a
+/// collection built over n vertices, an n-bit bitmap once it has at least
+/// W = ⌈n/32⌉ members.
 class RRRCollection {
 public:
+  /// A list-only collection.
+  RRRCollection() = default;
+  /// A hybrid collection over \p num_vertices vertices.
+  explicit RRRCollection(vertex_t num_vertices)
+      : bitmap_words_(ripples::bitmap_words(num_vertices)) {}
+
   [[nodiscard]] std::size_t size() const { return sets_.size(); }
   [[nodiscard]] const std::vector<RRRSet> &sets() const { return sets_; }
   [[nodiscard]] std::vector<RRRSet> &mutable_sets() { return sets_; }
 
-  void add(RRRSet &&set) { sets_.push_back(std::move(set)); }
+  /// W, the word count of a bitmap record; 0 in a list-only collection.
+  [[nodiscard]] std::size_t bitmap_words() const { return bitmap_words_; }
+  [[nodiscard]] bool is_bitmap(const RRRSet &record) const {
+    return bitmap_words_ != 0 && record.size() == bitmap_words_;
+  }
+  [[nodiscard]] RRRRecord record(std::size_t j) const {
+    return plain_record(sets_[j], bitmap_words_);
+  }
 
+  /// Rewrites the sorted list \p set in place as its bitmap record when it
+  /// has at least W members (a no-op on shorter lists), freeing the list.
+  /// Every sampler writing into a hybrid collection passes each set
+  /// through here or emits the bitmap itself (the fused IC kernel).
+  void seal(RRRSet &set) const {
+    if (bitmap_words_ != 0 && set.size() >= bitmap_words_)
+      set = to_bitmap(set, bitmap_words_);
+  }
+
+  /// Appends the sorted list \p set (unique members), sealed.
+  void add(RRRSet &&set) {
+    seal(set);
+    sets_.push_back(std::move(set));
+  }
   /// Appends \p count empty slots and returns the index of the first, so a
   /// parallel sampler can fill disjoint slots without synchronization.
   /// Throws std::length_error with the offending sizes if the request
@@ -51,8 +238,9 @@ public:
   /// catchable diagnostic instead of a bad_alloc on a worker thread.
   std::size_t grow(std::size_t count);
 
-  /// Exact heap bytes held by the representation (vector headers + vertex
-  /// payload capacity) — the quantity Table 2 reports per implementation.
+  /// Exact heap bytes held by the representation (vector headers + payload
+  /// capacity, W·4 bytes per bitmap record) — the quantity Table 2 reports
+  /// per implementation.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
   /// Total number of (sample, vertex) associations.
@@ -60,8 +248,13 @@ public:
 
   void clear() { sets_.clear(); }
 
+  /// The \p words-word bitmap record of the sorted list \p members.
+  [[nodiscard]] static RRRSet to_bitmap(std::span<const vertex_t> members,
+                                        std::size_t words);
+
 private:
   std::vector<RRRSet> sets_;
+  std::size_t bitmap_words_ = 0;
 };
 
 /// Delta+varint compressed arena (DESIGN.md §12): each sample is one record
@@ -69,16 +262,28 @@ private:
 /// sorted and unique, so consecutive differences are small positive integers
 /// that LEB128 encodes in 1-2 bytes on the paper's graphs (HBMax, arXiv
 /// 2208.00613, and Wang et al., arXiv 2311.07554, report 3-10x on exactly
-/// this structure).  Selection decodes on iterate: the greedy kernels only
-/// ever scan the collection front to back, so the index stores one byte
-/// offset per kBlockSize sets (amortized ~0 bytes/set) instead of one per
-/// set, and retired sets are *skipped* (continuation-bit scan, no value
-/// decode).  The budget governor switches RRR storage to this
-/// representation when the uncompressed arena would exceed the budget.
+/// this structure for list records; a bitmap record is already dense).
+/// An arena built over n vertices also has a bitmap record kind,
+/// `[varint n + 1 + member_count][W words]`, used whenever it is shorter
+/// than the set's delta record, so compressing never enlarges a set; list
+/// headers never exceed n, so the list format is unchanged.  Selection
+/// decodes on iterate: the greedy kernels only ever scan the collection
+/// front to back, so the index stores one byte offset per kBlockSize sets
+/// (amortized ~0 bytes/set) instead of one per set, and retired sets are
+/// *skipped* (continuation-bit scan or one bitmap stride, no value decode).
+/// The budget governor switches RRR storage to this representation when
+/// the uncompressed arena would exceed the budget.
 class CompressedRRRCollection {
 public:
   /// Sets per index block; random access decodes at most this many headers.
   static constexpr std::size_t kBlockSize = 256;
+
+  /// A list-only arena.
+  CompressedRRRCollection() = default;
+  /// An arena over \p num_vertices vertices, with bitmap records.  Bitmap
+  /// headers reach 2n + 1, so past n = 2^31 - 1 (and at n = 0) the arena
+  /// stays list-only.
+  explicit CompressedRRRCollection(vertex_t num_vertices);
 
   [[nodiscard]] std::size_t size() const { return num_sets_; }
   [[nodiscard]] std::size_t total_associations() const {
@@ -93,10 +298,16 @@ public:
   /// Appends one sample (members sorted ascending, unique).  Throws
   /// std::length_error when the encoded payload would no longer be
   /// representable.
-  void append(std::span<const vertex_t> members);
+  void append(std::span<const vertex_t> members) {
+    append(RRRRecord::list(members));
+  }
+  /// Appends one sample of either kind; its encoding depends only on its
+  /// members, never on the kind it arrives as.
+  void append(const RRRRecord &record);
 
-  /// Decodes sample \p j into \p out (cleared first).  Block-indexed: seeks
-  /// to the enclosing block, then skips at most kBlockSize - 1 records.
+  /// Decodes sample \p j into \p out (cleared first) as a sorted list.
+  /// Block-indexed: seeks to the enclosing block, then skips at most
+  /// kBlockSize - 1 records.  Throws std::out_of_range when j >= size().
   void decode_set(std::size_t j, std::vector<vertex_t> &out) const;
 
   /// Releases growth slack after the collection stops growing.
@@ -138,10 +349,13 @@ public:
 
   /// Repair: re-encodes block \p b from \p sets (the block's samples in
   /// set-index order, regenerated bit-identically from their RNG
-  /// coordinates), overwrites the damaged bytes in place, and refreshes the
-  /// block CRC.  Throws std::runtime_error when the re-encoding does not
-  /// match the block's byte length — regeneration was not bit-identical, so
-  /// the damage is not repairable and must escalate.
+  /// coordinates, as records of either kind), overwrites the damaged bytes
+  /// in place, and refreshes the block CRC.  Throws std::runtime_error when
+  /// the re-encoding does not match the block's byte length — regeneration
+  /// was not bit-identical, so the damage is not repairable and must
+  /// escalate.
+  void repair_block(std::size_t b, std::span<const RRRRecord> sets);
+  /// The same over plain lists.
   void repair_block(std::size_t b, std::span<const RRRSet> sets);
 
   /// Deterministic fault-injection surface (the storage-level analogue of
@@ -151,20 +365,32 @@ public:
 
   /// Sequential decode-on-iterate reader, the access pattern of every
   /// selection kernel.  next_header() positions at a record's members and
-  /// returns its member count; the caller then either decode_members() or
-  /// skip_members() (retired sets cost a continuation-bit scan only).
+  /// returns its member count; the caller then either reads the record
+  /// (read_record, decode_members) or skips it (skip_members: retired
+  /// sets cost a continuation-bit scan or one bitmap stride only).
   class Cursor {
   public:
     explicit Cursor(const CompressedRRRCollection &collection)
         : p_(collection.payload_.data()),
-          end_(collection.payload_.data() + collection.payload_.size()) {}
+          end_(collection.payload_.data() + collection.payload_.size()),
+          bitmap_base_(collection.bitmap_base_),
+          bitmap_bytes_(collection.bitmap_words_ * sizeof(std::uint32_t)) {}
 
     [[nodiscard]] bool at_end() const { return p_ == end_; }
+    /// Throws the truncated-or-corrupt diagnostic on a header above
+    /// UINT32_MAX, on a member count above n, and on a bitmap record that
+    /// runs past the payload.
     [[nodiscard]] std::uint32_t next_header();
+    /// True when the current record is a bitmap.
+    [[nodiscard]] bool at_bitmap() const { return bitmap_; }
+    /// The current record as a view: a bitmap in place, a list decoded
+    /// into \p scratch.  Advances past it.
+    [[nodiscard]] RRRRecord read_record(std::uint32_t count,
+                                        std::vector<vertex_t> &scratch);
     /// Decodes the current record's \p count members into \p out (cleared
-    /// first; members come out sorted, exactly as encoded).
+    /// first; members come out sorted whatever the record kind).
     void decode_members(std::uint32_t count, std::vector<vertex_t> &out);
-    /// Skips the current record's \p count member varints without decoding.
+    /// Skips the current record's \p count members without decoding.
     void skip_members(std::uint32_t count);
 
   private:
@@ -172,16 +398,20 @@ public:
     [[nodiscard]] std::uint64_t read_varint();
     const std::uint8_t *p_;
     const std::uint8_t *end_;
+    std::uint64_t bitmap_base_;
+    std::size_t bitmap_bytes_;
+    bool bitmap_ = false;
   };
 
   [[nodiscard]] Cursor cursor() const { return Cursor(*this); }
 
 private:
-  /// Encodes one record (count header + delta varints) into \p out —
-  /// shared by append and repair_block so a repaired block is byte-for-byte
-  /// what append would have produced.
-  static void encode_record(std::vector<std::uint8_t> &out,
-                            std::span<const vertex_t> members);
+  /// Encodes one record — the shorter of the delta list and, in an arena
+  /// with bitmap records, the bitmap — into \p out.  Shared by append and
+  /// repair_block so a repaired block is byte-for-byte what append would
+  /// have produced.  Returns the record's member count.
+  std::size_t encode_record(std::vector<std::uint8_t> &out,
+                            const RRRRecord &record) const;
   /// Byte range [begin, end) of block \p b in payload_.
   [[nodiscard]] std::pair<std::size_t, std::size_t>
   block_byte_range(std::size_t b) const {
@@ -199,6 +429,9 @@ private:
   std::uint32_t tail_crc_ = 0;               // running CRC of the open block
   std::size_t num_sets_ = 0;
   std::size_t total_associations_ = 0;
+  /// n + 1, the smallest bitmap header, and W; both 0 in a list-only arena.
+  std::uint64_t bitmap_base_ = 0;
+  std::size_t bitmap_words_ = 0;
   bool checksums_ = false;
 };
 

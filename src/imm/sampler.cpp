@@ -22,7 +22,11 @@ void count_generated(std::uint64_t batch) {
 }
 
 /// The one scalar fill loop of every counter-stream entry point: out[j]
-/// becomes the RRR set at global index index_of(j), j in [0, count).
+/// becomes the record of the RRR set at global index index_of(j), j in
+/// [0, count), in \p records' kinds.  A set is generated as a list in its
+/// slot, with the capacity push_back growth gives it (the footprint of the
+/// paper's IMMOPT lists), and a set reaching the bitmap size is rewritten
+/// as its bitmap, which frees the list.
 /// Dynamic schedule: RRR-set sizes are heavy-tailed under IC, so static
 /// chunking would leave threads idle behind one giant traversal.
 /// kWorkerSpans gives each thread one span over its share of the batch;
@@ -33,7 +37,7 @@ void count_generated(std::uint64_t batch) {
 template <bool kWorkerSpans, typename IndexOf>
 void fill_sets(const CsrGraph &graph, DiffusionModel model, std::uint64_t seed,
                std::uint64_t count, unsigned num_threads, IndexOf index_of,
-               RRRSet *out) {
+               const RRRCollection &records, RRRSet *out) {
   RIPPLES_ASSERT(num_threads >= 1);
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
@@ -46,6 +50,7 @@ void fill_sets(const CsrGraph &graph, DiffusionModel model, std::uint64_t seed,
       const auto slot = static_cast<std::uint64_t>(j);
       Philox4x32 rng = sample_stream(seed, index_of(slot));
       generator.generate_random_root(model, rng, out[slot]);
+      records.seal(out[slot]);
       ++generated;
     }
     if constexpr (kWorkerSpans) worker->arg("sets", generated);
@@ -66,7 +71,7 @@ void sample_counter_range(const CsrGraph &graph, DiffusionModel model,
   const std::uint64_t slot = collection.grow(count);
   fill_sets<true>(
       graph, model, seed, count, num_threads,
-      [first](std::uint64_t j) { return first + j; },
+      [first](std::uint64_t j) { return first + j; }, collection,
       &collection.mutable_sets()[slot]);
   trace::counter("rrr_sets", first + count);
 }
@@ -137,7 +142,7 @@ std::uint64_t sample_counter_indices(const CsrGraph &graph,
   const std::uint64_t slot = collection.grow(indices.size());
   fill_sets<false>(
       graph, model, seed, indices.size(), num_threads,
-      [indices](std::uint64_t j) { return indices[j]; },
+      [indices](std::uint64_t j) { return indices[j]; }, collection,
       &collection.mutable_sets()[slot]);
   return indices.size();
 }

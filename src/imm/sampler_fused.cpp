@@ -105,7 +105,7 @@ std::size_t FusedSampler::window_bytes(const CsrGraph &graph,
 
 void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
                             std::span<const std::uint64_t> sample_indices,
-                            RRRSet *outs) {
+                            RRRSet *outs, std::size_t bitmap_words) {
   const auto lanes = static_cast<unsigned>(sample_indices.size());
   RIPPLES_ASSERT(lanes >= 1 && lanes <= kLanes);
   RIPPLES_ASSERT_MSG(model == table_.model(),
@@ -131,11 +131,14 @@ void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
     }
   }
   if (model == DiffusionModel::IndependentCascade) {
-    run_ic(lanes, outs);
+    run_ic(lanes, bitmap_words, outs);
   } else {
     run_lt(lanes, outs);
-    for (unsigned l = 0; l < lanes; ++l)
+    for (unsigned l = 0; l < lanes; ++l) {
       std::sort(outs[l].begin(), outs[l].end());
+      if (bitmap_words != 0 && outs[l].size() >= bitmap_words)
+        outs[l] = RRRCollection::to_bitmap(outs[l], bitmap_words);
+    }
   }
   words_ += touched_len_;
   // Reset only the touched words: one clear serves all 64 lanes, where the
@@ -144,7 +147,8 @@ void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
     visited_.clear_word(touched_[t]);
 }
 
-void FusedSampler::run_ic(unsigned lanes, RRRSet *outs) {
+void FusedSampler::run_ic(unsigned lanes, std::size_t bitmap_words,
+                          RRRSet *outs) {
   // Level-synchronous across lanes, but *within* a lane the frontier is
   // scanned in exactly the scalar engine's discovery order and every edge
   // decision consumes the lane's next stream draw — which is why the
@@ -257,11 +261,30 @@ void FusedSampler::run_ic(unsigned lanes, RRRSet *outs) {
   }
   touched_len_ = touched_len;
   passes_ += passes;
-  emit_sorted(lanes, counts.data(), outs);
+  emit_sorted(lanes, counts.data(), bitmap_words, outs);
 }
 
+namespace {
+
+/// In-place transpose of a 64×64 bit matrix, row i = m[i], column j = bit
+/// j: afterwards bit i of m[j] is what bit j of m[i] was.  Six rounds of
+/// block swaps, halving the block edge from 32 to 1 (Hacker's Delight
+/// §7-3, in least-significant-bit-first order).
+void transpose64(std::uint64_t *m) {
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
+}
+
+} // namespace
+
 void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
-                               RRRSet *outs) {
+                               std::size_t bitmap_words, RRRSet *outs) {
   // The visited lane masks already hold every set: bit l of word v says
   // "lane l's set contains v".  Walking the words in ascending vertex
   // order therefore emits each lane's set already sorted — one shared
@@ -270,7 +293,15 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
   // distinct vertices.
   std::array<vertex_t *, kLanes> out_ptr;
   std::array<std::size_t, kLanes> out_pos;
+  std::uint64_t list_lanes = 0;
+  std::uint64_t bitmap_lanes = 0;
   for (unsigned l = 0; l < lanes; ++l) {
+    if (bitmap_words != 0 && counts[l] >= bitmap_words) {
+      bitmap_lanes |= std::uint64_t{1} << l;
+      outs[l].assign(bitmap_words, 0);
+      continue;
+    }
+    list_lanes |= std::uint64_t{1} << l;
     outs[l].resize(counts[l]);
     out_ptr[l] = outs[l].data();
     out_pos[l] = 0;
@@ -283,7 +314,38 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
       out_ptr[l][out_pos[l]++] = v;
     }
   };
-  if (touched_len_ * 8 >= n) {
+  if (bitmap_lanes != 0) {
+    // Block by block: the block's 64 mask words are a 64×64 bit matrix,
+    // vertices by lanes.  List lanes emit from the rows; one transpose
+    // turns the rows into lanes, and row l is then bitmap words 2b and
+    // 2b + 1 of lane l.  Bits past n read as zero, so the tail stays zero.
+    std::uint64_t block[64];
+    for (std::uint64_t base = 0; base < n; base += 64) {
+      const auto width =
+          static_cast<unsigned>(std::min<std::uint64_t>(64, n - base));
+      std::uint64_t any = 0;
+      for (unsigned i = 0; i < width; ++i) {
+        block[i] = visited_.word(base + i);
+        any |= block[i];
+      }
+      if (any == 0) continue;
+      if ((any & list_lanes) != 0)
+        for (unsigned i = 0; i < width; ++i)
+          emit_word(static_cast<vertex_t>(base + i), block[i] & list_lanes);
+      std::uint64_t rows = any & bitmap_lanes;
+      if (rows == 0) continue;
+      std::fill(block + width, block + 64, 0);
+      transpose64(block);
+      const std::size_t w = base / 32;
+      for (; rows != 0; rows &= rows - 1) {
+        const auto l = static_cast<unsigned>(__builtin_ctzll(rows));
+        vertex_t *words = outs[l].data();
+        words[w] = static_cast<vertex_t>(block[l]);
+        if (w + 1 < bitmap_words)
+          words[w + 1] = static_cast<vertex_t>(block[l] >> 32);
+      }
+    }
+  } else if (touched_len_ * 8 >= n) {
     // Dense batch: the touched list covers most of the graph, so the
     // straight scan is cheaper than sorting it.
     for (vertex_t v = 0; v < n; ++v) emit_word(v, visited_.word(v));
@@ -296,7 +358,8 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
     }
   }
   for (unsigned l = 0; l < lanes; ++l)
-    RIPPLES_DEBUG_ASSERT(out_pos[l] == counts[l]);
+    RIPPLES_DEBUG_ASSERT(((bitmap_lanes >> l) & 1) != 0 ||
+                         out_pos[l] == counts[l]);
 }
 
 void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
@@ -341,7 +404,8 @@ void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
 namespace {
 
 /// The one fused fill loop of every entry point below: out[j] becomes the
-/// RRR set at global index index_of(j), j in [0, count), over a dynamic
+/// record (of \p bitmap_words-word bitmaps, 0: lists only) of the RRR set
+/// at global index index_of(j), j in [0, count), over a dynamic
 /// schedule of whole lane blocks — fused batches inherit the heavy tail of
 /// per-sample traversal cost 64 samples at a time.  kWorkerSpans follows
 /// sampler.cpp's fill_sets, under the same span names as the scalar engine
@@ -350,7 +414,7 @@ namespace {
 template <bool kWorkerSpans, typename IndexOf>
 void fill_sets_fused(const FusedEdgeTable &table, std::uint64_t seed,
                      std::uint64_t count, unsigned num_threads,
-                     IndexOf index_of, RRRSet *out) {
+                     IndexOf index_of, std::size_t bitmap_words, RRRSet *out) {
   RIPPLES_ASSERT(num_threads >= 1);
   const auto num_blocks = static_cast<std::int64_t>(
       (count + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
@@ -369,7 +433,7 @@ void fill_sets_fused(const FusedEdgeTable &table, std::uint64_t seed,
           std::min<std::uint64_t>(FusedSampler::kLanes, count - base));
       for (unsigned l = 0; l < lanes; ++l) indices[l] = index_of(base + l);
       sampler.generate(table.model(), seed, std::span(indices.data(), lanes),
-                       &out[base]);
+                       &out[base], bitmap_words);
       generated += lanes;
     }
     if constexpr (kWorkerSpans) worker->arg("sets", generated);
@@ -394,7 +458,7 @@ void sample_counter_range_fused(const FusedEdgeTable &table,
   fill_sets_fused<true>(
       table, seed, count, num_threads,
       [first](std::uint64_t j) { return first + j; },
-      &collection.mutable_sets()[slot]);
+      collection.bitmap_words(), &collection.mutable_sets()[slot]);
   trace::counter("rrr_sets", first + count);
 }
 
@@ -445,7 +509,7 @@ std::uint64_t sample_counter_indices_fused(
   fill_sets_fused<false>(
       table, seed, indices.size(), num_threads,
       [indices](std::uint64_t j) { return indices[j]; },
-      &collection.mutable_sets()[slot]);
+      collection.bitmap_words(), &collection.mutable_sets()[slot]);
   return indices.size();
 }
 

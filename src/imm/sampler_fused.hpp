@@ -14,6 +14,9 @@
 /// integer compare, each LT walk step is a binary search over its row's
 /// precomputed cumulative weights, and the sorted output lists are
 /// *emitted* from the lane masks in vertex order instead of sorted per set.
+/// A lane whose IC set reaches the bitmap size of its collection
+/// (rrr_collection.hpp) is emitted as that bitmap straight from the masks,
+/// one 64×64 bit transpose per 64-vertex block, without building its list.
 ///
 /// The graph-derived state lives in a FusedEdgeTable built once per solve
 /// and shared read-only by every worker; a FusedSampler holds only
@@ -112,8 +115,11 @@ public:
   /// table's model (asserted: each model reads only its own edge arrays).
   /// An LT step picks its in-edge by binary search over the table's row
   /// prefix, O(log in-degree), where the scalar engine scans the row.
+  /// With \p bitmap_words = W > 0 (RRRCollection::bitmap_words), a set of
+  /// at least W members comes out as its W-word bitmap record instead.
   void generate(DiffusionModel model, std::uint64_t seed,
-                std::span<const std::uint64_t> sample_indices, RRRSet *outs);
+                std::span<const std::uint64_t> sample_indices, RRRSet *outs,
+                std::size_t bitmap_words = 0);
 
   /// Accumulated instrumentation over this instance's lifetime: distinct
   /// visited-mask words touched, and frontier passes executed.  Flushed to
@@ -156,12 +162,14 @@ private:
     }
   };
 
-  void run_ic(unsigned lanes, RRRSet *outs);
+  void run_ic(unsigned lanes, std::size_t bitmap_words, RRRSet *outs);
   void run_lt(unsigned lanes, RRRSet *outs);
   /// Rebuilds outs[0..lanes) sorted from the visited lane masks: one
   /// vertex-ordered scan replaces 64 per-set sorts (counts[l] = final size
-  /// of lane l's set, accumulated during the traversal).
-  void emit_sorted(unsigned lanes, const std::size_t *counts, RRRSet *outs);
+  /// of lane l's set, accumulated during the traversal).  Lanes of at
+  /// least \p bitmap_words members (when nonzero) become bitmap records.
+  void emit_sorted(unsigned lanes, const std::size_t *counts,
+                   std::size_t bitmap_words, RRRSet *outs);
 
   const FusedEdgeTable &table_;
   const CsrGraph &graph_;

@@ -14,13 +14,23 @@ namespace ripples {
 
 namespace {
 
+/// Plain storage as the kernels read it: the sets, and the word count of
+/// a bitmap record (0: every record is a list).
+struct PlainSets {
+  std::span<const RRRSet> sets;
+  std::size_t bitmap_words = 0;
+
+  [[nodiscard]] std::size_t size() const { return sets.size(); }
+};
+
 /// The set walker under every sequential kernel: calls
-/// `visit(j, members)` for each sample j not flagged in \p retired (null:
-/// none is), in index order.  Plain storage hands out the stored vector
-/// itself; the compressed arena decodes each live record into one scratch
-/// buffer and skips retired ones without decoding.  Always inlined: the
-/// visitor's captures must fold into registers of the calling kernel, or
-/// every set pays loads through the closure.
+/// `visit(j, record)` for each sample j not flagged in \p retired (null:
+/// none is), in index order.  Plain storage hands out views of the stored
+/// vectors themselves; the compressed arena views each live bitmap in
+/// place, decodes each live list into one scratch buffer, and skips
+/// retired records without decoding.  Always inlined: the visitor's
+/// captures must fold into registers of the calling kernel, or every set
+/// pays loads through the closure.
 template <typename Source, typename Visit>
 [[gnu::always_inline]] inline void
 for_each_live_set(const Source &source, const std::uint8_t *retired,
@@ -34,28 +44,26 @@ for_each_live_set(const Source &source, const std::uint8_t *retired,
         cursor.skip_members(count);
         continue;
       }
-      cursor.decode_members(count, members);
-      visit(j, std::span<const vertex_t>(members));
+      visit(j, cursor.read_record(count, members));
     }
   } else {
     // A local copy of the span: the retire visitor's byte stores may alias
     // anything in memory, so a referenced span would be reloaded per set.
-    const std::span<const RRRSet> sets(source);
+    const std::span<const RRRSet> sets(source.sets);
+    const std::size_t words = source.bitmap_words;
     for (std::size_t j = 0; j < sets.size(); ++j) {
       if (retired != nullptr && retired[j]) continue;
-      visit(j, std::span<const vertex_t>(sets[j]));
+      visit(j, plain_record(sets[j], words));
     }
   }
 }
 
 template <typename Source>
 void count_live(const Source &source, std::span<std::uint32_t> counters) {
+  const auto n = static_cast<vertex_t>(counters.size());
   for_each_live_set(source, nullptr,
-                    [&](std::size_t, std::span<const vertex_t> members) {
-                      for (vertex_t v : members) {
-                        RIPPLES_DEBUG_ASSERT(v < counters.size());
-                        ++counters[v];
-                      }
+                    [&](std::size_t, const RRRRecord &record) {
+                      record.adjust_counters<false>(counters.data(), n);
                     });
 }
 
@@ -67,18 +75,25 @@ std::uint64_t retire_live(vertex_t seed, const Source &source,
                           std::vector<std::uint8_t> &retired, RetireLog *log) {
   std::uint64_t retired_count = 0;
   std::uint8_t *const flags = retired.data();
-  for_each_live_set(
-      source, flags, [&](std::size_t j, std::span<const vertex_t> members) {
-        if (!std::binary_search(members.begin(), members.end(), seed)) return;
-        flags[j] = 1;
-        ++retired_count;
-        for (vertex_t u : members) {
-          RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-          --counters[u];
-          if constexpr (kLog)
-            if (log->pending_dec[u]++ == 0) log->pending_touched.push_back(u);
-        }
+  const auto n = static_cast<vertex_t>(counters.size());
+  // The hit path stays out of line: the scan over every live set is the
+  // hot loop, and inlining the decrement would crowd its registers.
+  auto hit = [&](std::size_t j, RRRRecord record) __attribute__((noinline)) {
+    flags[j] = 1;
+    ++retired_count;
+    if constexpr (kLog)
+      record.for_each_member([&](vertex_t u) {
+        RIPPLES_DEBUG_ASSERT(counters[u] > 0);
+        --counters[u];
+        if (log->pending_dec[u]++ == 0) log->pending_touched.push_back(u);
       });
+    else
+      record.adjust_counters<true>(counters.data(), n);
+  };
+  for_each_live_set(source, flags,
+                    [&](std::size_t j, const RRRRecord &record) {
+                      if (record.contains(seed)) hit(j, record);
+                    });
   RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
   return retired_count;
 }
@@ -206,7 +221,13 @@ SelectionResult greedy(vertex_t num_vertices, std::uint32_t k,
 
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters) {
-  count_live(samples, counters);
+  count_live(PlainSets{samples}, counters);
+}
+
+void count_memberships(const RRRCollection &collection,
+                       std::span<std::uint32_t> counters) {
+  count_live(PlainSets{collection.sets(), collection.bitmap_words()},
+             counters);
 }
 
 void count_memberships(const CompressedRRRCollection &collection,
@@ -219,7 +240,17 @@ std::uint64_t retire_samples_containing(vertex_t seed,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
                                         RetireLog *log) {
-  return retire(seed, samples, counters, retired, log);
+  return retire(seed, PlainSets{samples}, counters, retired, log);
+}
+
+std::uint64_t retire_samples_containing(vertex_t seed,
+                                        const RRRCollection &collection,
+                                        std::span<std::uint32_t> counters,
+                                        std::vector<std::uint8_t> &retired,
+                                        RetireLog *log) {
+  return retire(seed,
+                PlainSets{collection.sets(), collection.bitmap_words()},
+                counters, retired, log);
 }
 
 std::uint64_t retire_samples_containing(vertex_t seed,
@@ -259,13 +290,23 @@ SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
 
 SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
                                   std::span<const RRRSet> samples) {
-  return greedy<CelfPicker>(num_vertices, k, samples, "select.lazy");
+  return greedy<CelfPicker>(num_vertices, k, PlainSets{samples},
+                            "select.lazy");
 }
 
+namespace {
+
+/// Algorithm 4 over plain storage of either record kind.  A bitmap record's
+/// signature is all ones, its containment test one bit, and its count and
+/// decrement walk the set bits of the thread's [vl, vh) words.  It keeps
+/// the public name: TSan's suppression of Alg. 4's barrier phases
+/// (scripts/tsan-suppressions.txt) matches it.
 SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
                                            std::uint32_t k,
-                                           std::span<const RRRSet> samples,
+                                           const PlainSets source,
                                            unsigned num_threads) {
+  const std::span<const RRRSet> samples = source.sets;
+  const std::size_t words = source.bitmap_words;
   RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
   RIPPLES_ASSERT(num_threads >= 1);
   trace::Span span("select", "select.multithreaded", "k", k, "samples",
@@ -334,25 +375,28 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     for (std::size_t j = sl; j < sh; ++j) {
       const RRRSet &sample = samples[j];
       std::uint64_t signature = 0;
-      for (auto it = sample.begin(); it != sample.end() && ~signature != 0;
-           ++it)
-        signature |= signature_bit(*it);
+      if (plain_record(sample, words).is_bitmap())
+        signature = ~std::uint64_t{0};
+      else
+        for (auto it = sample.begin(); it != sample.end() && ~signature != 0;
+             ++it)
+          signature |= signature_bit(*it);
       if (signature != 0) live_sets[live_end++] = {signature, &sample};
     }
 
     // Counting step: every thread visits all samples but touches only the
-    // counters it owns; the sorted sample lets it binary-search to vl and
-    // scan its slice in cache order (Section 3.1).
-    std::fill(counters.get() + vl, counters.get() + vh, 0);
+    // counters it owns; a sorted list lets it binary-search to vl and scan
+    // its slice in cache order (Section 3.1), a bitmap holds the slice in
+    // its [vl, vh) words.
+    std::uint32_t *const counts = counters.get();
+    std::fill(counts + vl, counts + vh, 0);
     std::fill(selected.get() + vl, selected.get() + vh, 0);
     {
       // Per-thread span ending before the barrier, so interval imbalance in
       // the counting pass is visible as ragged span ends.
       trace::Span count_span("select", "select.count", "thread", t);
-      for (const RRRSet &sample : samples) {
-        auto it = std::lower_bound(sample.begin(), sample.end(), vl);
-        for (; it != sample.end() && *it < vh; ++it) ++counters[*it];
-      }
+      for (const RRRSet &sample : samples)
+        plain_record(sample, words).adjust_counters<false>(counts, vl, vh);
     }
 #pragma omp barrier
 
@@ -403,10 +447,15 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       const std::uint64_t seed_bit = signature_bit(seed);
       std::size_t kept = sl;
       std::size_t hit_end = sl;
+      // Only an all-ones signature can belong to a bitmap record, so any
+      // other hit is a list and binary-searched without asking its kind.
       for (std::size_t x = sl; x < live_end; ++x) {
         const LiveSet entry = live_sets[x];
         if ((entry.signature & seed_bit) != 0 &&
-            std::binary_search(entry.set->begin(), entry.set->end(), seed))
+            (~entry.signature == 0
+                 ? plain_record(*entry.set, words).contains(seed)
+                 : std::binary_search(entry.set->begin(), entry.set->end(),
+                                      seed)))
           hit_sets[hit_end++] = entry.set;
         else
           live_sets[kept++] = entry;
@@ -419,17 +468,31 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       for (unsigned owner = 0; owner < p; ++owner) {
         const auto owner_hits = round_hits[owner].sets;
         if (t == 0) result.covered_samples += owner_hits.size();
-        for (const RRRSet *sample : owner_hits) {
-          auto it = std::lower_bound(sample->begin(), sample->end(), vl);
-          for (; it != sample->end() && *it < vh; ++it) {
-            RIPPLES_DEBUG_ASSERT(counters[*it] > 0);
-            --counters[*it];
-          }
-        }
+        for (const RRRSet *sample : owner_hits)
+          plain_record(*sample, words).adjust_counters<true>(counts, vl, vh);
       }
     }
   }
   return result;
+}
+
+} // namespace
+
+SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
+                                           std::uint32_t k,
+                                           std::span<const RRRSet> samples,
+                                           unsigned num_threads) {
+  return select_seeds_multithreaded(num_vertices, k, PlainSets{samples},
+                                    num_threads);
+}
+
+SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
+                                           std::uint32_t k,
+                                           const RRRCollection &collection,
+                                           unsigned num_threads) {
+  return select_seeds_multithreaded(
+      num_vertices, k,
+      PlainSets{collection.sets(), collection.bitmap_words()}, num_threads);
 }
 
 SelectionResult select_seeds_hypergraph(vertex_t num_vertices, std::uint32_t k,

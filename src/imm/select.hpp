@@ -22,6 +22,12 @@
 ///    live samples of either storage (the sorted vectors, or the
 ///    compressed arena decoded on iterate), with one of two pickers for the
 ///    next seed: an eager argmax scan, or a CELF heap.
+///
+/// Both bodies read either record kind (rrr_collection.hpp): on a bitmap
+/// record containment is one bit test and the signature is all ones, and
+/// counting and decrementing walk its set bits.  The entry points over a
+/// span of plain lists see list records only; those over an RRRCollection
+/// or a CompressedRRRCollection follow the collection's record kinds.
 ///  * select_seeds_hypergraph  — the baseline's variant that exploits the
 ///    vertex -> samples index for cheaper retirement at 2x memory.
 ///
@@ -77,6 +83,11 @@ select_seeds(vertex_t num_vertices, std::uint32_t k,
 select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
                            std::span<const RRRSet> samples,
                            unsigned num_threads);
+/// The same body over a collection of either record kind.
+[[nodiscard]] SelectionResult
+select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
+                           const RRRCollection &collection,
+                           unsigned num_threads);
 
 /// Baseline selection over dual-direction storage.
 [[nodiscard]] SelectionResult
@@ -103,6 +114,8 @@ select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
 /// samples containing each vertex.
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters);
+void count_memberships(const RRRCollection &collection,
+                       std::span<std::uint32_t> counters);
 void count_memberships(const CompressedRRRCollection &collection,
                        std::span<std::uint32_t> counters);
 
@@ -125,6 +138,11 @@ struct RetireLog {
 /// ends at 0.  A non-null \p log additionally records every decrement.
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         std::span<const RRRSet> samples,
+                                        std::span<std::uint32_t> counters,
+                                        std::vector<std::uint8_t> &retired,
+                                        RetireLog *log = nullptr);
+std::uint64_t retire_samples_containing(vertex_t seed,
+                                        const RRRCollection &collection,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
                                         RetireLog *log = nullptr);

@@ -218,14 +218,17 @@ std::uint64_t sample_counter_chunked(const CsrGraph &graph,
           sampler->generate(model, seed,
                             indices.subspan(static_cast<std::size_t>(lo),
                                             static_cast<std::size_t>(lanes)),
-                            &sets[first_slot + lo]);
+                            &sets[first_slot + lo],
+                            collection.bitmap_words());
           lo += lanes;
         }
       } else {
         for (std::uint64_t j = c.begin; j < c.end; ++j) {
           Philox4x32 rng =
               sample_stream(seed, indices[static_cast<std::size_t>(j)]);
-          generator->generate_random_root(model, rng, sets[first_slot + j]);
+          RRRSet &slot = sets[first_slot + j];
+          generator->generate_random_root(model, rng, slot);
+          collection.seal(slot);
         }
       }
     };

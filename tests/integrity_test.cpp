@@ -498,6 +498,36 @@ TEST(RRRStoreScrub, ExplicitScrubRepairsAcrossAdmissionChunks) {
   EXPECT_EQ(store.scrub(), 0u); // second pass finds nothing left
 }
 
+TEST(RRRStoreScrub, DamagedBitmapRecordsAreRepairedByteIdentically) {
+  // n = 120: W = 4 words, so every 20-member set of fill_window is a bitmap
+  // record in both representations (an 18-byte record against its 21-byte
+  // delta list).  A flipped bit in a bitmap is repaired from the replayed
+  // window: the block's CRC matches again and the counts are the clean
+  // store's.
+  detail::RRRStore::Policy policy = scrub_policy(ScrubMode::On);
+  policy.num_vertices = 120;
+  detail::RRRStore clean(policy);
+  clean.extend_window(0, 1500, fill_window);
+  std::vector<std::uint32_t> expected(120, 0);
+  clean.count_into(std::span<std::uint32_t>(expected));
+  metrics::HistogramData sizes;
+  clean.record_sizes(sizes);
+  EXPECT_EQ(clean.total_associations(), 1500u * 20);
+
+  detail::RRRStore damaged(policy);
+  damaged.extend_window(0, 1500, fill_window);
+  EXPECT_EQ(damaged.footprint_bytes(), clean.footprint_bytes());
+  // Byte 18 * 700 + 9 lies inside the bitmap of set 700 (records are 18
+  // bytes: a 2-byte header and 16 bitmap bytes), in block 2.
+  ASSERT_TRUE(damaged.flip_stored_bit((18 * 700 + 9) * 8 + 3));
+  EXPECT_EQ(damaged.scrub(), 1u);
+  EXPECT_EQ(damaged.scrub(), 0u); // the repaired bytes verify clean
+  std::vector<std::uint32_t> counted(120, 0);
+  damaged.count_into(std::span<std::uint32_t>(counted));
+  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(damaged.select(120, 6, 1).seeds, clean.select(120, 6, 1).seeds);
+}
+
 TEST(RRRStoreScrub, UnreplayableGeneratorIsDiagnosed) {
   // A generator whose output drifts between calls breaks the bit-identical
   // replay contract; the scrub must say so instead of "repairing" the

@@ -136,6 +136,116 @@ TEST(CompressedRRR, TruncatedVarintIsDiagnosedNotReadPastTheArena) {
   EXPECT_THROW(cursor.skip_members(count), std::runtime_error);
 }
 
+TEST(CompressedRRR, HeaderAboveUint32MaxIsDiagnosedNotTruncated) {
+  // Payload [0x01][FF FF FF FF 0F] (count 1, member 2^32 - 1).  Setting
+  // the header's continuation bit makes it a 6-byte varint far above
+  // UINT32_MAX, which next_header used to truncate silently.
+  CompressedRRRCollection compressed;
+  const RRRSet set = {4294967295u};
+  compressed.append(set);
+  compressed.flip_payload_bit(7);
+  auto cursor = compressed.cursor();
+  try {
+    (void)cursor.next_header();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error &error) {
+    EXPECT_NE(std::string(error.what()).find("truncated or corrupt"),
+              std::string::npos)
+        << error.what();
+  }
+  std::vector<vertex_t> decoded;
+  EXPECT_THROW(compressed.decode_set(0, decoded), std::runtime_error);
+}
+
+TEST(CompressedRRR, BitmapRecordRunningPastThePayloadIsDiagnosed) {
+  // n = 1000: bitmap headers start at 1001 and a bitmap is 128 bytes.  The
+  // list record {8, 9, 10} is [0x03][0x08][0x01][0x01]; setting the
+  // header's continuation bit reads it as 3 + (8 << 7) = 1027, a bitmap
+  // header, with only two payload bytes left for its 128.
+  CompressedRRRCollection compressed(1000);
+  const RRRSet set = {8, 9, 10};
+  compressed.append(set);
+  compressed.flip_payload_bit(7);
+  auto cursor = compressed.cursor();
+  try {
+    (void)cursor.next_header();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error &error) {
+    EXPECT_NE(std::string(error.what()).find("truncated or corrupt"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CompressedRRR, DecodeSetPastTheEndThrowsOutOfRange) {
+  CompressedRRRCollection compressed;
+  std::vector<vertex_t> decoded;
+  EXPECT_THROW(compressed.decode_set(0, decoded), std::out_of_range);
+  // One past the end of a full block, where block_offsets_ has no entry.
+  for (std::size_t j = 0; j < CompressedRRRCollection::kBlockSize; ++j)
+    compressed.append(RRRSet{static_cast<vertex_t>(j)});
+  EXPECT_THROW(compressed.decode_set(CompressedRRRCollection::kBlockSize,
+                                     decoded),
+               std::out_of_range);
+  compressed.decode_set(CompressedRRRCollection::kBlockSize - 1, decoded);
+  EXPECT_EQ(decoded, (RRRSet{255}));
+}
+
+TEST(CompressedRRR, BitmapRecordsRoundTripAndNeverOutgrowTheirPlainRecord) {
+  // n = 300: W = 10 words, a 40-byte bitmap.  Dense sets encode as
+  // bitmaps, sparse ones as delta lists, whatever kind they arrive as.
+  constexpr vertex_t n = 300;
+  std::vector<RRRSet> sets = random_sets(200, 17, n);
+  for (std::size_t j = 0; j < sets.size(); j += 3) {
+    RRRSet dense;
+    for (vertex_t v = static_cast<vertex_t>(j % 7); v < n; v += 2)
+      dense.push_back(v);
+    sets[j] = dense;
+  }
+  RRRCollection plain(n);
+  for (const RRRSet &set : sets) plain.add(RRRSet(set));
+  CompressedRRRCollection from_lists(n);
+  CompressedRRRCollection from_records(n);
+  for (std::size_t j = 0; j < sets.size(); ++j) {
+    from_lists.append(sets[j]);
+    from_records.append(plain.record(j));
+
+    // Compression never enlarges a set: a one-set arena's record is no
+    // larger than the set's plain record (vector header + capacity).
+    CompressedRRRCollection one(n);
+    one.append(plain.record(j));
+    one.shrink_to_fit();
+    const std::size_t record_bytes =
+        one.footprint_bytes() - sizeof(std::uint64_t); // its block offset
+    EXPECT_LE(record_bytes, sizeof(RRRSet) + plain.sets()[j].capacity() *
+                                                 sizeof(vertex_t))
+        << "set " << j;
+  }
+  EXPECT_EQ(from_lists.total_associations(), plain.total_associations());
+  EXPECT_EQ(from_records.total_associations(), plain.total_associations());
+
+  std::vector<vertex_t> decoded;
+  std::vector<vertex_t> scratch;
+  std::size_t bitmaps = 0;
+  auto cursor = from_records.cursor();
+  for (std::size_t j = 0; j < sets.size(); ++j) {
+    from_lists.decode_set(j, decoded);
+    EXPECT_EQ(decoded, sets[j]) << "set " << j;
+    from_records.decode_set(j, decoded);
+    EXPECT_EQ(decoded, sets[j]) << "set " << j;
+    const std::uint32_t count = cursor.next_header();
+    EXPECT_EQ(count, sets[j].size()) << "set " << j;
+    bitmaps += cursor.at_bitmap() ? 1 : 0;
+    const RRRRecord record = cursor.read_record(count, scratch);
+    EXPECT_EQ(record.is_bitmap(), cursor.at_bitmap());
+    RRRSet walked;
+    record.for_each_member([&walked](vertex_t v) { walked.push_back(v); });
+    EXPECT_EQ(walked, sets[j]) << "set " << j;
+  }
+  EXPECT_TRUE(cursor.at_end());
+  EXPECT_EQ(bitmaps, (sets.size() + 2) / 3);
+}
+
 TEST(CompressedRRR, EmptyCollectionHasEmptyCursor) {
   CompressedRRRCollection compressed;
   EXPECT_EQ(compressed.size(), 0u);
@@ -536,13 +646,20 @@ TEST(GovernedDrivers, GenerousBudgetMatchesTheUngovernedRun) {
 TEST(GovernedDrivers, CompressionBudgetMatchesSeedsAtLowerFootprint) {
   // A budget between the plain and compressed footprints: the run must
   // finish complete (every sample admitted, not degraded) with identical
-  // seeds, having crossed to the compressed representation.
+  // seeds, having crossed to the compressed representation.  Most IC sets
+  // here are bitmap records, which compression keeps as they are, so the
+  // two peaks are measured (~61 KB plain, ~44 KB forced compression) and
+  // the budget sits midway, not at a fixed fraction of the plain peak.
   CsrGraph graph = driver_graph();
   ImmOptions options = driver_options();
   const ImmResult plain = imm_sequential(graph, options);
+  ImmOptions forced = options;
+  forced.rrr_compress = CompressMode::Always;
+  const ImmResult compressed = imm_sequential(graph, forced);
+  ASSERT_LT(compressed.rrr_peak_bytes, plain.rrr_peak_bytes);
 
   ImmOptions squeezed = options;
-  squeezed.mem_budget = plain.rrr_peak_bytes / 2;
+  squeezed.mem_budget = (compressed.rrr_peak_bytes + plain.rrr_peak_bytes) / 2;
   const ImmResult governed = imm_sequential(graph, squeezed);
   EXPECT_FALSE(governed.degraded);
   EXPECT_EQ(governed.seeds, plain.seeds);

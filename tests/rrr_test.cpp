@@ -1,6 +1,8 @@
 // Tests for GenerateRR: representation invariants (sorted, unique, contains
 // the root), model-specific structure, and distributional agreement with
-// closed-form reverse-reachability probabilities.
+// closed-form reverse-reachability probabilities; and for the stored record
+// kinds: where a set becomes a bitmap, what it costs, and the fused engine's
+// transposed bitmap emission against the scalar engine's conversion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,8 @@
 #include "graph/weights.hpp"
 #include "imm/rrr.hpp"
 #include "imm/rrr_collection.hpp"
+#include "imm/sampler.hpp"
+#include "imm/sampler_fused.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace ripples {
@@ -232,6 +236,171 @@ TEST(RRRCollectionGrowth, AbsurdGrowthThrowsADiagnosticNotBadAlloc) {
         << error.what();
   }
 }
+
+// --- record kinds ---------------------------------------------------------
+
+TEST(RRRRecordKinds, ASetBecomesABitmapExactlyAtWMembers) {
+  // n = 100: W = ⌈100/32⌉ = 4 words, so 3 members stay a list and 4 are
+  // stored as a bitmap of the same 16 bytes.
+  constexpr vertex_t n = 100;
+  RRRCollection collection(n);
+  ASSERT_EQ(collection.bitmap_words(), 4u);
+  const RRRSet below = {1, 50, 99};
+  const RRRSet at = {0, 31, 32, 99};
+  collection.add(RRRSet(below));
+  collection.add(RRRSet(at));
+  EXPECT_FALSE(collection.is_bitmap(collection.sets()[0]));
+  EXPECT_EQ(collection.sets()[0], below);
+  ASSERT_TRUE(collection.is_bitmap(collection.sets()[1]));
+  // Vertex v is bit v % 32 of word v / 32.
+  EXPECT_EQ(collection.sets()[1],
+            (RRRSet{0x80000001u, 0x00000001u, 0x0u, 0x00000008u}));
+
+  const RRRRecord bitmap = collection.record(1);
+  EXPECT_TRUE(bitmap.is_bitmap());
+  EXPECT_EQ(bitmap.size(), at.size());
+  for (vertex_t v = 0; v < n; ++v)
+    EXPECT_EQ(bitmap.contains(v),
+              std::binary_search(at.begin(), at.end(), v))
+        << "vertex " << v;
+  RRRSet walked;
+  bitmap.for_each_member([&walked](vertex_t v) { walked.push_back(v); });
+  EXPECT_EQ(walked, at);
+  // Counting over [31, 99) sees 31 and 32 only.
+  std::vector<std::uint32_t> counters(n, 0);
+  bitmap.adjust_counters<false>(counters.data(), 31, 99);
+  for (vertex_t v = 0; v < n; ++v)
+    EXPECT_EQ(counters[v], v == 31 || v == 32 ? 1u : 0u) << "vertex " << v;
+
+  // A list-only collection never stores a bitmap.
+  RRRCollection lists;
+  lists.add(RRRSet(at));
+  EXPECT_EQ(lists.bitmap_words(), 0u);
+  EXPECT_EQ(lists.sets()[0], at);
+  EXPECT_FALSE(lists.record(0).is_bitmap());
+}
+
+TEST(RRRRecordKinds, TailBitsPastNStayZero) {
+  // n % 32 = 5: the last word holds vertices 96..100 in its low 5 bits.
+  constexpr vertex_t n = 101;
+  RRRCollection collection(n);
+  RRRSet everything(n);
+  for (vertex_t v = 0; v < n; ++v) everything[v] = v;
+  collection.add(std::move(everything));
+  ASSERT_TRUE(collection.is_bitmap(collection.sets()[0]));
+  EXPECT_EQ(collection.sets()[0],
+            (RRRSet{~0u, ~0u, ~0u, 0x1Fu}));
+  EXPECT_EQ(collection.total_associations(), std::size_t{n});
+
+  // Counting over the top interval of a team touches only [lo, n).
+  std::vector<std::uint32_t> counters(n + 8, 0);
+  collection.record(0).adjust_counters<false>(counters.data(), 37, n);
+  for (vertex_t v = 0; v < n + 8; ++v)
+    EXPECT_EQ(counters[v], v >= 37 && v < n ? 1u : 0u) << "vertex " << v;
+}
+
+TEST(RRRRecordKinds, FootprintIsHeadersPlusListCapacityPlusWWordsPerBitmap) {
+  constexpr vertex_t n = 100; // W = 4
+  RRRCollection collection(n);
+  collection.add(RRRSet{5, 6}); // capacity 2
+  RRRSet roomy;
+  roomy.reserve(10);
+  roomy.assign({7, 8, 9}); // added as is: capacity 10 stays
+  collection.add(std::move(roomy));
+  RRRSet dense;
+  for (vertex_t v = 0; v < n; v += 2) dense.push_back(v); // 50 members
+  collection.add(std::move(dense)); // a 4-word bitmap
+  collection.add(RRRSet{1, 2, 3, 4}); // W members: a bitmap too
+
+  std::size_t list_words = 0;
+  std::size_t bitmaps = 0;
+  for (const RRRSet &set : collection.sets()) {
+    if (collection.is_bitmap(set))
+      ++bitmaps;
+    else
+      list_words += set.capacity();
+  }
+  ASSERT_EQ(bitmaps, 2u);
+  ASSERT_EQ(list_words, 2u + 10u);
+  EXPECT_EQ(collection.footprint_bytes(),
+            collection.sets().capacity() * sizeof(RRRSet) +
+                (2 + 10) * sizeof(vertex_t) + 2 * 4 * sizeof(std::uint32_t));
+  EXPECT_EQ(collection.total_associations(), 2u + 3u + 50u + 4u);
+}
+
+/// \p list as \p collection stores it.
+RRRSet sealed(const RRRCollection &collection, RRRSet list) {
+  collection.seal(list);
+  return list;
+}
+
+/// Fused emission against the scalar engine's list -> bitmap conversion:
+/// (model, n, sets).  Each n leaves n % 64 != 0, and 101 sets end on a
+/// 37-lane batch.
+class FusedBitmapEmission
+    : public ::testing::TestWithParam<
+          std::tuple<DiffusionModel, vertex_t, std::uint64_t>> {};
+
+TEST_P(FusedBitmapEmission, EqualsTheScalarEngineConversion) {
+  const auto [model, n, count] = GetParam();
+  CsrGraph graph(barabasi_albert(n, 3, 41));
+  assign_uniform_weights(graph, 42);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
+  constexpr std::uint64_t kSeed = 2019;
+
+  RRRCollection lists;
+  detail::sample_counter_range(graph, model, kSeed, 0, count, 1, lists);
+  RRRCollection scalar(n);
+  detail::sample_counter_range(graph, model, kSeed, 0, count, 2, scalar);
+  RRRCollection fused(n);
+  const FusedEdgeTable table(graph, model);
+  detail::sample_counter_range_fused(table, kSeed, 0, count, 2, fused);
+
+  ASSERT_EQ(fused.size(), count);
+  EXPECT_EQ(fused.sets(), scalar.sets());
+  const std::size_t words = scalar.bitmap_words();
+  std::size_t bitmaps = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    const RRRSet &record = fused.sets()[j];
+    EXPECT_EQ(record, sealed(scalar, lists.sets()[j])) << "set " << j;
+    if (!fused.is_bitmap(record)) continue;
+    ++bitmaps;
+    EXPECT_EQ(record.capacity(), words) << "set " << j;
+    if (n % 32 != 0) {
+      EXPECT_EQ(record.back() >> (n % 32), 0u) << "tail bits of set " << j;
+    }
+  }
+  // Both kinds occur, so batches mix bitmap and list lanes.
+  EXPECT_GT(bitmaps, 0u);
+  EXPECT_LT(bitmaps, count);
+
+  // One partial batch straight through the sampler.
+  FusedSampler sampler(table);
+  std::vector<std::uint64_t> indices;
+  for (std::uint64_t i = 0; i < 37; ++i) indices.push_back(3 * i + 1);
+  std::vector<RRRSet> outs(indices.size());
+  sampler.generate(model, kSeed, indices, outs.data(), words);
+  RRRGenerator generator(graph);
+  for (std::size_t l = 0; l < indices.size(); ++l) {
+    Philox4x32 rng = sample_stream(kSeed, indices[l]);
+    RRRSet list;
+    generator.generate_random_root(model, rng, list);
+    EXPECT_EQ(outs[l], sealed(scalar, list)) << "lane " << l;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndSizes, FusedBitmapEmission,
+    ::testing::Values(
+        std::make_tuple(DiffusionModel::IndependentCascade, vertex_t{70},
+                        std::uint64_t{101}),
+        std::make_tuple(DiffusionModel::IndependentCascade, vertex_t{1000},
+                        std::uint64_t{101}),
+        std::make_tuple(DiffusionModel::LinearThreshold, vertex_t{70},
+                        std::uint64_t{101}),
+        std::make_tuple(DiffusionModel::LinearThreshold, vertex_t{200},
+                        std::uint64_t{101})));
 
 } // namespace
 } // namespace ripples

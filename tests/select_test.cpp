@@ -2,7 +2,8 @@
 // force, equivalence of every implementation with a brute-force greedy
 // (Algorithm 4 at several thread counts, which plain select_seeds runs on a
 // team of one; the sequential greedy over compressed storage; CELF; the
-// hypergraph baseline), and the counter/retirement building blocks.
+// hypergraph baseline), the same over collections that mix list and bitmap
+// records, and the counter/retirement building blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,6 +402,90 @@ TEST(SelectDeterminism, AllVariantsAgreeOnAnEmptyCollection) {
       select_seeds(6, 3, CompressedRRRCollection{});
   EXPECT_EQ(compressed.seeds, (std::vector<vertex_t>{0, 1, 2}));
   EXPECT_EQ(compressed.total_samples, 0u);
+}
+
+// --- mixed list / bitmap records ------------------------------------------------
+
+/// n = 1000: W = 32 words, and n % 32 = 8, so the last word is partial.
+/// Interleaves 1-31-member lists with 32-400-member sets, which a hybrid
+/// collection stores as bitmaps.
+std::vector<RRRSet> mixed_samples(vertex_t n, std::uint64_t seed) {
+  const std::vector<RRRSet> small = sized_samples(0, n, 240, 1, 31, seed);
+  const std::vector<RRRSet> large =
+      sized_samples(0, n, 120, 32, 400, seed + 1);
+  std::vector<RRRSet> samples;
+  for (std::size_t j = 0; j < small.size(); ++j) {
+    samples.push_back(small[j]);
+    if (j % 2 == 1) samples.push_back(large[j / 2]);
+  }
+  // Sets reaching the top id exercise the partial last word.
+  samples.push_back({n - 40, n - 1});
+  RRRSet top;
+  for (vertex_t v = n - 64; v < n; ++v) top.push_back(v);
+  samples.push_back(top);
+  return samples;
+}
+
+TEST(SelectMixedRecords, EveryKernelAgreesWithTheBruteForceGreedy) {
+  constexpr vertex_t n = 1000;
+  constexpr std::uint32_t k = 14;
+  for (std::uint64_t seed : {11u, 12u}) {
+    const std::vector<RRRSet> samples = mixed_samples(n, seed);
+    RRRCollection hybrid(n);
+    for (const RRRSet &sample : samples) hybrid.add(RRRSet(sample));
+    std::size_t bitmaps = 0;
+    for (const RRRSet &record : hybrid.sets())
+      bitmaps += hybrid.is_bitmap(record) ? 1 : 0;
+    ASSERT_GT(bitmaps, 100u);
+    ASSERT_LT(bitmaps, samples.size() / 2);
+
+    const SelectionResult reference = greedy_oracle(n, k, samples);
+    auto expect_same = [&](const SelectionResult &other,
+                           const std::string &variant) {
+      EXPECT_EQ(reference.seeds, other.seeds) << variant;
+      EXPECT_EQ(reference.covered_samples, other.covered_samples) << variant;
+      EXPECT_EQ(reference.total_samples, other.total_samples) << variant;
+    };
+
+    // Alg. 4: teams of 3 and 7 put the interval bounds [vl, vh) inside
+    // bitmap words (333, 666; 142, 285, ...).
+    for (unsigned threads : {1u, 2u, 3u, 4u, 7u})
+      expect_same(select_seeds_multithreaded(n, k, hybrid, threads),
+                  "alg4 threads=" + std::to_string(threads));
+
+    // The set walker: count once, then pick and retire, as the distributed
+    // driver does.
+    std::vector<std::uint32_t> counters(n, 0);
+    std::vector<std::uint32_t> list_counters(n, 0);
+    count_memberships(hybrid, counters);
+    count_memberships(samples, list_counters);
+    EXPECT_EQ(counters, list_counters);
+    SelectionResult walked;
+    walked.total_samples = hybrid.size();
+    std::vector<std::uint8_t> retired(hybrid.size(), 0);
+    std::vector<std::uint8_t> selected(n, 0);
+    for (std::uint32_t round = 0; round < k; ++round) {
+      const vertex_t seed_vertex = argmax_counter(counters, selected);
+      selected[seed_vertex] = 1;
+      walked.seeds.push_back(seed_vertex);
+      walked.covered_samples +=
+          retire_samples_containing(seed_vertex, hybrid, counters, retired);
+    }
+    expect_same(walked, "walker");
+
+    // Compressed selection over an arena holding both kinds.
+    CompressedRRRCollection compressed(n);
+    for (std::size_t j = 0; j < hybrid.size(); ++j)
+      compressed.append(hybrid.record(j));
+    std::size_t compressed_bitmaps = 0;
+    auto cursor = compressed.cursor();
+    while (!cursor.at_end()) {
+      cursor.skip_members(cursor.next_header());
+      compressed_bitmaps += cursor.at_bitmap() ? 1 : 0;
+    }
+    EXPECT_GT(compressed_bitmaps, 0u);
+    expect_same(select_seeds(n, k, compressed), "compressed");
+  }
 }
 
 TEST(SelectSeedsMultithreaded, NestedCallWithASmallerTeamPicksDistinctSeeds) {
