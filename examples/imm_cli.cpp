@@ -56,9 +56,9 @@
 ///                                          RIPPLES_SELECTION_EXCHANGE)
 ///           [--selection-topm N]          (candidates per rank per sparse
 ///                                          round; default 16)
-///           [--steal on|off|intra|inter]  (work-stealing sampler scope;
-///                                          byte-identical seeds in every
-///                                          mode — placement only; counter
+///           [--steal on|off]              (inter-rank work stealing;
+///                                          byte-identical seeds either
+///                                          way — placement only; counter
 ///                                          rng, dist driver; also
 ///                                          RIPPLES_STEAL)
 ///           [--steal-chunk N]             (draws per stealable chunk;
@@ -223,13 +223,8 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       options.steal = StealMode::On;
     } else if (*steal == "off") {
       options.steal = StealMode::Off;
-    } else if (*steal == "intra") {
-      options.steal = StealMode::Intra;
-    } else if (*steal == "inter") {
-      options.steal = StealMode::Inter;
     } else {
-      std::fprintf(stderr, "unknown --steal '%s' (on|off|intra|inter)\n",
-                   steal->c_str());
+      std::fprintf(stderr, "unknown --steal '%s' (on|off)\n", steal->c_str());
       std::exit(2);
     }
   }

@@ -36,13 +36,16 @@
 # both scripts — is exercised end to end against a real multi-rank run.
 #
 # The memory-budget leg (DESIGN.md §12) runs `ctest -L memory`, then drives
-# imm_cli through the degradation ladder end to end: a forced-compression
-# fig6-style run must report >= 3x lower RRR peak with seeds byte-identical
-# to the unlimited reference; a tight budget must switch to compression
-# (mem.budget.compress_switches >= 1) and still finish complete with the
-# reference seeds; and a below-floor budget soak — the whole ladder under an
-# RLIMIT_AS cap — must end in a degraded-but-valid report (shared-memory)
-# or a diagnosed MemoryBudgetExceeded (dist), never a raw bad_alloc.
+# imm_cli through the degradation ladder end to end on LT, whose RRR sets
+# are short list records: a forced-compression fig6-style run must report
+# >= 3x lower RRR peak with seeds byte-identical to the unlimited reference;
+# a tight budget must switch to compression (mem.budget.compress_switches
+# >= 1) and still finish complete with the reference seeds.  On IC most
+# sets are n-bit bitmap records already, which compression stores as-is, so
+# there forced compression must only never raise the peak.  A below-floor
+# budget soak — the whole ladder under an RLIMIT_AS cap — must end in a
+# degraded-but-valid report (shared-memory) or a diagnosed
+# MemoryBudgetExceeded (dist), never a raw bad_alloc.
 #
 # The stealing leg (DESIGN.md §13) runs `ctest -L stealing`, then drives the
 # fig7 pathology end to end: a 4-rank fused+sparse run with --steal-skew
@@ -244,8 +247,9 @@ if [[ "$run_membudget" == 1 ]]; then
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   mem_work=$(mktemp -d)
   mem_cli=./build/examples/imm_cli
-  mem_args=(--driver mt --threads 3 --dataset cit-HepTh --scale 0.1
+  mem_base=(--driver mt --threads 3 --dataset cit-HepTh --scale 0.1
             --epsilon 0.5 -k 16 --seed 2019)
+  mem_args=("${mem_base[@]}" --model lt)
   # Plain-representation reference: records the peak to beat and the seed
   # set every governed run below must reproduce byte-identically.  A
   # generous (never-binding) budget keeps the tracker charged so the
@@ -275,7 +279,26 @@ assert not comp.get("degraded"), "forced compression must not degrade"
 print(plain // 2)
 EOF
   ) || { rm -rf "$mem_work"; echo "membudget: compression-ratio check failed" >&2; exit 1; }
-  echo "  forced compression: >= 3x peak reduction, seeds identical"
+  echo "  forced compression (lt): >= 3x peak reduction, seeds identical"
+  # IC: the plain store already holds most sets as bitmaps, which the
+  # compressed store keeps as-is when the varint record is longer.
+  "$mem_cli" "${mem_base[@]}" --model ic --rrr-compress off \
+    --json-report "$mem_work/reference-ic.json" > /dev/null \
+    || { rm -rf "$mem_work"; echo "membudget: ic reference run failed" >&2; exit 1; }
+  "$mem_cli" "${mem_base[@]}" --model ic --rrr-compress always \
+    --json-report "$mem_work/compressed-ic.json" > /dev/null \
+    || { rm -rf "$mem_work"; echo "membudget: ic forced-compression run failed" >&2; exit 1; }
+  python3 - "$mem_work/reference-ic.json" "$mem_work/compressed-ic.json" <<'EOF' \
+    || { rm -rf "$mem_work"; echo "membudget: ic forced-compression check failed" >&2; exit 1; }
+import json, sys
+ref = json.load(open(sys.argv[1]))["reports"][0]
+comp = json.load(open(sys.argv[2]))["reports"][0]
+plain = ref["storage"]["rrr_peak_bytes"]
+squeezed = comp["storage"]["rrr_peak_bytes"]
+assert squeezed <= plain, f"compression raised the peak {plain} -> {squeezed}"
+assert comp["seeds"] == ref["seeds"], "compressed seeds diverged"
+EOF
+  echo "  forced compression (ic): peak never above plain, seeds identical"
   # Rung 2, under pressure: a budget of half the plain peak must trip the
   # governor into compression mid-run and still finish complete — same
   # seeds, not degraded.
@@ -305,8 +328,10 @@ EOF
   # The shared-memory driver must end in a degraded-but-certified report
   # (exit 0, "degraded" on stdout) and the distributed driver in a diagnosed
   # MemoryBudgetExceeded (nonzero exit); neither may ever surface a raw
-  # bad_alloc or reach terminate().
-  for floor_budget in 65536 262144 1048576; do
+  # bad_alloc or reach terminate().  The IC input's whole plain store is
+  # ~420 KB of mostly bitmap records, so every budget here sits below even
+  # its forced-compression peak (~370 KB).
+  for floor_budget in 16384 65536 262144; do
     if ! bash -c "ulimit -v 4194304; exec '$mem_cli' --driver mt --threads 3 \
           --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16 --seed 2019 \
           --mem-budget $floor_budget" \
@@ -627,9 +652,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # The memory governor's tracker and oom-fault registry are shared across
   # rank threads; the budget suite races try_reserve against the ladder.
   ./build-tsan/tests/memory_budget_test
-  # The steal channel's publish/pop/acquire and the intra-rank chunk queues
-  # are lock-based cross-thread handoff; the perturbation sweep drives
-  # every schedule through them under the race detector.
+  # The steal channel's publish/pop/acquire is lock-based cross-rank
+  # handoff; the perturbation sweep drives every schedule through it under
+  # the race detector, and the threaded-rank cells add the samplers'
+  # OpenMP teams inside each rank thread.
   ./build-tsan/tests/stealing_test
   # The verified-exchange protocol hashes every member's posted payload from
   # every rank between two barriers; the corruption/retry/escalation suite

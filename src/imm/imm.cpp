@@ -51,10 +51,8 @@ SamplerEngine sampler_engine_from_env() {
 StealMode steal_mode_from_env() {
   const char *value = std::getenv("RIPPLES_STEAL");
   if (unset_or_is(value, "off")) return StealMode::Off;
-  if (std::strcmp(value, "intra") == 0) return StealMode::Intra;
-  if (std::strcmp(value, "inter") == 0) return StealMode::Inter;
   if (std::strcmp(value, "on") == 0) return StealMode::On;
-  reject_env("RIPPLES_STEAL", "off|intra|inter|on", value);
+  reject_env("RIPPLES_STEAL", "off|on", value);
 }
 
 std::uint64_t steal_chunk_from_env() {
@@ -79,8 +77,6 @@ bool steal_skew_from_env() {
 const char *to_string(StealMode mode) {
   switch (mode) {
   case StealMode::Off: return "off";
-  case StealMode::Intra: return "intra";
-  case StealMode::Inter: return "inter";
   case StealMode::On: return "on";
   }
   return "?";

@@ -76,29 +76,25 @@ enum class SamplerEngine {
 /// diagnostic (exit 2).
 [[nodiscard]] SamplerEngine sampler_engine_from_env();
 
-/// Work-stealing scope of the sampling phase (DESIGN.md §13).  Because the
-/// counter-mode RNG derives each draw from its global stream index, moving a
-/// chunk between executors cannot change the emitted bytes — stealing is a
-/// pure placement knob, byte-identical on vs. off.  Requires
-/// RngMode::CounterSequence; the leapfrog mode silently keeps its pinned
-/// placement (tests assert the no-op).  Inter-rank stealing additionally
-/// requires an ungoverned store (budget admission windows are rank-local, so
-/// a migrated chunk would be charged to the wrong rank); under a budget it
-/// is a silent no-op too.
+/// Inter-rank work stealing in the sampling phase (DESIGN.md §13).  Because
+/// the counter-mode RNG derives each draw from its global stream index,
+/// moving a chunk between ranks cannot change the emitted bytes — stealing
+/// is a pure placement knob, byte-identical on vs. off.  A rank's threads
+/// need no stealing of their own: the samplers' dynamic OpenMP schedule
+/// already balances them.  Requires RngMode::CounterSequence and an
+/// ungoverned store (budget admission windows are rank-local, so a migrated
+/// chunk would be charged to the wrong rank); otherwise it is a silent
+/// no-op (tests assert it).
 enum class StealMode {
   /// No stealing: every draw runs where the static partition homed it.
   Off,
-  /// Threads within a rank steal chunks from each other's queues.
-  Intra,
   /// Ranks donate their chunk list to the mpsim steal channel and any rank
   /// may execute any chunk.
-  Inter,
-  /// Both levels (the `--steal on` setting).
   On,
 };
 
-/// Reads RIPPLES_STEAL: `off` (default, also when unset or empty), `intra`,
-/// `inter` or `on`.  Any other value terminates with a diagnostic (exit 2).
+/// Reads RIPPLES_STEAL: `off` (default, also when unset or empty) or `on`.
+/// Any other value terminates with a diagnostic (exit 2).
 [[nodiscard]] StealMode steal_mode_from_env();
 
 [[nodiscard]] const char *to_string(StealMode mode);
@@ -182,20 +178,19 @@ struct ImmOptions {
   CompressMode rrr_compress = compress_mode_from_env();
 
   // Work-stealing sampler (DESIGN.md §13).
-  /// Steal scope (`--steal`); defaults from RIPPLES_STEAL.  A placement
-  /// knob only — seeds/theta/|R|/coverage are byte-identical in every mode
-  /// and under every steal schedule (stealing_test sweeps them).  Counter
-  /// rng mode only; imm_distributed is the consumer (Intra/On chunk the
-  /// in-rank sampling loop, Inter/On additionally donate chunks to the
-  /// mpsim steal channel); the other drivers ignore the knob.
+  /// Inter-rank stealing (`--steal`); defaults from RIPPLES_STEAL.  A
+  /// placement knob only — seeds/theta/|R|/coverage are byte-identical in
+  /// both modes and under every steal schedule (stealing_test sweeps them).
+  /// Counter rng mode only; imm_distributed is the consumer (On donates
+  /// chunks to the mpsim steal channel); the other drivers ignore the knob.
   StealMode steal = steal_mode_from_env();
   /// Draws per stealable chunk (`--steal-chunk`); defaults from
   /// RIPPLES_STEAL_CHUNK, 0 is clamped to 1.
   std::uint64_t steal_chunk = steal_chunk_from_env();
   /// Test/benchmark knob (`--steal-skew`): home every stream's generation
   /// on the first live rank, manufacturing the fig7 pathological partition.
-  /// With stealing off this is the worst-case baseline; with inter stealing
-  /// on, thieves spread the same draws — byte-identical seeds either way.
+  /// With stealing off this is the worst-case baseline; with stealing on,
+  /// thieves spread the same draws — byte-identical seeds either way.
   /// Counter mode, imm_distributed, ungoverned store only.
   bool steal_skew = steal_skew_from_env();
 

@@ -94,19 +94,9 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        const FusedEdgeTable *shared_table,
                                        std::span<const std::uint64_t> indices,
                                        RRRCollection &collection) {
-  // Intra-rank stealing (DESIGN.md §13): route multi-threaded generation
-  // through the chunked per-thread queues.  Byte-identical to the unchunked
-  // kernels — every position writes its pre-grown slot — so the dispatch is
-  // placement-only, exactly like the fused/scalar engine choice.
-  const bool intra =
-      (options.steal == StealMode::Intra || options.steal == StealMode::On) &&
-      options.num_threads > 1;
-  // A null table selects the scalar engine.
+  // A null table selects the scalar engine.  A rank's threads share the
+  // indices through the kernels' own dynamic OpenMP schedule (DESIGN.md §13).
   auto generate = [&](const FusedEdgeTable *table) -> std::uint64_t {
-    if (intra)
-      return detail::sample_counter_chunked(
-          graph, options.model, options.seed, indices, options.num_threads,
-          options.steal_chunk, table, collection);
     if (table != nullptr)
       return sample_counter_indices_fused(*table, options.seed, indices,
                                           options.num_threads, collection);
@@ -236,20 +226,19 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // index-addressable counter streams — under LeapfrogLcg the one global
     // LCG is walked draw by draw per stream, so stealing and skew are
     // silent no-ops there (stealing_test pins this, the fused-engine
-    // precedent).  Inter stealing and skew additionally require an
+    // precedent).  Stealing and skew additionally require an
     // ungoverned store: budget admission windows are rank-local, so a
     // migrated chunk would be charged to the wrong rank's ladder.
     const bool counter_mode = options.rng_mode == RngMode::CounterSequence;
-    const bool steal_inter =
-        counter_mode && !budget.governed() && p > 1 &&
-        (options.steal == StealMode::Inter || options.steal == StealMode::On);
+    const bool stealing = counter_mode && !budget.governed() && p > 1 &&
+                          options.steal == StealMode::On;
     const bool skew =
         options.steal_skew && counter_mode && !budget.governed();
-    // With inter stealing or a skewed partition the stream -> rank map no
+    // With stealing or a skewed partition the stream -> rank map no
     // longer says where samples live, so each rank records the global draw
     // ranges it actually executed; healing then gathers the survivors'
     // inventories and regenerates exactly the ranges nobody holds.
-    const bool flexible_placement = steal_inter || skew;
+    const bool flexible_placement = stealing || skew;
     detail::StreamInventory inventory;
 
     // Generator of the listed streams' draws in the global window
@@ -331,7 +320,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           stolen_sets_counter().add(indices.size());
         }
       };
-      if (!steal_inter) {
+      if (!stealing) {
         for (const detail::ChunkRange &c : mine) execute_chunk(c, false);
         return;
       }

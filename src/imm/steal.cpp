@@ -2,30 +2,15 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
-#include <omp.h>
-
-#include "imm/rrr.hpp"
 #include "imm/sampler.hpp"
 #include "support/assert.hpp"
-#include "support/metrics.hpp"
-#include "support/steal_schedule.hpp"
 
 namespace ripples::detail {
 
 namespace {
 
 constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-
-/// Same registry accounting as the unchunked samplers, so the
-/// sampler.samples_generated counter is engine-agnostic.
-void count_generated(std::uint64_t batch) {
-  if (!metrics::enabled()) return;
-  static metrics::Counter &generated =
-      metrics::Registry::instance().counter("sampler.samples_generated");
-  generated.add(batch);
-}
 
 } // namespace
 
@@ -60,36 +45,6 @@ std::uint64_t chunk_draw_count(const ChunkRange &chunk,
       leapfrog_first_index(chunk.begin, chunk.stream, num_streams);
   if (first >= chunk.end) return 0;
   return (chunk.end - 1 - first) / num_streams + 1;
-}
-
-void ChunkQueue::push(const ChunkRange &chunk) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  items_.push_back(chunk);
-}
-
-bool ChunkQueue::pop(ChunkRange &out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (items_.empty()) return false;
-  out = items_.front();
-  items_.pop_front();
-  return true;
-}
-
-std::size_t ChunkQueue::steal_half(std::vector<ChunkRange> &out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (items_.empty()) return 0;
-  const std::size_t take = (items_.size() + 1) / 2; // ceil(n/2)
-  const std::size_t keep = items_.size() - take;
-  out.insert(out.end(), items_.begin() + static_cast<std::ptrdiff_t>(keep),
-             items_.end());
-  items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(keep),
-               items_.end());
-  return take;
-}
-
-std::size_t ChunkQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return items_.size();
 }
 
 void StreamInventory::add(std::uint64_t stream, std::uint64_t begin,
@@ -165,109 +120,6 @@ std::vector<ChunkRange> missing_ranges(std::span<const std::uint64_t> gathered,
     emit_gap(cursor, target);
   }
   return missing;
-}
-
-std::uint64_t sample_counter_chunked(const CsrGraph &graph,
-                                     DiffusionModel model, std::uint64_t seed,
-                                     std::span<const std::uint64_t> indices,
-                                     unsigned num_threads, std::uint64_t chunk,
-                                     const FusedEdgeTable *fused_table,
-                                     RRRCollection &collection) {
-  RIPPLES_ASSERT(num_threads >= 1);
-  RIPPLES_ASSERT(fused_table == nullptr ||
-                 (&fused_table->graph() == &graph &&
-                  fused_table->model() == model));
-  if (indices.empty()) return 0;
-  if (chunk == 0) chunk = 1;
-  const std::uint64_t first_slot = collection.grow(indices.size());
-  auto &sets = collection.mutable_sets();
-
-  // Position chunks over the indices array, dealt round-robin across the
-  // per-thread queues.  ChunkRange bounds are *positions* here (the global
-  // stream index lives in indices[pos]); the stream field records the queue
-  // the chunk was dealt to, which is bookkeeping only — execution reads the
-  // RNG coordinates from indices[], so any thread emits the same bytes.
-  const std::size_t nq = num_threads;
-  std::vector<ChunkQueue> queues(nq);
-  std::size_t dealt_to = 0;
-  for (std::uint64_t lo = 0; lo < indices.size(); ) {
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(lo + chunk, indices.size());
-    queues[dealt_to].push({static_cast<std::uint64_t>(dealt_to), lo, hi});
-    dealt_to = (dealt_to + 1) % nq;
-    lo = hi;
-  }
-
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
-    // Only the engine this call uses: the scalar generator's n-bit visited
-    // vector, or a sampler's O(n) scratch over the caller's shared table.
-    std::optional<RRRGenerator> generator;
-    std::optional<FusedSampler> sampler;
-    if (fused_table != nullptr)
-      sampler.emplace(*fused_table);
-    else
-      generator.emplace(graph);
-
-    auto execute = [&](const ChunkRange &c) {
-      if (sampler) {
-        for (std::uint64_t lo = c.begin; lo < c.end;) {
-          const std::uint64_t lanes =
-              std::min<std::uint64_t>(FusedSampler::kLanes, c.end - lo);
-          sampler->generate(model, seed,
-                            indices.subspan(static_cast<std::size_t>(lo),
-                                            static_cast<std::size_t>(lanes)),
-                            &sets[first_slot + lo],
-                            collection.bitmap_words());
-          lo += lanes;
-        }
-      } else {
-        for (std::uint64_t j = c.begin; j < c.end; ++j) {
-          Philox4x32 rng =
-              sample_stream(seed, indices[static_cast<std::size_t>(j)]);
-          RRRSet &slot = sets[first_slot + j];
-          generator->generate_random_root(model, rng, slot);
-          collection.seal(slot);
-        }
-      }
-    };
-
-    std::uint64_t step = 0;
-    std::vector<ChunkRange> grabbed;
-    for (;;) {
-      const steal_schedule::Decision d =
-          steal_schedule::decide(static_cast<int>(tid), step++);
-      ChunkRange item;
-      bool have = false;
-      bool tried_steal = false;
-      auto try_steal = [&]() -> bool {
-        tried_steal = true;
-        for (std::size_t off = 0; off < nq; ++off) {
-          const std::size_t victim =
-              (tid + 1 + static_cast<std::size_t>(d.victim_offset % nq) +
-               off) %
-              nq;
-          if (victim == tid) continue;
-          grabbed.clear();
-          if (queues[victim].steal_half(grabbed) > 0) {
-            item = grabbed.front();
-            for (std::size_t g = 1; g < grabbed.size(); ++g)
-              queues[tid].push(grabbed[g]);
-            return true;
-          }
-        }
-        return false;
-      };
-      if (d.allow_steal && d.steal_first && nq > 1) have = try_steal();
-      if (!have) have = queues[tid].pop(item);
-      if (!have && d.allow_steal && !tried_steal && nq > 1) have = try_steal();
-      if (!have) break;
-      execute(item);
-    }
-  }
-  count_generated(indices.size());
-  return indices.size();
 }
 
 } // namespace ripples::detail

@@ -303,9 +303,9 @@ struct RunReport {
   /// compression policy ("auto"/"always"/"off") the run executed under.
   std::uint64_t mem_budget = 0;
   std::string rrr_compress;
-  /// Work-stealing placement knobs (v7): the steal scope
-  /// ("off"/"intra"/"inter"/"on"), the chunk size in draws, and whether the
-  /// skewed-partition benchmark knob was on (DESIGN.md §13).
+  /// Work-stealing placement knobs (v7): inter-rank stealing ("off"/"on"),
+  /// the chunk size in draws, and whether the skewed-partition benchmark
+  /// knob was on (DESIGN.md §13).
   std::string steal;
   std::uint64_t steal_chunk = 0;
   bool steal_skew = false;

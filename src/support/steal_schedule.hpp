@@ -24,8 +24,8 @@ enum class Mode : int {
   /// No perturbation: executors drain their own queue first and steal only
   /// when it is empty (the production policy).
   Default = 0,
-  /// Executors never steal — every chunk runs on the rank/thread whose
-  /// queue it was published to (the maximal-imbalance extreme).
+  /// Executors never steal — every chunk runs on the rank whose queue it
+  /// was published to (the maximal-imbalance extreme).
   StealNothing,
   /// Executors attempt a steal before every own-queue pop — the
   /// maximal-migration extreme.

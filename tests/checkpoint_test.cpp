@@ -459,35 +459,38 @@ TEST_F(CheckpointKill, SnapshotsSurviveAnAbruptDeathAndResumeToIdenticalSeeds) {
 }
 
 TEST_F(CheckpointKill, StealMidRoundKillResumesToIdenticalSeeds) {
-  // DESIGN.md §13 composition: kill a run while the forced-steal schedule
-  // has chunks migrating between sampler threads mid-round, then resume.
-  // Intra-rank stealing keeps the fault-site numbering identical to the
-  // legacy schedule (inter acquires would consume timing-dependent sites),
-  // so site 9 deterministically lands past the first round boundary.  The
-  // checkpoint fingerprint deliberately excludes the steal knobs (they are
-  // placement-only), so the snapshot must carry BOTH a stealing-on resume
-  // and a stealing-off resume to the clean no-steal outcome.
+  // DESIGN.md §13 composition: kill a run whose ranks sample on 3-thread
+  // teams, then resume it under inter-rank stealing.  The killed run keeps
+  // stealing off, so its fault sites are the deterministic untimed ones
+  // (steal acquires would consume timing-dependent sites) and site 9 lands
+  // past the first round boundary.  The checkpoint fingerprint deliberately
+  // excludes the steal knobs (they are placement-only), so the snapshot
+  // must carry BOTH a forced-steal resume and a 1-thread stealing-off
+  // resume to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 3, RngMode::CounterSequence,
                   SelectionExchange::Dense, SamplerEngine::Fused};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
-  steal_schedule::ScopedPlan forced(
-      {steal_schedule::Mode::StealEverything, 0});
-  options.steal = StealMode::Intra;
+  options.steal = StealMode::Off;
   options.num_threads = 3;
   options.checkpoint.dir = dir();
   options.fault_plan = "rank=1,site=9"; // crash, no recovery: run dies
   EXPECT_THROW((void)imm_distributed(graph, options), mpsim::InjectedFault);
   ASSERT_FALSE(CheckpointManager(dir(), 1, 3).snapshot_files().empty())
-      << "the killed stealing run left no snapshot to resume from";
+      << "the killed threaded run left no snapshot to resume from";
 
   options.fault_plan.clear();
   options.checkpoint.resume = true;
-  const ImmResult resumed_on = imm_distributed(graph, options);
-  expect_identical_outcome(resumed_on, clean, "resume with stealing on");
-  EXPECT_GE(resumed_on.resumed_from, 1);
+  {
+    steal_schedule::ScopedPlan forced(
+        {steal_schedule::Mode::StealEverything, 0});
+    options.steal = StealMode::On;
+    const ImmResult resumed_on = imm_distributed(graph, options);
+    expect_identical_outcome(resumed_on, clean, "resume with stealing on");
+    EXPECT_GE(resumed_on.resumed_from, 1);
+  }
 
   options.steal = StealMode::Off;
   options.num_threads = 1;

@@ -5,11 +5,9 @@
 // seeds/theta/|R|/coverage.  The property harness here sweeps seeded
 // schedule perturbations (plus the steal-everything and steal-nothing
 // extremes) against a no-steal baseline; the unit tests below pin the chunk
-// machinery (queue split semantics, partition exactness, overflow guard,
-// inventory gap computation), the intra-rank chunked sampler's identity
-// with the unchunked one, and the steal channel's protocol, and the
-// ledger regression pins executing-rank attribution under a forced-steal
-// schedule.
+// machinery (partition exactness, overflow guard, inventory gap
+// computation) and the steal channel's protocol, and the ledger regression
+// pins executing-rank attribution under a forced-steal schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +16,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,72 +34,6 @@ namespace {
 constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
 
 // --- chunk machinery unit tests ---------------------------------------------
-
-TEST(ChunkQueue, EmptyStealAndPopReturnNothing) {
-  detail::ChunkQueue queue;
-  detail::ChunkRange item;
-  std::vector<detail::ChunkRange> grabbed;
-  EXPECT_FALSE(queue.pop(item));
-  EXPECT_EQ(queue.steal_half(grabbed), 0u);
-  EXPECT_TRUE(grabbed.empty());
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(ChunkQueue, HalfSplitTakesCeilOfHalfFromTheBack) {
-  detail::ChunkQueue queue;
-  for (std::uint64_t i = 0; i < 5; ++i) queue.push({0, i, i + 1});
-  std::vector<detail::ChunkRange> grabbed;
-  // ceil(5/2) = 3, and the split comes off the back (items 2, 3, 4).
-  EXPECT_EQ(queue.steal_half(grabbed), 3u);
-  ASSERT_EQ(grabbed.size(), 3u);
-  EXPECT_EQ(grabbed[0].begin, 2u);
-  EXPECT_EQ(grabbed[1].begin, 3u);
-  EXPECT_EQ(grabbed[2].begin, 4u);
-  EXPECT_EQ(queue.size(), 2u);
-  // ceil(2/2) = 1, ceil(1/2) = 1: a single remaining item is stealable.
-  grabbed.clear();
-  EXPECT_EQ(queue.steal_half(grabbed), 1u);
-  grabbed.clear();
-  EXPECT_EQ(queue.steal_half(grabbed), 1u);
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(ChunkQueue, ConcurrentStealAndPopDeliverEveryChunkExactlyOnce) {
-  detail::ChunkQueue queue;
-  constexpr std::uint64_t kChunks = 2000;
-  for (std::uint64_t i = 0; i < kChunks; ++i) queue.push({0, i, i + 1});
-
-  constexpr int kThreads = 4;
-  std::array<std::vector<std::uint64_t>, kThreads> collected;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&queue, &collected, t] {
-      detail::ChunkRange item;
-      std::vector<detail::ChunkRange> grabbed;
-      for (;;) {
-        if (t == 0) {
-          // One owner popping the front...
-          if (!queue.pop(item)) break;
-          collected[static_cast<std::size_t>(t)].push_back(item.begin);
-        } else {
-          // ...three thieves splitting the back.  The queue only drains, so
-          // a failed operation means it is empty and the loop may end.
-          grabbed.clear();
-          if (queue.steal_half(grabbed) == 0) break;
-          for (const detail::ChunkRange &c : grabbed)
-            collected[static_cast<std::size_t>(t)].push_back(c.begin);
-        }
-      }
-    });
-  for (std::thread &thread : threads) thread.join();
-
-  std::vector<std::uint64_t> all;
-  for (const auto &part : collected) all.insert(all.end(), part.begin(),
-                                                part.end());
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), kChunks);
-  for (std::uint64_t i = 0; i < kChunks; ++i) EXPECT_EQ(all[i], i);
-}
 
 TEST(MakeStreamChunks, PartitionsTheStreamExactly) {
   const std::uint64_t from = 10, to = 137, stream = 2, p = 4, chunk = 5;
@@ -177,45 +107,6 @@ TEST(MissingRanges, SkipsGapsContainingNoDrawOfTheStream) {
                                                1, 5, 9, 2, 0, 9, 3, 0, 9};
   EXPECT_TRUE(detail::missing_ranges(gathered, 4, 9).empty());
 }
-
-// --- intra-rank chunked sampler ---------------------------------------------
-
-/// (fused engine, model, threads, chunk)
-using ChunkedCell = std::tuple<bool, DiffusionModel, unsigned, std::uint64_t>;
-
-class ChunkedSampler : public ::testing::TestWithParam<ChunkedCell> {};
-
-TEST_P(ChunkedSampler, MatchesUnchunkedScalarOnScatteredIndices) {
-  const auto [fused, model, threads, chunk] = GetParam();
-  CsrGraph graph(barabasi_albert(300, 3, 31));
-  assign_uniform_weights(graph, 32);
-  if (model == DiffusionModel::LinearThreshold)
-    renormalize_linear_threshold(graph);
-  // 149 non-contiguous, out-of-order indices: chunks of 7 and of 64 both
-  // end with a short one.
-  std::vector<std::uint64_t> indices;
-  for (std::uint64_t i = 0; i < 447; i += 3) indices.push_back(i ^ 5);
-
-  RRRCollection expected, chunked;
-  sample_counter_indices(graph, model, 71, indices, 1, expected);
-  const FusedEdgeTable table(graph, model);
-  EXPECT_EQ(detail::sample_counter_chunked(graph, model, 71, indices, threads,
-                                           chunk, fused ? &table : nullptr,
-                                           chunked),
-            indices.size());
-  ASSERT_EQ(chunked.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(chunked.sets()[i], expected.sets()[i]) << "index " << indices[i];
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EnginesModelsThreadsChunks, ChunkedSampler,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(DiffusionModel::IndependentCascade,
-                                         DiffusionModel::LinearThreshold),
-                       ::testing::Values(1u, 4u),
-                       ::testing::Values(std::uint64_t{1}, std::uint64_t{7},
-                                         std::uint64_t{64})));
 
 // --- mpsim steal-channel protocol -------------------------------------------
 
@@ -347,18 +238,19 @@ TEST(StealIdentity, SkewWithoutStealingMatchesBaseline) {
               no_steal_baseline(), "skew, steal off");
 }
 
-TEST(StealIdentity, InterOnlyAndIntraOnlyMatchBaseline) {
+TEST(StealIdentity, ThreadedRanksWithStealingMatchBaseline) {
+  // Every rank samples on a 3-thread team balanced by the samplers' own
+  // dynamic schedule while thieves spread the skewed partition across
+  // ranks: both placement levels at once, on both engines.
   ImmOptions options = sweep_options();
-  options.steal = StealMode::Inter;
-  expect_same(capture(imm_distributed(sweep_graph(), options)),
-              no_steal_baseline(), "inter only");
-  options.steal = StealMode::Intra;
+  options.steal = StealMode::On;
+  options.steal_skew = true;
   options.num_threads = 3;
   expect_same(capture(imm_distributed(sweep_graph(), options)),
-              no_steal_baseline(), "intra only, 3 threads");
+              no_steal_baseline(), "steal on, skew, 3 threads");
   options.sampler = SamplerEngine::Fused;
   expect_same(capture(imm_distributed(sweep_graph(), options)),
-              no_steal_baseline(), "intra only, 3 threads, fused");
+              no_steal_baseline(), "steal on, skew, 3 threads, fused");
 }
 
 TEST(StealIdentity, LeapfrogModePinsStealingAsANoOp) {
@@ -373,9 +265,8 @@ TEST(StealIdentity, LeapfrogModePinsStealingAsANoOp) {
 
 TEST(StealIdentity, GovernedBudgetComposesWithStealing) {
   // A generous budget governs every admission without degrading; the
-  // governor pins inter stealing and skew off (rank-local admission), so
-  // the run must still match the ungoverned baseline byte for byte while
-  // intra chunking stays active.
+  // governor pins stealing and skew off (rank-local admission), so the
+  // 2-thread run must still match the ungoverned baseline byte for byte.
   ImmOptions options = sweep_options();
   options.mem_budget = 256u << 20;
   options.steal = StealMode::On;
@@ -465,9 +356,7 @@ TEST(StealEnv, ReadersAcceptEverySpellingAndDefaultWhenUnsetOrEmpty) {
     EXPECT_EQ(steal_mode_from_env(), StealMode::Off);
   }
   const std::pair<const char *, StealMode> spellings[] = {
-      {"", StealMode::Off},       {"off", StealMode::Off},
-      {"intra", StealMode::Intra}, {"inter", StealMode::Inter},
-      {"on", StealMode::On}};
+      {"", StealMode::Off}, {"off", StealMode::Off}, {"on", StealMode::On}};
   for (const auto &[spelling, mode] : spellings) {
     ScopedEnv set("RIPPLES_STEAL", spelling);
     EXPECT_EQ(steal_mode_from_env(), mode) << "'" << spelling << "'";
@@ -493,7 +382,21 @@ TEST(StealEnvDeathTest, TypoedModeIsRejected) {
         (void)steal_mode_from_env();
       },
       ::testing::ExitedWithCode(2),
-      "RIPPLES_STEAL: expected off.intra.inter.on, got 'onn'");
+      "RIPPLES_STEAL: expected off.on, got 'onn'");
+}
+
+TEST(StealEnvDeathTest, RetiredScopeSpellingsAreRejected) {
+  // Scripts written for the four-scope knob must fail loudly: silently
+  // mapping either spelling onto `on` or `off` would change what they run.
+  for (const char *retired : {"intra", "inter"})
+    EXPECT_EXIT(
+        {
+          setenv("RIPPLES_STEAL", retired, 1);
+          (void)steal_mode_from_env();
+        },
+        ::testing::ExitedWithCode(2),
+        "RIPPLES_STEAL: expected off.on, got")
+        << "'" << retired << "'";
 }
 
 TEST(StealEnvDeathTest, NonPositiveOrMalformedChunkIsRejected) {
