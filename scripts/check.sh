@@ -172,22 +172,47 @@ if [[ "$run_checkpoint" == 1 ]]; then
   ckpt_work=$(mktemp -d)
   trap 'rm -rf "$ckpt_work"' EXIT
   ckpt_cli=./build/examples/imm_cli
-  # ~2.5 s of martingale rounds: long enough that a randomized kill lands
-  # anywhere from before the first snapshot to after acceptance.
+  # About a second of martingale rounds.  Each kill lands at 10-85% of the
+  # reference run's measured wall time, so it falls anywhere from before the
+  # first snapshot to after acceptance however fast the build is.
   ckpt_args=(--driver dist --ranks 3 --dataset cit-HepTh --scale 0.2
              --epsilon 0.3 -k 32 --seed 2019)
   # Uninterrupted reference, checkpointing enabled so its registry carries
   # the same imm.checkpoint.* counters the resumed runs will.
+  ref_start_ns=$(date +%s%N)
   "$ckpt_cli" "${ckpt_args[@]}" --checkpoint-dir "$ckpt_work/ref-ckpt" \
     --json-report "$ckpt_work/reference.json" > /dev/null
+  ref_ms=$(( ($(date +%s%N) - ref_start_ns) / 1000000 ))
+  echo "  reference run: ${ref_ms}ms"
+  # A victim that finished before its kill is a miss: nothing was
+  # interrupted, so it is not compared, and the iteration is redrawn — at
+  # most kill_iterations times over the whole leg.
+  misses=0
   for ((i = 1; i <= kill_iterations; ++i)); do
-    dir="$ckpt_work/run-$i"
-    delay_ms=$(( (RANDOM % 1900) + 300 ))
+    dir="$ckpt_work/run-$i-$misses"
+    delay_ms=$(( ref_ms * (10 + RANDOM % 76) / 100 ))
     "$ckpt_cli" "${ckpt_args[@]}" --checkpoint-dir "$dir" > /dev/null 2>&1 &
     victim=$!
     sleep "$(printf '%d.%03d' $((delay_ms / 1000)) $((delay_ms % 1000)))"
     kill -9 "$victim" 2>/dev/null || true
-    wait "$victim" 2>/dev/null || true
+    victim_status=0
+    wait "$victim" 2>/dev/null || victim_status=$?
+    if (( victim_status != 0 && victim_status != 128 + 9 )); then
+      echo "kill-resume soak: the victim failed (status $victim_status)" \
+           "on iteration $i" >&2
+      exit 1
+    fi
+    if (( victim_status == 0 )); then
+      misses=$((misses + 1))
+      echo "  iteration $i: miss, the run had finished before ${delay_ms}ms"
+      if (( misses > kill_iterations )); then
+        echo "kill-resume soak: $misses misses; the reference's ${ref_ms}ms" \
+             "no longer predicts the victims' wall time" >&2
+        exit 1
+      fi
+      i=$((i - 1))
+      continue
+    fi
     "$ckpt_cli" "${ckpt_args[@]}" --checkpoint-dir "$dir" --resume \
       --json-report "$ckpt_work/resumed-$i.json" > /dev/null
     # Identity is the point here (--check-seeds is exact); the perf families
@@ -195,8 +220,10 @@ if [[ "$run_checkpoint" == 1 ]]; then
     # leg runs back-to-back processes, not min-of-N measurements.
     python3 scripts/compare_reports.py --check-seeds --allow-missing \
       --phase-tolerance 2.0 --counter-tolerance 10 \
-      "$ckpt_work/reference.json" "$ckpt_work/resumed-$i.json" > /dev/null \
-      || { echo "kill-resume soak: resumed run diverged from the reference" \
+      "$ckpt_work/reference.json" "$ckpt_work/resumed-$i.json" \
+      > "$ckpt_work/compare-$i.txt" \
+      || { grep FAIL "$ckpt_work/compare-$i.txt" >&2
+           echo "kill-resume soak: resumed run diverged from the reference" \
                 "on iteration $i (killed at ${delay_ms}ms)" >&2; exit 1; }
     echo "  iteration $i: killed at ${delay_ms}ms, resume matched the reference"
   done

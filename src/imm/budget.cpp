@@ -313,30 +313,16 @@ bool RRRStore::flip_stored_bit(std::size_t bit) {
 }
 
 SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
-                                 unsigned num_threads) {
-  scrub();
-  if (compressed_active_)
-    return select_seeds(num_vertices, k, compressed_);
-  return select_seeds_multithreaded(num_vertices, k, plain_, num_threads);
-}
-
-void RRRStore::count_into(std::span<std::uint32_t> counters) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
-  if (compressed_active_)
-    count_memberships(compressed_, counters);
+                                 unsigned num_threads, SelectionHooks hooks) {
+  if (!compressed_active_)
+    return select_seeds_multithreaded(num_vertices, k, plain_, num_threads,
+                                      hooks);
+  if (policy_.scrub == ScrubMode::Paranoid)
+    hooks.verify = [this] { scrub(); };
   else
-    count_memberships(plain_, counters);
-}
-
-std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
-                               std::vector<std::uint8_t> &retired,
-                               RetireLog *log) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
-  return compressed_active_
-             ? retire_samples_containing(seed, compressed_, counters, retired,
-                                         log)
-             : retire_samples_containing(seed, plain_, counters, retired,
-                                         log);
+    scrub();
+  return select_seeds_multithreaded(num_vertices, k, compressed_, num_threads,
+                                    hooks);
 }
 
 void RRRStore::record_sizes(metrics::HistogramData &out) {

@@ -13,7 +13,7 @@
 ///   1. switch the stored sets to CompressedRRRCollection (re-encode in
 ///      place: list records typically shrink 3-10x, bitmap records stay
 ///      bitmaps unless their delta list is shorter, and no set grows;
-///      selection decodes on iterate);
+///      selection decodes on read);
 ///   2. shed the in-flight batch and re-admit at halved granularity, down
 ///      to one sample at a time;
 ///   3. stop: shared-memory drivers raise BudgetEarlyStop, caught by the
@@ -66,11 +66,11 @@ enum class CompressMode { Auto, Always, Off };
 
 /// RRR-store scrubbing intensity (DESIGN.md §14).  `Off` pays nothing;
 /// `On` verifies the stored arena's checksums before every seed selection;
-/// `Paranoid` additionally verifies before every iterate kernel (the
-/// distributed counting/retirement passes).  A failed verification is
-/// repaired in place by regenerating the damaged block from its RNG
-/// coordinates (PR 3's healing machinery at storage granularity) and only
-/// escalates when regeneration is not byte-identical.
+/// `Paranoid` verifies before selection's count pass and again before each
+/// round's search.  A failed verification is repaired in place by
+/// regenerating the damaged block from its RNG coordinates (DESIGN.md §6's
+/// healing at storage granularity) and only escalates when regeneration is
+/// not byte-identical.
 enum class ScrubMode { Off, On, Paranoid };
 
 /// RIPPLES_SCRUB_RRR: `off` (default), `on`, or `paranoid`.  Any other
@@ -198,19 +198,15 @@ public:
   void extend_window(std::uint64_t from, std::uint64_t to,
                      const WindowGenerator &generate);
 
-  /// Seed selection over the active representation — identical seeds and
-  /// tie-breaking in either (the determinism tests assert it).  Under
-  /// ScrubMode::On/Paranoid a scrub pass runs first, so selection never
-  /// consumes unverified bytes.
+  /// Seed selection over the active representation on a team of up to
+  /// \p num_threads threads — identical seeds and tie-breaking in either
+  /// (the determinism tests assert it).  \p hooks carries a distributed
+  /// rank's pick.  Under ScrubMode::On a scrub pass runs first, so
+  /// selection never consumes unverified bytes; under Paranoid the body
+  /// scrubs before its count pass and again before each round's search.
   [[nodiscard]] SelectionResult select(vertex_t num_vertices, std::uint32_t k,
-                                       unsigned num_threads);
-
-  // Kernels of the distributed selection protocol, dispatched to the active
-  // representation.  Under ScrubMode::Paranoid each one scrubs first.
-  void count_into(std::span<std::uint32_t> counters);
-  std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
-                       std::vector<std::uint8_t> &retired,
-                       RetireLog *log = nullptr);
+                                       unsigned num_threads,
+                                       SelectionHooks hooks = {});
 
   /// Records every stored sample's size into \p out (the report histogram).
   void record_sizes(metrics::HistogramData &out);

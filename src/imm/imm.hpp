@@ -223,6 +223,9 @@ struct ImmResult {
   /// Phase breakdown in the paper's four categories.
   PhaseTimers timers;
   /// Peak bytes held by the RRR representation (Table 2's memory metric).
+  /// Under imm_distributed, the sum of the ranks' store peaks, which may
+  /// fall in different admission windows: an upper bound on the cluster's
+  /// simultaneous peak.
   std::size_t rrr_peak_bytes = 0;
   /// Total (sample, vertex) associations stored at peak.
   std::size_t total_associations = 0;

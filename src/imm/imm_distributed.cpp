@@ -401,24 +401,18 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       }
     };
 
-    std::vector<std::uint32_t> local_counts(n);
     std::vector<std::uint32_t> global_counts(n);
     const bool sparse =
         options.selection_exchange == SelectionExchange::Sparse;
     const std::uint32_t topm = std::max<std::uint32_t>(1, options.selection_topm);
+    // Alg. 4 over this rank's partition on its --threads team, with the
+    // round's pick made through the exchange on the rank's own thread (the
+    // team's primary).  The body counts the local memberships; the pick
+    // aggregates them across ranks; choosing the seed and purging the local
+    // partition are then rank-local, identical on every rank.
     auto select = [&]() -> SelectionResult {
       trace::Span span("select", "select.distributed", "k", options.k,
                        "samples", store.size());
-      // Local membership counts over this rank's partition...
-      std::fill(local_counts.begin(), local_counts.end(), 0);
-      {
-        trace::Span count_span("select", "select.count");
-        store.count_into(local_counts);
-      }
-
-      std::vector<std::uint8_t> retired(store.size(), 0);
-      std::vector<std::uint8_t> selected(n, 0);
-
       // Sparse-exchange state, all local to this invocation: a healing
       // restart re-enters select() and rebuilds it from the (intact) local
       // counters, so a failure inside any sparse collective recovers to the
@@ -427,12 +421,14 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // the retirement decrements not yet folded into it.
       bool cache_valid = false;
       RetireLog retire_log(sparse ? n : 0);
+      using Counts = std::span<const std::uint32_t>;
+      using Flags = std::span<const std::uint8_t>;
 
       // Stage 3: brings the cached global counter vector current — a full
       // allreduce the first time, afterwards an allgatherv of only the
       // counters retirement touched since the last sync (every rank applies
       // every rank's decrements, so the caches stay identical).
-      auto dense_resync = [&] {
+      auto dense_resync = [&](Counts local_counts) {
         if (!cache_valid) {
           std::copy(local_counts.begin(), local_counts.end(),
                     global_counts.begin());
@@ -461,7 +457,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // One sparse round: escalate through the three stages until one
       // certifies the argmax.  Every decision below is a pure function of
       // collectively gathered data, so all ranks agree on each branch.
-      auto sparse_round = [&](std::uint32_t round) -> vertex_t {
+      auto sparse_round = [&](std::uint32_t round, Counts local_counts,
+                              Flags selected) -> vertex_t {
         // Stage 1: top-m union-merge with the provable-winner bound.
         TopmSummary mine = sparse_topm(local_counts, selected, topm);
         detail::record_exchange_words(2 * mine.top.size() + 1);
@@ -507,40 +504,32 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         detail::record_dense_fallback();
         trace::instant("select", "select.sparse_dense_fallback", "round",
                        round);
-        dense_resync();
+        dense_resync(local_counts);
         return argmax_counter(global_counts, selected);
       };
 
-      SelectionResult selection;
-      std::uint64_t local_covered = 0;
-      for (std::uint32_t i = 0; i < options.k; ++i) {
-        trace::Span round("select", "select.round", "round", i);
-        vertex_t seed;
-        if (sparse) {
-          seed = sparse_round(i);
-        } else {
-          // ...aggregated into global counts with the All-Reduce that
-          // dominates the communication (O(k n lg p) total).  local_counts
-          // is copied, never reduced in place: a failure mid-allreduce may
-          // leave the target buffer partially combined, and the healing
-          // restart depends on the inputs surviving intact.
-          std::copy(local_counts.begin(), local_counts.end(),
-                    global_counts.begin());
-          comm.allreduce(std::span<std::uint32_t>(global_counts),
-                         mpsim::ReduceOp::Sum);
-          detail::record_exchange_words(n);
-          seed = argmax_counter(global_counts, selected);
-        }
-        // Identifying the seed and purging the local partition are strictly
-        // local operations from here on, identical on every rank.  Sparse
-        // mode additionally logs the decrements so stage 3 can delta-sync.
-        selected[seed] = 1;
-        selection.seeds.push_back(seed);
-        RetireLog *const round_log = sparse ? &retire_log : nullptr;
-        local_covered += store.retire(seed, local_counts, retired, round_log);
-      }
+      SelectionHooks hooks;
+      hooks.pick = [&](std::uint32_t round, Counts local_counts,
+                       Flags selected) -> vertex_t {
+        if (sparse) return sparse_round(round, local_counts, selected);
+        // The All-Reduce that dominates the communication (O(k n lg p)
+        // total).  The local counts are copied, never reduced in place: a
+        // failure mid-allreduce may leave the target buffer partially
+        // combined, and the healing restart depends on the inputs
+        // surviving intact.
+        std::copy(local_counts.begin(), local_counts.end(),
+                  global_counts.begin());
+        comm.allreduce(std::span<std::uint32_t>(global_counts),
+                       mpsim::ReduceOp::Sum);
+        detail::record_exchange_words(n);
+        return argmax_counter(global_counts, selected);
+      };
+      // Sparse mode logs the decrements so stage 3 can delta-sync.
+      if (sparse) hooks.log = &retire_log;
+      SelectionResult selection =
+          store.select(n, options.k, options.num_threads, hooks);
 
-      std::uint64_t totals[2] = {local_covered, store.size()};
+      std::uint64_t totals[2] = {selection.covered_samples, store.size()};
       comm.allreduce(std::span<std::uint64_t>(totals, 2), mpsim::ReduceOp::Sum);
       selection.covered_samples = totals[0];
       selection.total_samples = totals[1];

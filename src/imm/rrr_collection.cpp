@@ -122,16 +122,7 @@ void RRRRecord::adjust_bitmap_counters(const unsigned char *bitmap,
   };
   // The members in [from, to), bit by bit.
   auto walk = [&](vertex_t from, vertex_t to) {
-    if (from >= to) return;
-    const std::size_t first = from / 32;
-    const std::size_t last = (static_cast<std::size_t>(to) - 1) / 32;
-    for (std::size_t w = first; w <= last; ++w) {
-      std::uint32_t bits = record.word(w);
-      if (w == first) bits &= ~std::uint32_t{0} << (from % 32);
-      if (w == last && to % 32 != 0)
-        bits &= (std::uint32_t{1} << (to % 32)) - 1;
-      visit_bits(w, bits, one);
-    }
+    record.for_each_member(from, to, one);
   };
   const std::size_t first = (static_cast<std::size_t>(lo) + 31) / 32;
   const std::size_t last = hi / 32; // words [first, last) lie in [lo, hi)
@@ -428,8 +419,7 @@ void CompressedRRRCollection::decode_set(std::size_t j,
     throw std::out_of_range("CompressedRRRCollection::decode_set(" +
                             std::to_string(j) + ") on a collection of " +
                             std::to_string(num_sets_) + " sets");
-  Cursor cursor(*this);
-  cursor.p_ = payload_.data() + block_offsets_[j / kBlockSize];
+  Cursor cursor = cursor_at(block_offsets_[j / kBlockSize]);
   for (std::size_t skip = j % kBlockSize; skip > 0; --skip)
     cursor.skip_members(cursor.next_header());
   cursor.decode_members(cursor.next_header(), out);

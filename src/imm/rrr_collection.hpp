@@ -99,6 +99,29 @@ public:
     for (std::size_t w = 0; w < words; ++w) visit_bits(w, word(w), visit);
   }
 
+  /// Every member in [lo, hi), ascending: a list binary-searches to lo, a
+  /// bitmap visits the set bits of the words covering [lo, hi).
+  template <typename Visit>
+  void for_each_member(vertex_t lo, vertex_t hi, Visit &&visit) const {
+    if (!is_bitmap()) {
+      const std::span<const vertex_t> list = members();
+      for (auto it = std::lower_bound(list.begin(), list.end(), lo);
+           it != list.end() && *it < hi; ++it)
+        visit(*it);
+      return;
+    }
+    if (lo >= hi) return;
+    const std::size_t first = lo / 32;
+    const std::size_t last = (static_cast<std::size_t>(hi) - 1) / 32;
+    for (std::size_t w = first; w <= last; ++w) {
+      std::uint32_t bits = word(w);
+      if (w == first) bits &= ~std::uint32_t{0} << (lo % 32);
+      if (w == last && hi % 32 != 0)
+        bits &= (std::uint32_t{1} << (hi % 32)) - 1;
+      visit_bits(w, bits, visit);
+    }
+  }
+
   /// counters[v] += 1 (kDecrement: -= 1) for every member v in [lo, hi),
   /// the counting and retirement step of the selection kernels; the
   /// caller owns counters[lo, hi), and nothing outside it is touched.  A
@@ -122,25 +145,6 @@ public:
         --counters[*it];
       } else {
         ++counters[*it];
-      }
-    }
-  }
-
-  /// The same over every member, for counters of all \p num_vertices
-  /// vertices: a list needs no search for its first member.
-  template <bool kDecrement>
-  void adjust_counters(std::uint32_t *counters, vertex_t num_vertices) const {
-    if (is_bitmap()) {
-      adjust_bitmap_counters<kDecrement>(bytes(), num_words(), counters, 0,
-                                         num_vertices);
-      return;
-    }
-    for (vertex_t v : members()) {
-      if constexpr (kDecrement) {
-        RIPPLES_DEBUG_ASSERT(counters[v] > 0);
-        --counters[v];
-      } else {
-        ++counters[v];
       }
     }
   }
@@ -267,10 +271,11 @@ private:
 /// `[varint n + 1 + member_count][W words]`, used whenever it is shorter
 /// than the set's delta record, so compressing never enlarges a set; list
 /// headers never exceed n, so the list format is unchanged.  Selection
-/// decodes on iterate: the greedy kernels only ever scan the collection
-/// front to back, so the index stores one byte offset per kBlockSize sets
-/// (amortized ~0 bytes/set) instead of one per set, and retired sets are
-/// *skipped* (continuation-bit scan or one bitmap stride, no value decode).
+/// decodes on read: Alg. 4's count pass scans the collection front to
+/// back and records each set's byte offset as it goes, and its rounds
+/// re-read a set at that offset only when the set's membership signature
+/// holds the round's seed, so the index stores one byte offset per
+/// kBlockSize sets (amortized ~0 bytes/set) instead of one per set.
 /// The budget governor switches RRR storage to this representation when
 /// the uncompressed arena would exceed the budget.
 class CompressedRRRCollection {
@@ -363,20 +368,24 @@ public:
   /// CRC describing the clean bytes.
   void flip_payload_bit(std::size_t bit);
 
-  /// Sequential decode-on-iterate reader, the access pattern of every
-  /// selection kernel.  next_header() positions at a record's members and
-  /// returns its member count; the caller then either reads the record
-  /// (read_record, decode_members) or skips it (skip_members: retired
-  /// sets cost a continuation-bit scan or one bitmap stride only).
+  /// Sequential decode-on-read reader.  next_header() positions at a
+  /// record's members and returns its member count; the caller then either
+  /// reads the record (read_record, decode_members) or skips it
+  /// (skip_members: a continuation-bit scan or one bitmap stride only).
   class Cursor {
   public:
     explicit Cursor(const CompressedRRRCollection &collection)
-        : p_(collection.payload_.data()),
+        : begin_(collection.payload_.data()), p_(begin_),
           end_(collection.payload_.data() + collection.payload_.size()),
           bitmap_base_(collection.bitmap_base_),
           bitmap_bytes_(collection.bitmap_words_ * sizeof(std::uint32_t)) {}
 
     [[nodiscard]] bool at_end() const { return p_ == end_; }
+    /// Byte offset of the next record (before next_header()), the address
+    /// cursor_at() returns to.
+    [[nodiscard]] std::size_t offset() const {
+      return static_cast<std::size_t>(p_ - begin_);
+    }
     /// Throws the truncated-or-corrupt diagnostic on a header above
     /// UINT32_MAX, on a member count above n, and on a bitmap record that
     /// runs past the payload.
@@ -396,6 +405,7 @@ public:
   private:
     friend class CompressedRRRCollection;
     [[nodiscard]] std::uint64_t read_varint();
+    const std::uint8_t *begin_;
     const std::uint8_t *p_;
     const std::uint8_t *end_;
     std::uint64_t bitmap_base_;
@@ -404,6 +414,13 @@ public:
   };
 
   [[nodiscard]] Cursor cursor() const { return Cursor(*this); }
+  /// A cursor at the record starting at byte \p offset, one that
+  /// Cursor::offset() reported.
+  [[nodiscard]] Cursor cursor_at(std::size_t offset) const {
+    Cursor cursor(*this);
+    cursor.p_ += offset;
+    return cursor;
+  }
 
 private:
   /// Encodes one record — the shorter of the delta list and, in an arena

@@ -1,7 +1,8 @@
 #include "imm/select.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
+#include <exception>
 #include <memory>
 #include <type_traits>
 #include <omp.h>
@@ -14,99 +15,6 @@ namespace ripples {
 
 namespace {
 
-/// Plain storage as the kernels read it: the sets, and the word count of
-/// a bitmap record (0: every record is a list).
-struct PlainSets {
-  std::span<const RRRSet> sets;
-  std::size_t bitmap_words = 0;
-
-  [[nodiscard]] std::size_t size() const { return sets.size(); }
-};
-
-/// The set walker under every sequential kernel: calls
-/// `visit(j, record)` for each sample j not flagged in \p retired (null:
-/// none is), in index order.  Plain storage hands out views of the stored
-/// vectors themselves; the compressed arena views each live bitmap in
-/// place, decodes each live list into one scratch buffer, and skips
-/// retired records without decoding.  Always inlined: the visitor's
-/// captures must fold into registers of the calling kernel, or every set
-/// pays loads through the closure.
-template <typename Source, typename Visit>
-[[gnu::always_inline]] inline void
-for_each_live_set(const Source &source, const std::uint8_t *retired,
-                  Visit &&visit) {
-  if constexpr (std::is_same_v<Source, CompressedRRRCollection>) {
-    auto cursor = source.cursor();
-    std::vector<vertex_t> members;
-    for (std::size_t j = 0; j < source.size(); ++j) {
-      const std::uint32_t count = cursor.next_header();
-      if (retired != nullptr && retired[j]) {
-        cursor.skip_members(count);
-        continue;
-      }
-      visit(j, cursor.read_record(count, members));
-    }
-  } else {
-    // A local copy of the span: the retire visitor's byte stores may alias
-    // anything in memory, so a referenced span would be reloaded per set.
-    const std::span<const RRRSet> sets(source.sets);
-    const std::size_t words = source.bitmap_words;
-    for (std::size_t j = 0; j < sets.size(); ++j) {
-      if (retired != nullptr && retired[j]) continue;
-      visit(j, plain_record(sets[j], words));
-    }
-  }
-}
-
-template <typename Source>
-void count_live(const Source &source, std::span<std::uint32_t> counters) {
-  const auto n = static_cast<vertex_t>(counters.size());
-  for_each_live_set(source, nullptr,
-                    [&](std::size_t, const RRRRecord &record) {
-                      record.adjust_counters<false>(counters.data(), n);
-                    });
-}
-
-/// Retirement body; \p kLog is fixed per call so the dense inner loop
-/// carries no per-member test of the log.
-template <bool kLog, typename Source>
-std::uint64_t retire_live(vertex_t seed, const Source &source,
-                          std::span<std::uint32_t> counters,
-                          std::vector<std::uint8_t> &retired, RetireLog *log) {
-  std::uint64_t retired_count = 0;
-  std::uint8_t *const flags = retired.data();
-  const auto n = static_cast<vertex_t>(counters.size());
-  // The hit path stays out of line: the scan over every live set is the
-  // hot loop, and inlining the decrement would crowd its registers.
-  auto hit = [&](std::size_t j, RRRRecord record) __attribute__((noinline)) {
-    flags[j] = 1;
-    ++retired_count;
-    if constexpr (kLog)
-      record.for_each_member([&](vertex_t u) {
-        RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-        --counters[u];
-        if (log->pending_dec[u]++ == 0) log->pending_touched.push_back(u);
-      });
-    else
-      record.adjust_counters<true>(counters.data(), n);
-  };
-  for_each_live_set(source, flags,
-                    [&](std::size_t j, const RRRRecord &record) {
-                      if (record.contains(seed)) hit(j, record);
-                    });
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
-}
-
-template <typename Source>
-std::uint64_t retire(vertex_t seed, const Source &source,
-                     std::span<std::uint32_t> counters,
-                     std::vector<std::uint8_t> &retired, RetireLog *log) {
-  return log != nullptr
-             ? retire_live<true>(seed, source, counters, retired, log)
-             : retire_live<false>(seed, source, counters, retired, log);
-}
-
 /// One bit of a set's 64-bit membership signature: the top 6 bits of a
 /// Fibonacci hash of the vertex id.  A set whose signature lacks a vertex's
 /// bit cannot contain that vertex.
@@ -115,105 +23,336 @@ inline std::uint64_t signature_bit(vertex_t v) {
          << ((static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ULL) >> 58);
 }
 
-/// A live entry of Alg. 4's search: the set and the OR of its members'
-/// signature bits.
-struct LiveSet {
-  std::uint64_t signature;
-  const RRRSet *set;
+/// The OR of \p record's signature bits; all ones on a bitmap.  A signature
+/// is saturated after ~300 members on average, so the fill stops there and
+/// reads only that prefix of a giant IC set.
+inline std::uint64_t signature_of(const RRRRecord &record) {
+  if (record.is_bitmap()) return ~std::uint64_t{0};
+  std::uint64_t signature = 0;
+  const std::span<const vertex_t> list = record.members();
+  for (auto it = list.begin(); it != list.end() && ~signature != 0; ++it)
+    signature |= signature_bit(*it);
+  return signature;
+}
+
+/// Plain storage as Alg. 4 reads it: the sets, and the word count of a
+/// bitmap record (0: every record is a list).  A live entry points at its
+/// set.  scan() calls `visit(j, ref, record)` for every set, front to back.
+struct PlainSets {
+  using Ref = const RRRSet *;
+  std::span<const RRRSet> sets;
+  std::size_t bitmap_words = 0;
+
+  [[nodiscard]] std::size_t size() const { return sets.size(); }
+  [[nodiscard]] RRRRecord record(Ref set, std::vector<vertex_t> &) const {
+    return plain_record(*set, bitmap_words);
+  }
+  template <typename Visit>
+  void scan(std::vector<vertex_t> &, Visit &&visit) const {
+    for (std::size_t j = 0; j < sets.size(); ++j)
+      visit(j, &sets[j], plain_record(sets[j], bitmap_words));
+  }
 };
 
-/// Eager picker: one argmax scan over the unselected counters per round.
-class ArgmaxPicker {
-public:
-  explicit ArgmaxPicker(std::span<const std::uint32_t> counters)
-      : selected_(counters.size(), 0) {}
+/// The compressed arena as Alg. 4 reads it.  A live entry holds its
+/// record's payload offset; a read views a bitmap in place and decodes a
+/// list into the reading thread's scratch.
+struct CompressedSets {
+  using Ref = std::size_t;
+  const CompressedRRRCollection &arena;
 
-  vertex_t pick(std::span<const std::uint32_t> counters, trace::Span &) {
-    const vertex_t seed = argmax_counter(counters, selected_);
-    selected_[seed] = 1;
-    return seed;
+  [[nodiscard]] std::size_t size() const { return arena.size(); }
+  [[nodiscard]] RRRRecord record(Ref offset,
+                                 std::vector<vertex_t> &scratch) const {
+    CompressedRRRCollection::Cursor cursor = arena.cursor_at(offset);
+    const std::uint32_t count = cursor.next_header();
+    return cursor.read_record(count, scratch);
   }
-  void finish() const {}
-
-private:
-  std::vector<std::uint8_t> selected_;
-};
-
-/// CELF picker: a max-heap of cached counter values.  Counters only
-/// decrease as samples retire, so a popped entry whose cached value still
-/// matches the live counter is globally maximal; stale entries are
-/// refreshed and reinserted.
-class CelfPicker {
-public:
-  explicit CelfPicker(std::span<const std::uint32_t> counters) {
-    heap_.reserve(counters.size());
-    for (vertex_t v = 0; v < counters.size(); ++v)
-      heap_.push_back({counters[v], v});
-    std::make_heap(heap_.begin(), heap_.end(), lower_priority);
-  }
-
-  vertex_t pick(std::span<const std::uint32_t> counters, trace::Span &round) {
-    std::uint64_t round_stale = 0;
-    for (;; ++round_stale) {
-      RIPPLES_ASSERT_MSG(!heap_.empty(), "k exceeds the number of vertices");
-      std::pop_heap(heap_.begin(), heap_.end(), lower_priority);
-      Entry &top = heap_.back();
-      if (top.count == counters[top.vertex]) break;
-      top.count = counters[top.vertex]; // stale: refresh and reinsert
-      std::push_heap(heap_.begin(), heap_.end(), lower_priority);
+  template <typename Visit>
+  void scan(std::vector<vertex_t> &scratch, Visit &&visit) const {
+    CompressedRRRCollection::Cursor cursor = arena.cursor();
+    for (std::size_t j = 0; j < arena.size(); ++j) {
+      const std::size_t offset = cursor.offset();
+      const std::uint32_t count = cursor.next_header();
+      visit(j, offset, cursor.read_record(count, scratch));
     }
-    const vertex_t seed = heap_.back().vertex;
-    heap_.pop_back();
-    stale_refreshes_ += round_stale;
-    round.arg("stale", round_stale);
-    return seed;
   }
-  void finish() const {
-    trace::instant("select", "select.lazy_done", "stale_refreshes",
-                   stale_refreshes_);
-  }
+};
 
-private:
-  struct Entry {
+/// A live entry of Alg. 4's search: the set's signature and where to read
+/// the set.
+template <typename Ref> struct LiveSet {
+  std::uint64_t signature;
+  Ref ref;
+};
+
+// ThreadSanitizer cannot see libgomp's join: every thread of Alg. 4's team
+// releases one sync word as it leaves, and the caller acquires it after.
+#if defined(__SANITIZE_THREAD__)
+extern "C" void __tsan_acquire(void *address);
+extern "C" void __tsan_release(void *address);
+#define RIPPLES_TEAM_JOIN(op, sync) __tsan_##op(sync)
+#else
+#define RIPPLES_TEAM_JOIN(op, sync) static_cast<void>(sync)
+#endif
+
+/// Algorithm 4, the one selection body, over plain storage of either
+/// record kind or over the compressed arena.  It keeps the public name:
+/// TSan's suppression of Alg. 4's barrier phases
+/// (scripts/tsan-suppressions.txt) matches it.
+template <typename Source>
+SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
+                                           std::uint32_t k,
+                                           const Source &source,
+                                           unsigned num_threads,
+                                           const SelectionHooks &hooks) {
+  using Ref = typename Source::Ref;
+  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
+  RIPPLES_ASSERT(num_threads >= 1);
+  const std::size_t num_samples = source.size();
+  trace::Span span("select",
+                   std::is_same_v<Source, CompressedSets>
+                       ? "select.compressed"
+                       : "select.multithreaded",
+                   "k", k, "samples", num_samples);
+
+  // Every per-vertex and per-sample array below is left uninitialized here
+  // and first written inside the team by the thread that owns its range.
+  // A zeroing pass on the calling thread would be a second write of every
+  // entry, and TSan, blind to libgomp's barriers, would report each entry
+  // an owner then touches.
+  const auto counters = std::make_unique_for_overwrite<std::uint32_t[]>(
+      num_vertices);
+  const auto selected =
+      std::make_unique_for_overwrite<std::uint8_t[]>(num_vertices);
+
+  SelectionResult result;
+  result.total_samples = num_samples;
+  result.seeds.reserve(k);
+
+  // Per-sample scratch, one slice per thread's sample block: the block's
+  // live sets, and those of them the current round retires.  Allocated
+  // here rather than per thread, so each is one mapping that leaves with
+  // the call.
+  const auto live =
+      std::make_unique_for_overwrite<LiveSet<Ref>[]>(num_samples);
+  const auto hits = std::make_unique_for_overwrite<Ref[]>(num_samples);
+  // One slot per thread, published for the whole team: its argmax
+  // candidate and its hits of the current round, and its decrement-log
+  // touches.  One cache line each: every thread writes its own slot each
+  // round, so unpadded slots would false-share.  Candidates start at the
+  // "no candidate" sentinel: when the team comes out smaller than requested
+  // (a nested call, OMP_THREAD_LIMIT), the slots no thread writes must not
+  // pose as vertex 0.
+  struct Candidate {
     std::uint32_t count;
     vertex_t vertex;
   };
-  /// Higher count first, ties to the smaller vertex id so the output
-  /// matches the eager picker.
-  static constexpr auto lower_priority = [](const Entry &a, const Entry &b) {
-    return a.count < b.count || (a.count == b.count && a.vertex > b.vertex);
+  struct alignas(64) Slot {
+    Candidate best;
+    std::span<const Ref> hits;
+    std::vector<vertex_t> touched;
   };
-  std::vector<Entry> heap_;
-  std::uint64_t stale_refreshes_ = 0;
-};
+  std::vector<Slot> slots(num_threads, Slot{{0, num_vertices}, {}, {}});
+  // The team argmax: higher count wins, and ties go to the smaller id
+  // because the slots' intervals ascend.
+  auto team_argmax = [&] {
+    Candidate global{0, num_vertices};
+    for (const Slot &slot : slots)
+      if (slot.best.vertex < num_vertices &&
+          (global.vertex >= num_vertices || slot.best.count > global.count))
+        global = slot.best;
+    return global.vertex;
+  };
+  auto join_log = [&] {
+    std::vector<vertex_t> &joined = hooks.log->pending_touched;
+    for (Slot &slot : slots) {
+      joined.insert(joined.end(), slot.touched.begin(), slot.touched.end());
+      slot.touched.clear();
+    }
+  };
+  // What the team throws.  No exception may cross the OpenMP region: a
+  // thread catches what its work between two barriers (phase q) throws,
+  // keeps it and flags phase q's parity.  Every thread asks
+  // failed_before(q + 1) after the next barrier, so all see the same flag
+  // and leave together (a faster thread's failure in phase q + 1 flags the
+  // other parity), and the first failure in thread order is rethrown once
+  // the team is gone.
+  std::vector<std::exception_ptr> errors(num_threads);
+  std::atomic<bool> failed[2] = {};
+  auto fail = [&](unsigned thread, unsigned phase) {
+    errors[thread] = std::current_exception();
+    failed[phase % 2] = true;
+  };
+  auto failed_before = [&](unsigned phase) {
+    return failed[(phase + 1) % 2].load();
+  };
+  // Workers record their spans under the caller's trace rank, the mpsim
+  // rank's in the distributed driver.
+  const int trace_rank = trace::thread_rank();
+  vertex_t chosen = 0;
 
-/// The sequential greedy: count once, then k rounds of pick and retire.
-template <typename Picker, typename Source>
-SelectionResult greedy(vertex_t num_vertices, std::uint32_t k,
-                       const Source &source, const char *name) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", name, "k", k, "samples", source.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
+#pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
-    trace::Span count_span("select", "select.count");
-    count_live(source, counters);
-  }
-  Picker picker(counters);
-  std::vector<std::uint8_t> retired(source.size(), 0);
+    const auto t = static_cast<unsigned>(omp_get_thread_num());
+    const auto p = static_cast<unsigned>(omp_get_num_threads());
+    const trace::RankScope rank_scope(trace_rank);
+    // The thread's own copy of the storage view: read through the caller's
+    // reference, its fields would be reloaded after every store below.
+    const Source sets = source;
+    // Vertex interval owned by this thread rank (Alg. 4: vl, vh).
+    const auto vl = static_cast<vertex_t>(
+        (static_cast<std::uint64_t>(num_vertices) * t) / p);
+    const auto vh = static_cast<vertex_t>(
+        (static_cast<std::uint64_t>(num_vertices) * (t + 1)) / p);
+    // Sample block owned by this thread: [sl, sh).  Its live sets, the only
+    // ones it searches for the seed, are live[sl, live_end); empty sets
+    // can never retire, so they are left out from the start.
+    const std::size_t sl = num_samples * t / p;
+    const std::size_t sh = num_samples * (t + 1) / p;
+    // Raw pointers: stores through the owning pointers would make the
+    // compiler reload them after every store.
+    LiveSet<Ref> *const live_sets = live.get();
+    Ref *const hit_refs = hits.get();
+    std::uint32_t *const counts = counters.get();
+    std::size_t live_end = sl;
+    std::vector<vertex_t> scratch; // decoded lists of compressed storage
+    unsigned phase = 0;
 
-  SelectionResult result;
-  result.total_samples = source.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    trace::Span round("select", "select.round", "round", i);
-    const vertex_t seed = picker.pick(counters, round);
-    result.seeds.push_back(seed);
-    const std::uint64_t covered =
-        retire_live<false>(seed, source, counters, retired, nullptr);
-    result.covered_samples += covered;
-    round.arg("covered", covered);
+    if (hooks.verify) {
+#pragma omp masked
+      try {
+        hooks.verify();
+      } catch (...) {
+        fail(t, phase);
+      }
+#pragma omp barrier
+      ++phase;
+    }
+
+    // Counting step: every thread visits all samples but touches only the
+    // counters it owns; a sorted list lets it binary-search to vl and scan
+    // its slice in cache order (Section 3.1), a bitmap holds the slice in
+    // its [vl, vh) words.  The thread also fills its block's live entries.
+    // The per-thread span ends before the barrier, so interval imbalance in
+    // the counting pass is visible as ragged span ends.
+    if (!failed_before(phase)) {
+      try {
+        std::fill(counts + vl, counts + vh, 0);
+        std::fill(selected.get() + vl, selected.get() + vh, 0);
+        trace::Span count_span("select", "select.count", "thread", t);
+        sets.scan(scratch, [&](std::size_t j, Ref ref,
+                               const RRRRecord &record) {
+          record.adjust_counters<false>(counts, vl, vh);
+          if (j < sl || j >= sh) return;
+          const std::uint64_t signature = signature_of(record);
+          if (signature != 0) live_sets[live_end++] = {signature, ref};
+        });
+      } catch (...) {
+        fail(t, phase);
+      }
+#pragma omp barrier
+      ++phase;
+    }
+
+    for (std::uint32_t i = 0; i < k && !failed_before(phase); ++i) {
+      if (!hooks.pick) {
+        // Parallel argmax reduction: local candidate per interval...
+        Candidate best{0, vh};
+        bool found = false;
+        for (vertex_t v = vl; v < vh; ++v) {
+          if (selected[v]) continue;
+          if (!found || counters[v] > best.count) {
+            best = {counters[v], v};
+            found = true;
+          }
+        }
+        slots[t].best = found ? best : Candidate{0, num_vertices};
+      }
+      // This barrier also ends every thread's reads of the previous round's
+      // hit slices, so the search below may overwrite its own.
+#pragma omp barrier
+      if (failed_before(++phase)) break;
+      // ...then the primary thread picks: the team argmax, or the caller's
+      // pick.  It is the caller's own thread and the only one to write
+      // `result`: TSan cannot see libgomp's barriers, so a caller reading
+      // what a worker wrote would be reported outside this function.
+#pragma omp masked
+      try {
+        if (hooks.log != nullptr) join_log();
+        chosen = hooks.pick
+                     ? hooks.pick(i, {counts, num_vertices},
+                                  {selected.get(), num_vertices})
+                     : team_argmax();
+        RIPPLES_ASSERT_MSG(chosen < num_vertices && !selected[chosen],
+                           "k exceeds the number of vertices");
+        selected[chosen] = 1;
+        result.seeds.push_back(chosen);
+        trace::instant("select", "select.round", "round", i, "seed", chosen);
+        if (hooks.verify) hooks.verify();
+      } catch (...) {
+        fail(t, phase);
+      }
+#pragma omp barrier
+      if (failed_before(++phase)) break;
+
+      trace::Span retire_span("select", "select.retire", "round", i, "thread",
+                              t);
+      // Search: each live set is tested by its block's owner only, and
+      // its members are read only when its signature holds the seed's bit.
+      // Hits retire, so the owner moves them to its hit slice and compacts
+      // the rest of its live slice in place.
+      try {
+        const vertex_t seed = chosen;
+        const std::uint64_t seed_bit = signature_bit(seed);
+        std::size_t kept = sl;
+        std::size_t hit_end = sl;
+        for (std::size_t x = sl; x < live_end; ++x) {
+          const LiveSet<Ref> entry = live_sets[x];
+          if ((entry.signature & seed_bit) != 0 &&
+              sets.record(entry.ref, scratch).contains(seed))
+            hit_refs[hit_end++] = entry.ref;
+          else
+            live_sets[kept++] = entry;
+        }
+        live_end = kept;
+        slots[t].hits = {hit_refs + sl, hit_end - sl};
+      } catch (...) {
+        fail(t, phase);
+      }
+#pragma omp barrier
+      if (failed_before(++phase)) break;
+      // Decrement: every thread walks every hit list but touches only the
+      // counters of its own interval — no atomics (Alg. 4).  A log's
+      // pending entries are the interval's too, its touches the thread's.
+      try {
+        for (unsigned owner = 0; owner < p; ++owner) {
+          const std::span<const Ref> owner_hits = slots[owner].hits;
+          if (t == 0) result.covered_samples += owner_hits.size();
+          if (hooks.log == nullptr) {
+            for (const Ref ref : owner_hits)
+              sets.record(ref, scratch).template adjust_counters<true>(
+                  counts, vl, vh);
+            continue;
+          }
+          std::uint32_t *const pending = hooks.log->pending_dec.data();
+          for (const Ref ref : owner_hits)
+            sets.record(ref, scratch).for_each_member(vl, vh, [&](vertex_t u) {
+              RIPPLES_DEBUG_ASSERT(counts[u] > 0);
+              --counts[u];
+              if (pending[u]++ == 0) slots[t].touched.push_back(u);
+            });
+        }
+      } catch (...) {
+        fail(t, phase);
+      }
+    }
+    RIPPLES_TEAM_JOIN(release, &chosen);
   }
-  picker.finish();
+  RIPPLES_TEAM_JOIN(acquire, &chosen);
+  for (const std::exception_ptr &error : errors)
+    if (error) std::rethrow_exception(error);
+  if (hooks.log != nullptr) join_log();
   return result;
 }
 
@@ -221,44 +360,31 @@ SelectionResult greedy(vertex_t num_vertices, std::uint32_t k,
 
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters) {
-  count_live(PlainSets{samples}, counters);
-}
-
-void count_memberships(const RRRCollection &collection,
-                       std::span<std::uint32_t> counters) {
-  count_live(PlainSets{collection.sets(), collection.bitmap_words()},
-             counters);
-}
-
-void count_memberships(const CompressedRRRCollection &collection,
-                       std::span<std::uint32_t> counters) {
-  count_live(collection, counters);
+  for (const RRRSet &sample : samples)
+    for (vertex_t v : sample) ++counters[v];
 }
 
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         std::span<const RRRSet> samples,
                                         std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log) {
-  return retire(seed, PlainSets{samples}, counters, retired, log);
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const RRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log) {
-  return retire(seed,
-                PlainSets{collection.sets(), collection.bitmap_words()},
-                counters, retired, log);
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log) {
-  return retire(seed, collection, counters, retired, log);
+                                        std::vector<std::uint8_t> &retired) {
+  // A raw pointer: the byte stores may alias anything, so the vector's
+  // data pointer would be reloaded per set.
+  std::uint8_t *const flags = retired.data();
+  std::uint64_t retired_count = 0;
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    const RRRSet &sample = samples[j];
+    if (flags[j] || !std::binary_search(sample.begin(), sample.end(), seed))
+      continue;
+    flags[j] = 1;
+    ++retired_count;
+    for (vertex_t u : sample) {
+      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
+      --counters[u];
+    }
+  }
+  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
+  return retired_count;
 }
 
 vertex_t argmax_counter(std::span<const std::uint32_t> counters,
@@ -285,214 +411,92 @@ SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
 
 SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
                              const CompressedRRRCollection &collection) {
-  return greedy<ArgmaxPicker>(num_vertices, k, collection, "select.compressed");
+  return select_seeds_multithreaded(num_vertices, k, collection, 1);
 }
-
-SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
-                                  std::span<const RRRSet> samples) {
-  return greedy<CelfPicker>(num_vertices, k, PlainSets{samples},
-                            "select.lazy");
-}
-
-namespace {
-
-/// Algorithm 4 over plain storage of either record kind.  A bitmap record's
-/// signature is all ones, its containment test one bit, and its count and
-/// decrement walk the set bits of the thread's [vl, vh) words.  It keeps
-/// the public name: TSan's suppression of Alg. 4's barrier phases
-/// (scripts/tsan-suppressions.txt) matches it.
-SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
-                                           std::uint32_t k,
-                                           const PlainSets source,
-                                           unsigned num_threads) {
-  const std::span<const RRRSet> samples = source.sets;
-  const std::size_t words = source.bitmap_words;
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  RIPPLES_ASSERT(num_threads >= 1);
-  trace::Span span("select", "select.multithreaded", "k", k, "samples",
-                   samples.size());
-
-  // Every per-vertex and per-sample array below is left uninitialized here
-  // and first written inside the team by the thread that owns its range.
-  // A zeroing pass on the calling thread would be a second write of every
-  // entry, and TSan, blind to libgomp's barriers, would report each entry
-  // an owner then touches.
-  const auto counters = std::make_unique_for_overwrite<std::uint32_t[]>(
-      num_vertices);
-  const auto selected =
-      std::make_unique_for_overwrite<std::uint8_t[]>(num_vertices);
-
-  SelectionResult result;
-  result.total_samples = samples.size();
-  result.seeds.reserve(k);
-
-  // One cache line per entry: every thread writes its own slot each round,
-  // so unpadded entries would false-share the reduction array.
-  struct alignas(64) Candidate {
-    std::uint32_t count;
-    vertex_t vertex;
-  };
-  // Slots start at the "no candidate" sentinel: when the team comes out
-  // smaller than requested (a nested call, OMP_THREAD_LIMIT), the slots no
-  // thread writes must not pose as vertex 0.
-  std::vector<Candidate> local_best(num_threads, Candidate{0, num_vertices});
-  // Per-sample scratch, one slice per thread's sample block: the block's
-  // live sets, and those of them the current round retires.  Allocated
-  // here rather than per thread, so each is one mapping that leaves with
-  // the call.
-  const auto live = std::make_unique_for_overwrite<LiveSet[]>(samples.size());
-  const auto hits =
-      std::make_unique_for_overwrite<const RRRSet *[]>(samples.size());
-  // Each thread's hits of the current round, published for the whole team
-  // (padded like the candidates).
-  struct alignas(64) Hits {
-    std::span<const RRRSet *const> sets;
-  };
-  std::vector<Hits> round_hits(num_threads);
-  vertex_t chosen = 0;
-
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    const auto t = static_cast<unsigned>(omp_get_thread_num());
-    const auto p = static_cast<unsigned>(omp_get_num_threads());
-    // Vertex interval owned by this thread rank (Alg. 4: vl, vh).
-    const auto vl = static_cast<vertex_t>(
-        (static_cast<std::uint64_t>(num_vertices) * t) / p);
-    const auto vh = static_cast<vertex_t>(
-        (static_cast<std::uint64_t>(num_vertices) * (t + 1)) / p);
-    // Sample block owned by this thread: [sl, sh).  Its live sets, the only
-    // ones it searches for the seed, are live[sl, live_end); empty sets
-    // can never retire, so they are left out from the start.  A signature
-    // is saturated after ~300 members on average, so the fill stops there
-    // and reads only that prefix of a giant IC set.
-    const std::size_t sl = samples.size() * t / p;
-    const std::size_t sh = samples.size() * (t + 1) / p;
-    // Raw pointers: stores through the owning pointers would make the
-    // compiler reload them after every store.
-    LiveSet *const live_sets = live.get();
-    const RRRSet **const hit_sets = hits.get();
-    std::size_t live_end = sl;
-    for (std::size_t j = sl; j < sh; ++j) {
-      const RRRSet &sample = samples[j];
-      std::uint64_t signature = 0;
-      if (plain_record(sample, words).is_bitmap())
-        signature = ~std::uint64_t{0};
-      else
-        for (auto it = sample.begin(); it != sample.end() && ~signature != 0;
-             ++it)
-          signature |= signature_bit(*it);
-      if (signature != 0) live_sets[live_end++] = {signature, &sample};
-    }
-
-    // Counting step: every thread visits all samples but touches only the
-    // counters it owns; a sorted list lets it binary-search to vl and scan
-    // its slice in cache order (Section 3.1), a bitmap holds the slice in
-    // its [vl, vh) words.
-    std::uint32_t *const counts = counters.get();
-    std::fill(counts + vl, counts + vh, 0);
-    std::fill(selected.get() + vl, selected.get() + vh, 0);
-    {
-      // Per-thread span ending before the barrier, so interval imbalance in
-      // the counting pass is visible as ragged span ends.
-      trace::Span count_span("select", "select.count", "thread", t);
-      for (const RRRSet &sample : samples)
-        plain_record(sample, words).adjust_counters<false>(counts, vl, vh);
-    }
-#pragma omp barrier
-
-    for (std::uint32_t i = 0; i < k; ++i) {
-      // Parallel argmax reduction: local candidate per interval...
-      Candidate best{0, vh};
-      bool found = false;
-      for (vertex_t v = vl; v < vh; ++v) {
-        if (selected[v]) continue;
-        if (!found || counters[v] > best.count) {
-          best = {counters[v], v};
-          found = true;
-        }
-      }
-      local_best[t] = found ? best : Candidate{0, num_vertices};
-      // This barrier also ends every thread's reads of the previous round's
-      // hit slices, so the search below may overwrite its own.
-#pragma omp barrier
-      // ...then thread 0 combines (higher count wins, ties to smaller id).
-      // Thread 0 is the caller's own thread and the only one to write
-      // `result`: TSan cannot see libgomp's barriers, so a caller reading
-      // what a worker wrote would be reported outside this function.
-#pragma omp masked
-      {
-        Candidate global{0, num_vertices};
-        for (const Candidate &c : local_best) {
-          if (c.vertex >= num_vertices) continue;
-          if (global.vertex >= num_vertices || c.count > global.count ||
-              (c.count == global.count && c.vertex < global.vertex))
-            global = c;
-        }
-        RIPPLES_ASSERT_MSG(global.vertex < num_vertices,
-                           "k exceeds the number of vertices");
-        chosen = global.vertex;
-        selected[chosen] = 1;
-        result.seeds.push_back(chosen);
-        trace::instant("select", "select.round", "round", i, "seed", chosen);
-      }
-#pragma omp barrier
-
-      trace::Span retire_span("select", "select.retire", "round", i, "thread",
-                              t);
-      // Search: each live set is tested by its block's owner only, and
-      // its members are read only when its signature holds the seed's bit.
-      // Hits retire, so the owner moves them to its hit slice and compacts
-      // the rest of its live slice in place.
-      const vertex_t seed = chosen;
-      const std::uint64_t seed_bit = signature_bit(seed);
-      std::size_t kept = sl;
-      std::size_t hit_end = sl;
-      // Only an all-ones signature can belong to a bitmap record, so any
-      // other hit is a list and binary-searched without asking its kind.
-      for (std::size_t x = sl; x < live_end; ++x) {
-        const LiveSet entry = live_sets[x];
-        if ((entry.signature & seed_bit) != 0 &&
-            (~entry.signature == 0
-                 ? plain_record(*entry.set, words).contains(seed)
-                 : std::binary_search(entry.set->begin(), entry.set->end(),
-                                      seed)))
-          hit_sets[hit_end++] = entry.set;
-        else
-          live_sets[kept++] = entry;
-      }
-      live_end = kept;
-      round_hits[t].sets = {hit_sets + sl, hit_end - sl};
-#pragma omp barrier
-      // Decrement: every thread walks every hit list but touches only the
-      // counters of its own interval — no atomics (Alg. 4).
-      for (unsigned owner = 0; owner < p; ++owner) {
-        const auto owner_hits = round_hits[owner].sets;
-        if (t == 0) result.covered_samples += owner_hits.size();
-        for (const RRRSet *sample : owner_hits)
-          plain_record(*sample, words).adjust_counters<true>(counts, vl, vh);
-      }
-    }
-  }
-  return result;
-}
-
-} // namespace
 
 SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
                                            std::uint32_t k,
                                            std::span<const RRRSet> samples,
                                            unsigned num_threads) {
   return select_seeds_multithreaded(num_vertices, k, PlainSets{samples},
-                                    num_threads);
+                                    num_threads, SelectionHooks{});
 }
 
 SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
                                            std::uint32_t k,
                                            const RRRCollection &collection,
-                                           unsigned num_threads) {
+                                           unsigned num_threads,
+                                           const SelectionHooks &hooks) {
   return select_seeds_multithreaded(
       num_vertices, k,
-      PlainSets{collection.sets(), collection.bitmap_words()}, num_threads);
+      PlainSets{collection.sets(), collection.bitmap_words()}, num_threads,
+      hooks);
+}
+
+SelectionResult
+select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
+                           const CompressedRRRCollection &collection,
+                           unsigned num_threads, const SelectionHooks &hooks) {
+  return select_seeds_multithreaded(num_vertices, k,
+                                    CompressedSets{collection}, num_threads,
+                                    hooks);
+}
+
+SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
+                                  std::span<const RRRSet> samples) {
+  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
+  trace::Span span("select", "select.lazy", "k", k, "samples",
+                   samples.size());
+  std::vector<std::uint32_t> counters(num_vertices, 0);
+  {
+    trace::Span count_span("select", "select.count");
+    count_memberships(samples, counters);
+  }
+  // A max-heap of cached counter values: higher count first, ties to the
+  // smaller vertex id, as the eager argmax breaks them.  Counters only
+  // decrease as samples retire, so a popped entry whose cached value still
+  // matches the live counter is globally maximal; stale entries are
+  // refreshed and reinserted.
+  struct Entry {
+    std::uint32_t count;
+    vertex_t vertex;
+  };
+  auto lower_priority = [](const Entry &a, const Entry &b) {
+    return a.count < b.count || (a.count == b.count && a.vertex > b.vertex);
+  };
+  std::vector<Entry> heap;
+  heap.reserve(num_vertices);
+  for (vertex_t v = 0; v < num_vertices; ++v) heap.push_back({counters[v], v});
+  std::make_heap(heap.begin(), heap.end(), lower_priority);
+  std::vector<std::uint8_t> retired(samples.size(), 0);
+
+  SelectionResult result;
+  result.total_samples = samples.size();
+  result.seeds.reserve(k);
+  std::uint64_t stale_refreshes = 0;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    trace::Span round("select", "select.round", "round", i);
+    std::uint64_t round_stale = 0;
+    for (;; ++round_stale) {
+      std::pop_heap(heap.begin(), heap.end(), lower_priority);
+      Entry &top = heap.back();
+      if (top.count == counters[top.vertex]) break;
+      top.count = counters[top.vertex]; // stale: refresh and reinsert
+      std::push_heap(heap.begin(), heap.end(), lower_priority);
+    }
+    const vertex_t seed = heap.back().vertex;
+    heap.pop_back();
+    stale_refreshes += round_stale;
+    round.arg("stale", round_stale);
+    result.seeds.push_back(seed);
+    const std::uint64_t covered =
+        retire_samples_containing(seed, samples, counters, retired);
+    result.covered_samples += covered;
+    round.arg("covered", covered);
+  }
+  trace::instant("select", "select.lazy_done", "stale_refreshes",
+                 stale_refreshes);
+  return result;
 }
 
 SelectionResult select_seeds_hypergraph(vertex_t num_vertices, std::uint32_t k,
@@ -680,49 +684,40 @@ SparseExactResult sparse_certify_exact(std::span<const vertex_t> candidates,
 namespace detail {
 
 namespace {
-metrics::Counter &exchange_words_counter() {
-  static metrics::Counter &c =
-      metrics::Registry::instance().counter("imm.select.exchange_words");
-  return c;
-}
-metrics::Counter &sparse_rounds_counter() {
-  static metrics::Counter &c =
-      metrics::Registry::instance().counter("imm.select.sparse_rounds");
-  return c;
-}
-metrics::Counter &sparse_certified_counter() {
-  static metrics::Counter &c =
-      metrics::Registry::instance().counter("imm.select.sparse_certified");
-  return c;
-}
-metrics::Counter &candidate_fallbacks_counter() {
-  static metrics::Counter &c = metrics::Registry::instance().counter(
-      "imm.select.sparse_candidate_fallbacks");
-  return c;
-}
-metrics::Counter &dense_fallbacks_counter() {
-  static metrics::Counter &c =
-      metrics::Registry::instance().counter("imm.select.sparse_dense_fallbacks");
-  return c;
+metrics::Counter &counter(const char *name) {
+  return metrics::Registry::instance().counter(name);
 }
 } // namespace
 
 void record_exchange_words(std::uint64_t words) {
-  if (metrics::enabled()) exchange_words_counter().add(words);
+  if (!metrics::enabled()) return;
+  static metrics::Counter &c = counter("imm.select.exchange_words");
+  c.add(words);
 }
 
 void record_sparse_round(bool certified) {
   if (!metrics::enabled()) return;
-  sparse_rounds_counter().increment();
-  if (certified) sparse_certified_counter().increment();
+  static metrics::Counter &rounds = counter("imm.select.sparse_rounds");
+  rounds.increment();
+  if (!certified) return;
+  // Registered on the first certification only, as every counter here is
+  // registered on first use: a report lists no certification count until
+  // one happens.
+  static metrics::Counter &hits = counter("imm.select.sparse_certified");
+  hits.increment();
 }
 
 void record_candidate_fallback() {
-  if (metrics::enabled()) candidate_fallbacks_counter().increment();
+  if (!metrics::enabled()) return;
+  static metrics::Counter &c =
+      counter("imm.select.sparse_candidate_fallbacks");
+  c.increment();
 }
 
 void record_dense_fallback() {
-  if (metrics::enabled()) dense_fallbacks_counter().increment();
+  if (!metrics::enabled()) return;
+  static metrics::Counter &c = counter("imm.select.sparse_dense_fallbacks");
+  c.increment();
 }
 
 } // namespace detail

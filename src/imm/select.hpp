@@ -6,33 +6,31 @@
 /// take the argmax, then retire every sample containing it (those samples
 /// can no longer add influence) and decrement the counters of their members.
 ///
-/// Alg. 4, one sequential greedy and the hypergraph baseline:
-///  * select_seeds_multithreaded — Algorithm 4, with ownership in two
-///    directions.  Each thread owns the counters of a vertex interval
-///    [vl, vh), so counting and decrementing need no atomics; sorted
-///    samples let a thread binary-search directly to its interval inside
-///    every sample.  Each thread also owns a contiguous block of sample ids
-///    and is the only one to search its block's live samples for the
-///    round's seed, reading a sample's members only when its 64-bit
-///    membership signature holds the seed's bit; the whole team then
-///    decrements from the hit lists.  Plain-storage select_seeds is this
-///    body on a team of one.
-///  * select_seeds over compressed storage / select_seeds_lazy — the
-///    sequential greedy, written once over a set walker that visits the
-///    live samples of either storage (the sorted vectors, or the
-///    compressed arena decoded on iterate), with one of two pickers for the
-///    next seed: an eager argmax scan, or a CELF heap.
-///
-/// Both bodies read either record kind (rrr_collection.hpp): on a bitmap
-/// record containment is one bit test and the signature is all ones, and
-/// counting and decrementing walk its set bits.  The entry points over a
-/// span of plain lists see list records only; those over an RRRCollection
-/// or a CompressedRRRCollection follow the collection's record kinds.
-///  * select_seeds_hypergraph  — the baseline's variant that exploits the
-///    vertex -> samples index for cheaper retirement at 2x memory.
-///
-/// The distributed selection (Section 3.2) reuses the counting kernels here
-/// around an allreduce; see imm_distributed.cpp.
+/// One body runs that greedy for every driver and every storage:
+/// select_seeds_multithreaded, Algorithm 4 with ownership in two
+/// directions.  Each thread owns the counters of a vertex interval
+/// [vl, vh), so counting and decrementing need no atomics; sorted samples
+/// let a thread binary-search directly to its interval inside every sample.
+/// Each thread also owns a contiguous block of sample ids and is the only
+/// one to search its block's live samples for the round's seed, reading a
+/// sample's members only when its 64-bit membership signature holds the
+/// seed's bit; the whole team then decrements from the hit lists.
+///  * The pick is the one step a caller varies (SelectionHooks): shared
+///    memory takes the team's argmax; a distributed rank (Section 3.2,
+///    imm_distributed.cpp) exchanges its counters with the other ranks,
+///    densely or through the sparse protocol below, on the team's primary
+///    thread.
+///  * Compressed storage (DESIGN.md §12) feeds the same body: a live entry
+///    keeps its record's payload offset, the count pass decodes each record
+///    once per thread, and a round decodes a record only on a signature
+///    hit.
+///  * Every record kind (rrr_collection.hpp) reads the same way: on a
+///    bitmap record containment is one bit test and the signature is all
+///    ones, and counting and decrementing walk its set bits.
+/// select_seeds is the body on a team of one.  select_seeds_lazy (CELF) and
+/// the hypergraph baseline's select_seeds_hypergraph are the comparison
+/// variants the benches ablate; CELF is written over the span kernels
+/// below, which see list records only.
 ///
 /// Tie-breaking: the smallest vertex id among maxima, in every
 /// implementation — the cross-implementation determinism tests rely on it.
@@ -40,6 +38,7 @@
 #define RIPPLES_IMM_SELECT_HPP
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -62,15 +61,45 @@ struct SelectionResult {
   }
 };
 
+/// Retirement-delta log of the sparse selection exchange: Alg. 4's
+/// decrement pass, given one, also accumulates every decrement here, so a
+/// later fallback can synchronize a cached global counter vector by
+/// exchanging only the touched entries.
+struct RetireLog {
+  explicit RetireLog(vertex_t num_vertices) : pending_dec(num_vertices, 0) {}
+  /// Dense per-vertex sum of the decrements not yet synchronized.
+  std::vector<std::uint32_t> pending_dec;
+  /// Vertices whose pending_dec left zero: each thread's first-touch order
+  /// over its own vertex interval, the threads joined in order.
+  std::vector<vertex_t> pending_touched;
+};
+
+/// The steps a caller varies in Alg. 4's body.  Both functions run on the
+/// team's primary thread — the caller's own — between barriers, so they see
+/// the whole team's counters and may call collectives; whatever they throw
+/// leaves the team first and is rethrown by the entry point.
+struct SelectionHooks {
+  /// Round \p round's seed: an unselected vertex chosen from the counters
+  /// of the local samples and the flags of the seeds picked so far.  Empty:
+  /// the team's argmax over the counters.
+  std::function<vertex_t(std::uint32_t round,
+                         std::span<const std::uint32_t> counters,
+                         std::span<const std::uint8_t> selected)>
+      pick;
+  /// Non-null: the decrement pass also records every decrement here; each
+  /// round's entries are joined before the next pick.
+  RetireLog *log = nullptr;
+  /// Runs before the count pass and after each round's pick, before the
+  /// search reads the samples (the store's ScrubMode::Paranoid scrub).
+  std::function<void()> verify;
+};
+
 /// Greedy max-coverage over sorted samples: Algorithm 4 on a team of one.
 [[nodiscard]] SelectionResult select_seeds(vertex_t num_vertices,
                                            std::uint32_t k,
                                            std::span<const RRRSet> samples);
 
-/// The same greedy over the compressed representation (DESIGN.md §12):
-/// every kernel pass walks the arena front to back with a cursor, decoding
-/// live sets into a scratch buffer and skipping retired ones at
-/// continuation-bit-scan cost.
+/// The same over the compressed representation.
 [[nodiscard]] SelectionResult
 select_seeds(vertex_t num_vertices, std::uint32_t k,
              const CompressedRRRCollection &collection);
@@ -83,11 +112,19 @@ select_seeds(vertex_t num_vertices, std::uint32_t k,
 select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
                            std::span<const RRRSet> samples,
                            unsigned num_threads);
-/// The same body over a collection of either record kind.
+/// The same body over a collection of either record kind or over the
+/// compressed arena, with the caller's \p hooks.  Under a pick, the result's
+/// covered_samples counts the local samples the seeds cover.
 [[nodiscard]] SelectionResult
 select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
                            const RRRCollection &collection,
-                           unsigned num_threads);
+                           unsigned num_threads,
+                           const SelectionHooks &hooks = {});
+[[nodiscard]] SelectionResult
+select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
+                           const CompressedRRRCollection &collection,
+                           unsigned num_threads,
+                           const SelectionHooks &hooks = {});
 
 /// Baseline selection over dual-direction storage.
 [[nodiscard]] SelectionResult
@@ -107,50 +144,22 @@ select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
                   std::span<const RRRSet> samples);
 
 // ---------------------------------------------------------------------------
-// Building blocks shared with the distributed implementation.
+// Building blocks over list records: CELF's greedy, the benches' kernel
+// replay, and the distributed pick's argmax.
 // ---------------------------------------------------------------------------
 
 /// Fills \p counters (size n, zeroed by the caller) with the number of
 /// samples containing each vertex.
 void count_memberships(std::span<const RRRSet> samples,
                        std::span<std::uint32_t> counters);
-void count_memberships(const RRRCollection &collection,
-                       std::span<std::uint32_t> counters);
-void count_memberships(const CompressedRRRCollection &collection,
-                       std::span<std::uint32_t> counters);
-
-/// Retirement-delta log of the sparse selection exchange: a retirement
-/// given one also accumulates every decrement here, so a later fallback can
-/// synchronize a cached global counter vector by exchanging only the
-/// touched entries.
-struct RetireLog {
-  explicit RetireLog(vertex_t num_vertices) : pending_dec(num_vertices, 0) {}
-  /// Dense per-vertex sum of the decrements not yet synchronized.
-  std::vector<std::uint32_t> pending_dec;
-  /// Vertices whose pending_dec left zero, in first-touch order.
-  std::vector<vertex_t> pending_touched;
-};
 
 /// Retires every live sample containing \p seed: marks it in \p retired
-/// (one byte per sample — byte granularity so parallel callers can write
-/// disjoint entries racelessly), decrements the counters of all its
-/// members, and returns how many samples were retired.  `counters[seed]`
-/// ends at 0.  A non-null \p log additionally records every decrement.
+/// (one byte per sample), decrements the counters of all its members, and
+/// returns how many samples were retired.  `counters[seed]` ends at 0.
 std::uint64_t retire_samples_containing(vertex_t seed,
                                         std::span<const RRRSet> samples,
                                         std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log = nullptr);
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const RRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log = nullptr);
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        RetireLog *log = nullptr);
+                                        std::vector<std::uint8_t> &retired);
 
 /// Smallest-id argmax over the counters, skipping already-selected vertices;
 /// if every unselected counter is zero, returns the smallest unselected id.

@@ -1,7 +1,8 @@
-// Combinatorial contract sweep: every IMM driver x both diffusion models x
-// several (epsilon, k) settings x both selection-exchange protocols must
-// satisfy the output contract, and the counter-stream drivers must agree
-// bit-exactly with the sequential reference in every cell of the matrix.
+// Combinatorial contract sweep: every IMM driver (the distributed one also
+// with threaded ranks) x both diffusion models x several (epsilon, k)
+// settings x both selection-exchange protocols must satisfy the output
+// contract, and the counter-stream drivers must agree bit-exactly with the
+// sequential reference in every cell of the matrix.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,8 +16,9 @@
 namespace ripples {
 namespace {
 
+/// The last two run Alg. 4 on a team of 3 threads inside each mpsim rank.
 enum class Driver { Sequential, Baseline, Multithreaded, Distributed,
-                    DistributedPartitioned };
+                    DistributedPartitioned, Distributed2x3, Distributed3x3 };
 
 const char *name_of(Driver driver) {
   switch (driver) {
@@ -25,6 +27,8 @@ const char *name_of(Driver driver) {
   case Driver::Multithreaded: return "multithreaded";
   case Driver::Distributed: return "distributed";
   case Driver::DistributedPartitioned: return "distributed-partitioned";
+  case Driver::Distributed2x3: return "distributed-2x3";
+  case Driver::Distributed3x3: return "distributed-3x3";
   }
   return "?";
 }
@@ -47,6 +51,13 @@ ImmResult run(Driver driver, const CsrGraph &graph, const ImmOptions &options) {
     ImmOptions local = options;
     local.num_ranks = 3;
     return imm_distributed_partitioned(graph, local);
+  }
+  case Driver::Distributed2x3:
+  case Driver::Distributed3x3: {
+    ImmOptions local = options;
+    local.num_ranks = driver == Driver::Distributed2x3 ? 2 : 3;
+    local.num_threads = 3;
+    return imm_distributed(graph, local);
   }
   }
   return {};
@@ -112,7 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Driver::Sequential, Driver::Baseline,
                           Driver::Multithreaded, Driver::Distributed,
-                          Driver::DistributedPartitioned),
+                          Driver::DistributedPartitioned,
+                          Driver::Distributed2x3, Driver::Distributed3x3),
         ::testing::Values(DiffusionModel::IndependentCascade,
                           DiffusionModel::LinearThreshold),
         ::testing::Values(0.4, 0.5),
@@ -265,7 +277,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Driver::Sequential, Driver::Baseline,
                           Driver::Multithreaded, Driver::Distributed,
-                          Driver::DistributedPartitioned),
+                          Driver::DistributedPartitioned,
+                          Driver::Distributed2x3, Driver::Distributed3x3),
         ::testing::Values(DiffusionModel::IndependentCascade,
                           DiffusionModel::LinearThreshold)));
 

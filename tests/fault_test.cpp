@@ -695,7 +695,11 @@ INSTANTIATE_TEST_SUITE_P(RngModes, ImmHealing,
                                       : "leapfrog";
                          });
 
-class ImmHealingSparse : public ::testing::TestWithParam<RngMode> {};
+/// RNG mode and threads per rank: Alg. 4 runs on each rank's team, whose
+/// primary thread makes the exchange's collectives.
+using SparseHealingCell = std::tuple<RngMode, unsigned>;
+
+class ImmHealingSparse : public ::testing::TestWithParam<SparseHealingCell> {};
 
 TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // The sparse protocol multiplies the collectives per selection round
@@ -703,14 +707,18 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // delta allgatherv), so the site sweep is denser than the dense-path
   // sweep above: sites 0..12 hit every sparse-collective shape across the
   // early rounds, and healing must still reproduce the failure-free (and
-  // dense-protocol-identical) seed set.
+  // dense-protocol-identical) seed set.  With threaded ranks the failure
+  // surfaces on a team's primary thread and leaves the team before the
+  // heal.
+  const auto [mode, threads] = GetParam();
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(GetParam());
+  ImmOptions options = healing_options(mode);
   options.selection_exchange = SelectionExchange::Sparse;
+  options.num_threads = threads;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
   {
-    ImmOptions dense = healing_options(GetParam());
+    ImmOptions dense = healing_options(mode);
     const ImmResult reference = imm_distributed(graph, dense);
     ASSERT_EQ(clean.seeds, reference.seeds);
   }
@@ -727,14 +735,20 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RngModes, ImmHealingSparse,
-                         ::testing::Values(RngMode::CounterSequence,
-                                           RngMode::LeapfrogLcg),
-                         [](const auto &suite_info) {
-                           return suite_info.param == RngMode::CounterSequence
-                                      ? "counter"
-                                      : "leapfrog";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    RngModes, ImmHealingSparse,
+    ::testing::Values(SparseHealingCell{RngMode::CounterSequence, 1},
+                      SparseHealingCell{RngMode::LeapfrogLcg, 1},
+                      SparseHealingCell{RngMode::CounterSequence, 3}),
+    [](const auto &suite_info) {
+      const unsigned threads = std::get<1>(suite_info.param);
+      std::string name = std::get<0>(suite_info.param) ==
+                                 RngMode::CounterSequence
+                             ? "counter"
+                             : "leapfrog";
+      if (threads != 1) name += "_threads" + std::to_string(threads);
+      return name;
+    });
 
 TEST(ImmHealing, EvictedStallHealsToTheFailureFreeSeedSet) {
   // PR 3 left stalls diagnose-only; with evict_stalled the watchdog routes

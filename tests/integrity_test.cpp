@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <set>
@@ -428,6 +429,22 @@ detail::RRRStore::Policy scrub_policy(ScrubMode mode) {
   return policy;
 }
 
+/// A selection pick that takes the argmax and hands the first round's
+/// counters — the count pass's result — to \p counts, after \p each_round.
+SelectionHooks observing_pick(std::vector<std::uint32_t> &counts,
+                              std::function<void(std::uint32_t)> each_round =
+                                  [](std::uint32_t) {}) {
+  SelectionHooks hooks;
+  hooks.pick = [&counts, each_round](std::uint32_t round,
+                                     std::span<const std::uint32_t> counters,
+                                     std::span<const std::uint8_t> selected) {
+    if (round == 0) counts.assign(counters.begin(), counters.end());
+    each_round(round);
+    return argmax_counter(counters, selected);
+  };
+  return hooks;
+}
+
 TEST(RRRStoreScrub, FlippedBitIsRepairedBeforeSelection) {
   metrics::set_enabled(true);
   const std::uint64_t passes0 = counter_value("integrity.scrub_passes");
@@ -467,17 +484,37 @@ TEST(RRRStoreScrub, MultipleDamagedBlocksAreAllRepaired) {
 }
 
 TEST(RRRStoreScrub, ParanoidScrubsBeforeTheCountingKernels) {
+  // Damage before selection, and again inside every round's pick: only a
+  // scrub before the count pass gives the first pick the clean counts, and
+  // only one between each pick and its round's search keeps the seeds the
+  // clean store's.  One pass and one repair per round, plus the first.
+  constexpr vertex_t n = 120;
+  constexpr std::uint32_t k = 5;
   detail::RRRStore clean(scrub_policy(ScrubMode::Paranoid));
   clean.extend_window(0, 1500, fill_window);
-  std::vector<std::uint32_t> expected(120, 0);
-  clean.count_into(std::span<std::uint32_t>(expected));
+  std::vector<std::uint32_t> expected;
+  const SelectionResult reference =
+      clean.select(n, k, 3, observing_pick(expected));
 
   detail::RRRStore damaged(scrub_policy(ScrubMode::Paranoid));
   damaged.extend_window(0, 1500, fill_window);
   ASSERT_TRUE(damaged.flip_stored_bit(777));
-  std::vector<std::uint32_t> counted(120, 0);
-  damaged.count_into(std::span<std::uint32_t>(counted));
+  metrics::set_enabled(true);
+  const std::uint64_t passes0 = counter_value("integrity.scrub_passes");
+  const std::uint64_t repaired0 =
+      counter_value("integrity.scrub_repaired_blocks");
+  std::vector<std::uint32_t> counted;
+  const SelectionResult healed =
+      damaged.select(n, k, 3, observing_pick(counted, [&](std::uint32_t i) {
+                       EXPECT_TRUE(damaged.flip_stored_bit(1000 + 4099 * i));
+                     }));
+  metrics::set_enabled(false);
   EXPECT_EQ(counted, expected);
+  EXPECT_EQ(healed.seeds, reference.seeds);
+  EXPECT_EQ(healed.covered_samples, reference.covered_samples);
+  EXPECT_EQ(counter_value("integrity.scrub_passes") - passes0, k + 1);
+  EXPECT_EQ(counter_value("integrity.scrub_repaired_blocks") - repaired0,
+            k + 1);
 }
 
 TEST(RRRStoreScrub, OffModeNeverScrubs) {
@@ -508,8 +545,8 @@ TEST(RRRStoreScrub, DamagedBitmapRecordsAreRepairedByteIdentically) {
   policy.num_vertices = 120;
   detail::RRRStore clean(policy);
   clean.extend_window(0, 1500, fill_window);
-  std::vector<std::uint32_t> expected(120, 0);
-  clean.count_into(std::span<std::uint32_t>(expected));
+  std::vector<std::uint32_t> expected;
+  (void)clean.select(120, 1, 1, observing_pick(expected));
   metrics::HistogramData sizes;
   clean.record_sizes(sizes);
   EXPECT_EQ(clean.total_associations(), 1500u * 20);
@@ -522,8 +559,8 @@ TEST(RRRStoreScrub, DamagedBitmapRecordsAreRepairedByteIdentically) {
   ASSERT_TRUE(damaged.flip_stored_bit((18 * 700 + 9) * 8 + 3));
   EXPECT_EQ(damaged.scrub(), 1u);
   EXPECT_EQ(damaged.scrub(), 0u); // the repaired bytes verify clean
-  std::vector<std::uint32_t> counted(120, 0);
-  damaged.count_into(std::span<std::uint32_t>(counted));
+  std::vector<std::uint32_t> counted;
+  (void)damaged.select(120, 1, 1, observing_pick(counted));
   EXPECT_EQ(counted, expected);
   EXPECT_EQ(damaged.select(120, 6, 1).seeds, clean.select(120, 6, 1).seeds);
 }
@@ -589,18 +626,33 @@ TEST(ImmIntegrity, ScrubbedGovernedRunsMatchTheUngovernedSeeds) {
   ImmOptions options = healing_options();
   const ImmResult plain = imm_sequential(graph, options);
 
+  // Every driver scrubs before every selection: at least one pass per
+  // ledger row (one per round, per rank under imm_distributed).
+  metrics::set_enabled(true);
+  auto scrubbed_run = [&](const char *driver, auto solve,
+                          const ImmOptions &scrubbed) {
+    const std::uint64_t passes0 = counter_value("integrity.scrub_passes");
+    const ImmResult result = solve(graph, scrubbed);
+    const std::uint64_t passes =
+        counter_value("integrity.scrub_passes") - passes0;
+    EXPECT_GT(passes, 0u) << driver << " " << to_string(scrubbed.scrub_rrr);
+    EXPECT_GE(passes, result.report.rounds.size())
+        << driver << " " << to_string(scrubbed.scrub_rrr);
+    return result;
+  };
   for (ScrubMode mode : {ScrubMode::On, ScrubMode::Paranoid}) {
     ImmOptions scrubbed = options;
     scrubbed.rrr_compress = CompressMode::Always;
     scrubbed.scrub_rrr = mode;
-    const ImmResult seq = imm_sequential(graph, scrubbed);
+    const ImmResult seq = scrubbed_run("seq", imm_sequential, scrubbed);
     EXPECT_EQ(seq.seeds, plain.seeds) << to_string(mode);
     EXPECT_EQ(seq.theta, plain.theta) << to_string(mode);
-    const ImmResult mt = imm_multithreaded(graph, scrubbed);
+    const ImmResult mt = scrubbed_run("mt", imm_multithreaded, scrubbed);
     EXPECT_EQ(mt.seeds, plain.seeds) << to_string(mode);
-    const ImmResult dist = imm_distributed(graph, scrubbed);
+    const ImmResult dist = scrubbed_run("dist", imm_distributed, scrubbed);
     EXPECT_EQ(dist.seeds, plain.seeds) << to_string(mode);
   }
+  metrics::set_enabled(false);
 }
 
 TEST(ImmCorruptionHealing, TransientCorruptionRetriesToTheCleanSeeds) {

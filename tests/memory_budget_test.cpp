@@ -278,71 +278,6 @@ TEST(CompressedRRR, CompressesClusteredSetsAtLeastThreefold) {
       << compressed.footprint_bytes();
 }
 
-// --- compressed selection kernels: equivalence with the plain kernels --------
-
-TEST(CompressedKernels, CountAndSelectMatchPlainRepresentation) {
-  constexpr vertex_t kVertices = 800;
-  const std::vector<RRRSet> sets = random_sets(1500, 13, kVertices);
-  RRRCollection plain;
-  CompressedRRRCollection compressed;
-  for (const RRRSet &set : sets) {
-    compressed.append(set);
-    plain.add(RRRSet(set));
-  }
-
-  std::vector<std::uint32_t> plain_counts(kVertices, 0);
-  std::vector<std::uint32_t> compressed_counts(kVertices, 0);
-  count_memberships(plain.sets(), plain_counts);
-  count_memberships(compressed, compressed_counts);
-  EXPECT_EQ(plain_counts, compressed_counts);
-
-  const SelectionResult from_plain = select_seeds(kVertices, 10, plain.sets());
-  const SelectionResult from_compressed =
-      select_seeds(kVertices, 10, compressed);
-  EXPECT_EQ(from_plain.seeds, from_compressed.seeds);
-  EXPECT_EQ(from_plain.covered_samples, from_compressed.covered_samples);
-}
-
-TEST(CompressedKernels, RetireMatchesPlainIncludingPendingDeltas) {
-  constexpr vertex_t kVertices = 500;
-  const std::vector<RRRSet> sets = random_sets(900, 29, kVertices);
-  RRRCollection plain;
-  CompressedRRRCollection compressed;
-  for (const RRRSet &set : sets) {
-    compressed.append(set);
-    plain.add(RRRSet(set));
-  }
-
-  std::vector<std::uint32_t> plain_counts(kVertices, 0);
-  std::vector<std::uint32_t> compressed_counts(kVertices, 0);
-  count_memberships(plain.sets(), plain_counts);
-  count_memberships(compressed, compressed_counts);
-
-  std::vector<std::uint8_t> plain_retired(sets.size(), 0);
-  std::vector<std::uint8_t> compressed_retired(sets.size(), 0);
-  RetireLog plain_log(kVertices), compressed_log(kVertices);
-
-  // Retire through a few greedy rounds, alternating unlogged and logged
-  // retirement.
-  for (int round = 0; round < 4; ++round) {
-    const std::vector<std::uint8_t> nothing_selected(kVertices, 0);
-    const vertex_t seed = argmax_counter(plain_counts, nothing_selected);
-    const bool logged = round % 2 == 1;
-    const std::uint64_t from_plain =
-        retire_samples_containing(seed, plain.sets(), plain_counts,
-                                  plain_retired, logged ? &plain_log : nullptr);
-    const std::uint64_t from_compressed = retire_samples_containing(
-        seed, compressed, compressed_counts, compressed_retired,
-        logged ? &compressed_log : nullptr);
-    EXPECT_EQ(from_plain, from_compressed) << "round " << round;
-    EXPECT_EQ(plain_counts, compressed_counts) << "round " << round;
-    EXPECT_EQ(plain_retired, compressed_retired) << "round " << round;
-  }
-  EXPECT_EQ(plain_log.pending_dec, compressed_log.pending_dec);
-  EXPECT_EQ(plain_log.pending_touched, compressed_log.pending_touched);
-  EXPECT_FALSE(plain_log.pending_touched.empty());
-}
-
 // --- MemoryTracker: budget and sticky oom faults ------------------------------
 
 /// Restores the process-wide tracker to the unlimited, fault-free state

@@ -1,9 +1,9 @@
 // Tests for SelectSeeds: greedy max-coverage correctness against brute
 // force, equivalence of every implementation with a brute-force greedy
-// (Algorithm 4 at several thread counts, which plain select_seeds runs on a
-// team of one; the sequential greedy over compressed storage; CELF; the
-// hypergraph baseline), the same over collections that mix list and bitmap
-// records, and the counter/retirement building blocks.
+// (Algorithm 4 at several thread counts over plain and compressed storage,
+// which select_seeds runs on a team of one; CELF; the hypergraph
+// baseline), the same over collections that mix list and bitmap records,
+// and the counter/retirement building blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,7 +329,16 @@ void expect_all_variants_agree(vertex_t n, std::uint32_t k,
   };
 
   expect_same(select_seeds(n, k, samples), "plain");
-  expect_same(select_seeds(n, k, compress(samples)), "compressed");
+  {
+    // The arena leaves right after its last team read it: under TSan a
+    // later long region would evict the workers' stacks that
+    // scripts/tsan-suppressions.txt matches.
+    const CompressedRRRCollection compressed = compress(samples);
+    expect_same(select_seeds(n, k, compressed), "compressed");
+    for (unsigned threads : {1u, 3u, 7u})
+      expect_same(select_seeds_multithreaded(n, k, compressed, threads),
+                  ("compressed threads=" + std::to_string(threads)).c_str());
+  }
   expect_same(select_seeds_lazy(n, k, samples), "lazy");
   for (unsigned threads : {1u, 2u, 7u})
     expect_same(select_seeds_multithreaded(n, k, samples, threads),
@@ -453,26 +462,6 @@ TEST(SelectMixedRecords, EveryKernelAgreesWithTheBruteForceGreedy) {
       expect_same(select_seeds_multithreaded(n, k, hybrid, threads),
                   "alg4 threads=" + std::to_string(threads));
 
-    // The set walker: count once, then pick and retire, as the distributed
-    // driver does.
-    std::vector<std::uint32_t> counters(n, 0);
-    std::vector<std::uint32_t> list_counters(n, 0);
-    count_memberships(hybrid, counters);
-    count_memberships(samples, list_counters);
-    EXPECT_EQ(counters, list_counters);
-    SelectionResult walked;
-    walked.total_samples = hybrid.size();
-    std::vector<std::uint8_t> retired(hybrid.size(), 0);
-    std::vector<std::uint8_t> selected(n, 0);
-    for (std::uint32_t round = 0; round < k; ++round) {
-      const vertex_t seed_vertex = argmax_counter(counters, selected);
-      selected[seed_vertex] = 1;
-      walked.seeds.push_back(seed_vertex);
-      walked.covered_samples +=
-          retire_samples_containing(seed_vertex, hybrid, counters, retired);
-    }
-    expect_same(walked, "walker");
-
     // Compressed selection over an arena holding both kinds.
     CompressedRRRCollection compressed(n);
     for (std::size_t j = 0; j < hybrid.size(); ++j)
@@ -485,6 +474,46 @@ TEST(SelectMixedRecords, EveryKernelAgreesWithTheBruteForceGreedy) {
     }
     EXPECT_GT(compressed_bitmaps, 0u);
     expect_same(select_seeds(n, k, compressed), "compressed");
+    for (unsigned threads : {1u, 3u, 7u})
+      expect_same(select_seeds_multithreaded(n, k, compressed, threads),
+                  "compressed threads=" + std::to_string(threads));
+
+    // The distributed shape: the caller picks each seed, and the decrement
+    // pass logs for the sparse exchange.  Every member of every covered
+    // set is decremented once and touched once.
+    std::vector<std::uint32_t> covered_members(n, 0);
+    for (const RRRSet &sample : samples)
+      if (std::any_of(reference.seeds.begin(), reference.seeds.end(),
+                      [&](vertex_t seed_vertex) {
+                        return std::binary_search(sample.begin(), sample.end(),
+                                                  seed_vertex);
+                      }))
+        for (vertex_t v : sample) ++covered_members[v];
+    std::vector<vertex_t> touched_vertices;
+    for (vertex_t v = 0; v < n; ++v)
+      if (covered_members[v] != 0) touched_vertices.push_back(v);
+    for (unsigned threads : {1u, 3u, 7u}) {
+      for (const bool packed : {false, true}) {
+        RetireLog log(n);
+        SelectionHooks hooks;
+        hooks.pick = [](std::uint32_t, std::span<const std::uint32_t> counts,
+                        std::span<const std::uint8_t> selected) {
+          return argmax_counter(counts, selected);
+        };
+        hooks.log = &log;
+        const std::string variant =
+            std::string(packed ? "compressed" : "plain") +
+            " picked threads=" + std::to_string(threads);
+        expect_same(packed ? select_seeds_multithreaded(n, k, compressed,
+                                                        threads, hooks)
+                           : select_seeds_multithreaded(n, k, hybrid, threads,
+                                                        hooks),
+                    variant);
+        EXPECT_EQ(log.pending_dec, covered_members) << variant;
+        std::sort(log.pending_touched.begin(), log.pending_touched.end());
+        EXPECT_EQ(log.pending_touched, touched_vertices) << variant;
+      }
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "imm/budget.hpp"
 #include "imm/imm.hpp"
 #include "imm/select.hpp"
 #include "support/metrics.hpp"
@@ -394,12 +395,22 @@ TEST(SparseExchangeProperty, ExactStageCertifiesOnlyTrueWinners) {
 
 enum class ExchangeDriver { Distributed, Partitioned };
 
-using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t, RngMode>;
+/// (driver, ranks, k, RNG mode, threads per rank, stored representation,
+/// top-m).  The matrix keeps one thread, the ambient representation
+/// (CompressMode::Auto leaves it to RIPPLES_RRR_COMPRESS) and the default
+/// m; the threaded-rank cells vary all three.
+using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t, RngMode,
+                                   unsigned, CompressMode, std::uint32_t>;
 
 class SparseEquivalence : public ::testing::TestWithParam<EquivalenceCell> {};
 
+std::uint64_t counter_value(const char *name) {
+  return metrics::Registry::instance().counter(name).value();
+}
+
 TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
-  const auto [driver, num_ranks, k, rng_mode] = GetParam();
+  const auto [driver, num_ranks, k, rng_mode, threads, compress, topm] =
+      GetParam();
   // The partitioned driver defines randomness per (sample, vertex) and
   // rejects leap-frog streams.
   if (driver == ExchangeDriver::Partitioned && rng_mode == RngMode::LeapfrogLcg)
@@ -416,20 +427,63 @@ TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
   options.num_ranks = num_ranks;
   options.rng_mode = rng_mode;
 
-  auto run = [&](SelectionExchange exchange) {
+  auto run = [&](SelectionExchange exchange, unsigned num_threads,
+                 CompressMode mode, std::uint32_t m) {
     ImmOptions local = options;
     local.selection_exchange = exchange;
+    local.num_threads = num_threads;
+    if (mode != CompressMode::Auto) local.rrr_compress = mode;
+    local.selection_topm = m;
     return driver == ExchangeDriver::Distributed
                ? imm_distributed(graph, local)
                : imm_distributed_partitioned(graph, local);
   };
-  const ImmResult dense = run(SelectionExchange::Dense);
-  const ImmResult sparse = run(SelectionExchange::Sparse);
+  const std::uint32_t default_m = ImmOptions{}.selection_topm;
+  const ImmResult dense =
+      run(SelectionExchange::Dense, threads, compress, default_m);
+  metrics::set_enabled(true);
+  const std::uint64_t candidate0 =
+      counter_value("imm.select.sparse_candidate_fallbacks");
+  const std::uint64_t dense0 =
+      counter_value("imm.select.sparse_dense_fallbacks");
+  const ImmResult sparse = run(SelectionExchange::Sparse, threads, compress,
+                               topm);
+  metrics::set_enabled(false);
 
   EXPECT_EQ(sparse.seeds, dense.seeds);
   EXPECT_EQ(sparse.theta, dense.theta);
   EXPECT_EQ(sparse.num_samples, dense.num_samples);
   EXPECT_EQ(sparse.coverage_fraction, dense.coverage_fraction);
+  // m = 1 drives rounds past stage 1 into the candidate re-reduce (stage
+  // 2) and the delta-synced dense fallback (stage 3).
+  if (topm == 1) {
+    EXPECT_GT(counter_value("imm.select.sparse_candidate_fallbacks"),
+              candidate0);
+    EXPECT_GT(counter_value("imm.select.sparse_dense_fallbacks"), dense0);
+  }
+  // A rank's threads and its stored representation change nothing.
+  if (threads != 1 || compress != CompressMode::Auto) {
+    const ImmResult reference =
+        run(SelectionExchange::Dense, 1, CompressMode::Off, default_m);
+    EXPECT_EQ(dense.seeds, reference.seeds);
+    EXPECT_EQ(dense.theta, reference.theta);
+    EXPECT_EQ(dense.coverage_fraction, reference.coverage_fraction);
+  }
+}
+
+std::string equivalence_name(
+    const ::testing::TestParamInfo<EquivalenceCell> &info) {
+  const auto [driver, ranks, k, rng_mode, threads, compress, topm] =
+      info.param;
+  std::string name =
+      driver == ExchangeDriver::Distributed ? "dist" : "part";
+  name += "_p" + std::to_string(ranks) + "_k" + std::to_string(k);
+  name += rng_mode == RngMode::CounterSequence ? "_counter" : "_leapfrog";
+  if (threads != 1) name += "_t" + std::to_string(threads);
+  if (compress == CompressMode::Off) name += "_plain";
+  if (compress == CompressMode::Always) name += "_compressed";
+  if (topm != ImmOptions{}.selection_topm) name += "_m" + std::to_string(topm);
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -439,18 +493,24 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(2u, 8u),
                        ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg)),
-    [](const auto &info) {
-      std::string name = std::get<0>(info.param) == ExchangeDriver::Distributed
-                             ? "dist"
-                             : "part";
-      name += "_p" + std::to_string(std::get<1>(info.param));
-      name += "_k" + std::to_string(std::get<2>(info.param));
-      name += std::get<3>(info.param) == RngMode::CounterSequence
-                  ? "_counter"
-                  : "_leapfrog";
-      return name;
-    });
+                                         RngMode::LeapfrogLcg),
+                       ::testing::Values(1u),
+                       ::testing::Values(CompressMode::Auto),
+                       ::testing::Values(ImmOptions{}.selection_topm)),
+    equivalence_name);
+
+// Alg. 4 on each rank's own team: threaded ranks over plain and compressed
+// stores, with the default m and with m = 1.
+INSTANTIATE_TEST_SUITE_P(
+    ThreadedRanks, SparseEquivalence,
+    ::testing::Combine(::testing::Values(ExchangeDriver::Distributed),
+                       ::testing::Values(2, 3), ::testing::Values(8u),
+                       ::testing::Values(RngMode::CounterSequence),
+                       ::testing::Values(1u, 3u),
+                       ::testing::Values(CompressMode::Off,
+                                         CompressMode::Always),
+                       ::testing::Values(ImmOptions{}.selection_topm, 1u)),
+    equivalence_name);
 
 TEST(SparseEquivalence, SecondGraphShapeAlsoMatches) {
   // A small-world graph has a much flatter coverage distribution than the
