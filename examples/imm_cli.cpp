@@ -10,7 +10,8 @@
 ///           [--model IC|LT] [--epsilon 0.5] [-k 50]
 ///           [--threads N] [--ranks P]     (each 1..1024, the paper's
 ///                                          largest run; exit 2 beyond)
-///           [--rng counter|leapfrog]
+///           [--rng counter|leapfrog]      (leapfrog: --threads 1 under
+///                                          dist; not dist-part)
 ///           [--sampler seq|fused]         (RRR engine; fused batches 64
 ///                                          samples per traversal pass,
 ///                                          byte-identical output; also
@@ -167,8 +168,34 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       cli.get_bounded("threads", 1, 1, kMaxWorkers));
   options.num_ranks =
       static_cast<int>(cli.get_bounded("ranks", 2, 1, kMaxWorkers));
-  if (cli.get("rng", std::string("counter")) == "leapfrog")
-    options.rng_mode = RngMode::LeapfrogLcg;
+  if (auto rng = cli.value_of("rng")) {
+    if (*rng == "leapfrog") {
+      options.rng_mode = RngMode::LeapfrogLcg;
+    } else if (*rng != "counter") {
+      std::fprintf(stderr, "unknown --rng '%s' (counter|leapfrog)\n",
+                   rng->c_str());
+      std::exit(2);
+    }
+  }
+  // Leap-frog streams are one shared LCG per rank, walked draw by draw: the
+  // distributed driver runs them on one thread per rank, and the
+  // partitioned driver draws per (sample, vertex) and has no use for them.
+  if (options.rng_mode == RngMode::LeapfrogLcg) {
+    if (driver == "dist" && options.num_threads > 1) {
+      std::fprintf(stderr,
+                   "--rng leapfrog runs one thread per rank under --driver "
+                   "dist; got --threads %u (use --threads 1 or --rng "
+                   "counter)\n",
+                   options.num_threads);
+      std::exit(2);
+    }
+    if (driver == "dist-part") {
+      std::fprintf(stderr, "--rng leapfrog does not apply to --driver "
+                           "dist-part, which draws per (sample, vertex); "
+                           "use --rng counter\n");
+      std::exit(2);
+    }
+  }
   options.recover_failures = cli.has_flag("recover");
   options.watchdog_ms = static_cast<std::uint32_t>(
       cli.get_bounded("watchdog-ms", 0, 0, UINT32_MAX));

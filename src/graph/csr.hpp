@@ -90,6 +90,11 @@ public:
   [[nodiscard]] std::span<const edge_offset_t> in_offsets() const {
     return in_offsets_;
   }
+  /// Every in-neighbor entry, rows in vertex order: row v is
+  /// [in_offsets()[v], in_offsets()[v + 1]).
+  [[nodiscard]] std::span<const Adjacency> in_adjacency() const {
+    return in_adjacency_;
+  }
   [[nodiscard]] std::span<const edge_offset_t> out_offsets() const {
     return out_offsets_;
   }

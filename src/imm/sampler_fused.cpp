@@ -53,6 +53,7 @@ FusedEdgeTable::FusedEdgeTable(const CsrGraph &graph, DiffusionModel model)
     packed_edges_.resize(graph.num_edges());
   } else {
     lt_prefix_.resize(graph.num_edges());
+    lt_totals_.resize(n);
   }
   for (vertex_t v = 0; v < n; ++v) {
     auto in_neighbors = graph.in_neighbors(v);
@@ -76,13 +77,15 @@ FusedEdgeTable::FusedEdgeTable(const CsrGraph &graph, DiffusionModel model)
       packed_edges_[row_begin + j] =
           ((threshold >> 22) << 32) | in_neighbors[j].vertex;
     }
+    if (!ic) lt_totals_[v] = cumulative;
   }
 }
 
 std::size_t FusedEdgeTable::bytes(const CsrGraph &graph,
                                   DiffusionModel model) {
   if (model != DiffusionModel::IndependentCascade)
-    return graph.num_edges() * sizeof(double); // lt_prefix
+    return (graph.num_edges() + graph.num_vertices()) *
+           sizeof(double); // lt_prefix + lt_totals
   return graph.num_edges() * sizeof(std::uint64_t) * 2; // thresholds + packed
 }
 
@@ -365,35 +368,63 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
 void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
   // Each pass advances every live reverse walk by one step; a lane's draw
   // order (one uniform per step, consumed before the edge pick) is exactly
-  // RRRGenerator::reverse_walk_lt's.  The pick is a binary search for the
-  // first row prefix above x: the prefix holds the scan's running sums
-  // bit for bit, so it lands on the edge the scan stops at, and past the
-  // row's end exactly when the scan falls into the residual mass.
+  // RRRGenerator::reverse_walk_lt's.  The pick is the first row prefix
+  // above x: the prefix holds the scan's running sums bit for bit, so it
+  // lands on the edge the scan stops at, and past the row's end exactly
+  // when the scan falls into the residual mass.
+  //
+  // A pass runs in two phases over the live lanes so that their cache
+  // misses overlap instead of queueing: the first draws every lane's x,
+  // guesses its pick from the row total and prefetches the guessed prefix
+  // and in-edge entries; the second searches from the guess, takes the
+  // step, and prefetches the next row's offsets and total.
   const double *prefix = table_.lt_prefix();
+  const double *totals = table_.lt_totals();
+  const Adjacency *in_edges = graph_.in_adjacency().data();
   const edge_offset_t *offsets = graph_.in_offsets().data();
+  std::array<std::size_t, kLanes> row_begin;
+  std::array<std::size_t, kLanes> degree;
+  std::array<std::size_t, kLanes> guess;
+  std::array<double, kLanes> draw;
   std::uint64_t active =
       lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
   while (active != 0) {
     ++passes_;
-    for (unsigned l = 0; l < lanes; ++l) {
-      if (((active >> l) & 1) == 0) continue;
+    for (std::uint64_t live = active; live != 0; live &= live - 1) {
+      const auto l = static_cast<unsigned>(__builtin_ctzll(live));
       const vertex_t current = current_[l];
-      const double *row = prefix + offsets[current];
-      const double *row_end = prefix + offsets[current + 1];
-      if (row == row_end) {
+      const std::size_t begin = offsets[current];
+      const std::size_t d = offsets[current + 1] - begin;
+      if (d == 0) {
         active &= ~(std::uint64_t{1} << l);
         continue;
       }
       const double x = uniform_unit(rng_[l]);
-      const double *hit = std::upper_bound(row, row_end, x);
+      const std::size_t g = detail::lt_row_guess(x, totals[current], d);
+      if (g < d) {
+        __builtin_prefetch(prefix + begin + g);
+        __builtin_prefetch(in_edges + begin + g);
+      }
+      row_begin[l] = begin;
+      degree[l] = d;
+      guess[l] = g;
+      draw[l] = x;
+    }
+    for (std::uint64_t live = active; live != 0; live &= live - 1) {
+      const auto l = static_cast<unsigned>(__builtin_ctzll(live));
+      const vertex_t current = current_[l];
+      const std::size_t begin = row_begin[l];
+      const std::size_t hit =
+          detail::lt_row_search(prefix + begin, degree[l], draw[l], guess[l]);
       // Residual mass (no edge picked) or a cycle: the walk ends.
       const vertex_t selected =
-          hit == row_end ? current
-                         : graph_.in_neighbors(current)[hit - row].vertex;
+          hit == degree[l] ? current : in_edges[begin + hit].vertex;
       if (selected == current || visited_.test(selected, l)) {
         active &= ~(std::uint64_t{1} << l);
         continue;
       }
+      __builtin_prefetch(offsets + selected);
+      __builtin_prefetch(totals + selected);
       if (visited_.set_first(selected, l)) touched_[touched_len_++] = selected;
       outs[l].push_back(selected);
       current_[l] = selected;

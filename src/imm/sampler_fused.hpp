@@ -11,9 +11,10 @@
 /// LaneMaskVector, after Göktürk & Kaya arXiv 2008.03095), each lane's
 /// Philox counter blocks are generated out of order in bulk
 /// (rng/philox_buffered.hpp), the per-edge Bernoulli test is a precomputed
-/// integer compare, each LT walk step is a binary search over its row's
-/// precomputed cumulative weights, and the sorted output lists are
-/// *emitted* from the lane masks in vertex order instead of sorted per set.
+/// integer compare, each LT walk step is a prefetched search over its row's
+/// precomputed cumulative weights guided by the row's total, and the sorted
+/// output lists are *emitted* from the lane masks in vertex order instead
+/// of sorted per set.
 /// A lane whose IC set reaches the bitmap size of its collection
 /// (rrr_collection.hpp) is emitted as that bitmap straight from the masks,
 /// one 64×64 bit transpose per 64-vertex block, without building its list.
@@ -25,6 +26,7 @@
 #ifndef RIPPLES_IMM_SAMPLER_FUSED_HPP
 #define RIPPLES_IMM_SAMPLER_FUSED_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -42,27 +44,28 @@ namespace ripples {
 /// in-edge position.  Built once per solve and shared read-only by every
 /// sampling thread and every mpsim rank; it refers to \p graph, which must
 /// outlive it.  An IC table holds the Bernoulli thresholds and the packed
-/// edge stream; an LT table holds only the per-row cumulative weights the
-/// walk binary-searches.
+/// edge stream; an LT table holds the per-row cumulative weights the walk
+/// searches and each row's total, which guides the search.
 class FusedEdgeTable {
 public:
   /// Throws std::invalid_argument naming the edge if any weight lies
   /// outside [0, 1] (NaN included): the IC thresholds overflow their
   /// packed 32 bits above 1, and the LT prefix must be non-decreasing for
-  /// the binary search to equal the scalar engine's linear scan.
+  /// the row search to equal the scalar engine's linear scan.
   FusedEdgeTable(const CsrGraph &graph, DiffusionModel model);
 
   [[nodiscard]] const CsrGraph &graph() const { return *graph_; }
   [[nodiscard]] DiffusionModel model() const { return model_; }
 
-  /// Heap bytes this table holds: 16 per edge for IC, 8 for LT.
+  /// Heap bytes this table holds: 16 per edge for IC; 8 per edge plus 8
+  /// per vertex for LT.
   [[nodiscard]] std::size_t bytes() const {
     return (thresholds_.capacity() + packed_edges_.capacity()) *
                sizeof(std::uint64_t) +
-           lt_prefix_.capacity() * sizeof(double);
+           (lt_prefix_.capacity() + lt_totals_.capacity()) * sizeof(double);
   }
   /// Heap bytes a table for (\p graph, \p model) holds: 16 per edge for
-  /// IC, 8 for LT.
+  /// IC; 8 per edge plus 8 per vertex for LT.
   [[nodiscard]] static std::size_t bytes(const CsrGraph &graph,
                                          DiffusionModel model);
 
@@ -88,6 +91,11 @@ public:
   /// does (a double, in row order), so the first entry of a row above a
   /// draw x is exactly the edge the scalar engine's linear scan selects.
   [[nodiscard]] const double *lt_prefix() const { return lt_prefix_.data(); }
+  /// LT only: lt_totals()[v] = the last lt_prefix() entry of v's row, the
+  /// same double (0 for an empty row).  A draw at or above it falls into
+  /// the row's residual mass; one below it guides the search by
+  /// lt_row_guess.
+  [[nodiscard]] const double *lt_totals() const { return lt_totals_.data(); }
 
 private:
   const CsrGraph *graph_;
@@ -95,7 +103,65 @@ private:
   std::vector<std::uint64_t> thresholds_;
   std::vector<std::uint64_t> packed_edges_;
   std::vector<double> lt_prefix_;
+  std::vector<double> lt_totals_;
 };
+
+namespace detail {
+
+/// First guess at the LT walk step's pick for a draw \p x over a row of
+/// \p degree >= 1 entries that sum to \p total: \p degree when x >= total
+/// (the residual mass, which needs no probe), otherwise the index where x
+/// would land if the row's weights were equal, x / total * degree, clamped
+/// into the row.
+[[nodiscard]] inline std::size_t lt_row_guess(double x, double total,
+                                              std::size_t degree) {
+  if (!(x < total)) return degree;
+  const auto guess = static_cast<std::size_t>(
+      x / total * static_cast<double>(degree));
+  return std::min(guess, degree - 1);
+}
+
+/// The LT walk step's search: the first j with row[j] > x, or \p degree if
+/// there is none — std::upper_bound's answer over the non-decreasing
+/// \p row, so equal prefixes (zero weights) and a draw equal to a prefix
+/// keep their meaning.  \p guess is lt_row_guess's answer: \p degree is
+/// taken as the residual mass without a probe, and any other guess is a
+/// starting point only: the search gallops from it by doubling steps
+/// towards the answer and bisects the last step, so the answer is exact
+/// for every guess in [0, degree) and the cost grows with the log of the
+/// guess's miss.
+[[nodiscard]] inline std::size_t lt_row_search(const double *row,
+                                               std::size_t degree, double x,
+                                               std::size_t guess) {
+  if (guess >= degree) return degree;
+  // The answer lies in [lo, hi], with row[lo - 1] <= x (or lo == 0) and
+  // row[hi] > x (or hi == degree).
+  std::size_t lo = 0;
+  std::size_t hi = degree;
+  if (row[guess] > x) {
+    hi = guess;
+    std::size_t step = 1;
+    while (step <= hi && row[hi - step] > x) {
+      hi -= step;
+      step *= 2;
+    }
+    if (step <= hi) lo = hi - step + 1;
+  } else {
+    lo = guess + 1;
+    for (std::size_t step = 1; lo + step - 1 < degree; step *= 2) {
+      const std::size_t probe = lo + step - 1;
+      if (row[probe] > x) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
+  }
+  return static_cast<std::size_t>(std::upper_bound(row + lo, row + hi, x) -
+                                  row);
+}
+
+} // namespace detail
 
 /// Reusable fused GenerateRR kernel: one instance per thread, holding the
 /// lane-mask visited array, per-lane frontier scratch, and 64 buffered
@@ -113,8 +179,8 @@ public:
   /// engines' exact draw order, so the output is byte-identical to calling
   /// RRRGenerator::generate_random_root per index.  \p model must be the
   /// table's model (asserted: each model reads only its own edge arrays).
-  /// An LT step picks its in-edge by binary search over the table's row
-  /// prefix, O(log in-degree), where the scalar engine scans the row.
+  /// An LT step picks its in-edge by detail::lt_row_search over the
+  /// table's row prefix, where the scalar engine scans the row.
   /// With \p bitmap_words = W > 0 (RRRCollection::bitmap_words), a set of
   /// at least W members comes out as its W-word bitmap record instead.
   void generate(DiffusionModel model, std::uint64_t seed,

@@ -23,6 +23,11 @@
 
 namespace ripples {
 
+/// Blocks philox4x32_bulk computes per pass of its rounds: a request for
+/// fewer still pays for this many, so buffered consumers refill in
+/// multiples of it.
+inline constexpr std::size_t kPhiloxBulkWidth = 16;
+
 /// Computes Philox blocks [first_block, first_block + num_blocks) of the
 /// stream (key, counter_hi) into \p out as draws — two 64-bit draws per
 /// block, packed exactly as Philox4x32::operator() packs them (word1:word0,
@@ -33,7 +38,7 @@ namespace ripples {
 inline void philox4x32_bulk(std::uint64_t first_block, std::size_t num_blocks,
                             std::uint64_t key, std::uint64_t counter_hi,
                             std::uint64_t *out) {
-  constexpr std::size_t kWidth = 16;
+  constexpr std::size_t kWidth = kPhiloxBulkWidth;
   const auto c2_init = static_cast<std::uint32_t>(counter_hi);
   const auto c3_init = static_cast<std::uint32_t>(counter_hi >> 32);
   alignas(64) std::uint32_t c0[kWidth];
@@ -85,10 +90,11 @@ inline void philox4x32_bulk(std::uint64_t first_block, std::size_t num_blocks,
 
 /// A Philox4x32 stream consumed through a refill buffer.  operator() yields
 /// the same draws in the same order as Philox4x32(key, counter_hi), but
-/// blocks are generated in bulk through philox4x32_bulk: each refill doubles
-/// its quantum (reset on reset()) up to the buffer capacity, so short
-/// streams (an LT walk, a root draw) cost barely more than the scalar
-/// engine while long streams (an IC traversal's edge draws) amortize the
+/// blocks are generated in bulk through philox4x32_bulk: the first refill
+/// after reset() is one full bulk width (32 draws, the least a bulk pass
+/// computes), and each later one doubles its quantum up to the buffer
+/// capacity, so short streams (an LT walk, a root draw) take one bulk pass
+/// while long streams (an IC traversal's edge draws) amortize the
 /// bijection over hundreds of vectorized blocks.  ensure() optionally
 /// pre-fills when the consumer knows a lower bound on upcoming draws.
 class BufferedPhilox {
@@ -150,7 +156,9 @@ public:
 
 private:
   static constexpr std::size_t kCapacity = 256; // draws (2 KiB)
-  static constexpr std::size_t kMinQuantum = 8;
+  // One bulk pass: a smaller first refill would discard the rest of the
+  // pass's computed blocks.
+  static constexpr std::size_t kMinQuantum = 2 * kPhiloxBulkWidth;
 
   void refill(std::size_t need) {
     // Compact the unconsumed tail to the front, then top up by the ramped

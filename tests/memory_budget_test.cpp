@@ -688,7 +688,7 @@ TEST(GovernedDrivers, LtFusedWindowChargesItsEdgeTableOnce) {
   const auto lt = DiffusionModel::LinearThreshold;
   const std::size_t scratch = FusedSampler::scratch_bytes(graph);
   const std::size_t table = FusedEdgeTable::bytes(graph, lt);
-  ASSERT_EQ(table, 8 * graph.num_edges());
+  ASSERT_EQ(table, 8 * (graph.num_edges() + graph.num_vertices()));
   ASSERT_EQ(FusedSampler::window_bytes(graph, lt, 4), table + 4 * scratch);
   options.mem_budget = 4 * plain.rrr_peak_bytes + table + 4 * scratch;
   ASSERT_GT(4 * (scratch + table), options.mem_budget)

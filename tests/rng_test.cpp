@@ -277,6 +277,40 @@ TEST(BufferedPhilox, InterleavedPeekConsumeEmitsTheScalarSequence) {
   }
 }
 
+TEST(BufferedPhilox, FirstRefillKeepsOneWholeBulkPass) {
+  // A fresh stream's first refill keeps every block of the bulk pass it
+  // pays for; the draws on both sides of that refill's end, and of the
+  // doubled one after it, are the scalar engine's.
+  constexpr std::size_t kFirst = 2 * kPhiloxBulkWidth;
+  for (const std::uint64_t stream : {1u, 2u, 77u}) {
+    BufferedPhilox buffered;
+    buffered.reset(23, stream);
+    Philox4x32 scalar(23, stream);
+    ASSERT_EQ(buffered(), scalar());
+    EXPECT_EQ(buffered.buffered(), kFirst - 1);
+    for (std::size_t i = 1; i < 3 * kFirst + 3; ++i)
+      ASSERT_EQ(buffered(), scalar()) << "stream " << stream << " draw " << i;
+  }
+}
+
+TEST(BufferedPhilox, PeekAcrossTheFirstRefillBoundary) {
+  // A first request just short of, at, and just past one bulk pass, then
+  // single draws past the second refill: the LT walk's consumption shape.
+  constexpr std::size_t kFirst = 2 * kPhiloxBulkWidth;
+  for (const std::size_t n : {kFirst - 1, kFirst, kFirst + 1}) {
+    BufferedPhilox buffered;
+    buffered.reset(29, n);
+    Philox4x32 scalar(29, n);
+    const std::uint64_t *draws = buffered.peek(n);
+    ASSERT_GE(buffered.buffered(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(draws[i], scalar()) << "peek " << n << " draw " << i;
+    buffered.consume(n);
+    for (std::size_t i = 0; i < 2 * kFirst; ++i)
+      ASSERT_EQ(buffered(), scalar()) << "peek " << n << " then draw " << i;
+  }
+}
+
 TEST(BufferedPhilox, EnsureKeepsAlreadyBufferedDrawsStable) {
   BufferedPhilox buffered;
   buffered.reset(17, 2);

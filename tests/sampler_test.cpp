@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -351,7 +352,13 @@ TEST(FusedEdgeTable, LtTableHoldsItsPrefixAndIcTableHoldsItsFormula) {
   const FusedEdgeTable lt(graph, DiffusionModel::LinearThreshold);
   EXPECT_EQ(lt.bytes(),
             FusedEdgeTable::bytes(graph, DiffusionModel::LinearThreshold));
-  EXPECT_EQ(lt.bytes(), 8u * graph.num_edges());
+  EXPECT_EQ(lt.bytes(), 8u * (graph.num_edges() + graph.num_vertices()));
+  for (vertex_t v = 0; v < graph.num_vertices(); ++v) {
+    const std::size_t end = graph.in_offsets()[v + 1];
+    EXPECT_EQ(lt.lt_totals()[v],
+              end == graph.in_offsets()[v] ? 0.0 : lt.lt_prefix()[end - 1])
+        << "vertex " << v;
+  }
   const FusedEdgeTable ic(graph, DiffusionModel::IndependentCascade);
   EXPECT_EQ(ic.bytes(),
             FusedEdgeTable::bytes(graph, DiffusionModel::IndependentCascade));
@@ -387,19 +394,30 @@ TEST(FusedEdgeTable, RejectsWeightOutsideUnitInterval) {
 
 /// LT input shaped to exercise every branch of the prefix search: a hub
 /// whose 2,400 in-edges include zero weights and sum below 1, which most
-/// other vertices step into; a vertex whose in-edges all weigh 0; a row
-/// summing to exactly 1; a row renormalized from a sum above 1; and
+/// other vertices step into; a hub whose 8,000 in-edge weights rise and
+/// then fall geometrically, so the search's guess from the row total
+/// misses by a thousand entries and more, on both sides, and the gallop
+/// walks far both ways; a vertex whose in-edges all weigh 0;
+/// a row summing to exactly 1; a row renormalized from a sum above 1; and
 /// scattered rows with zero weights and residual mass.
 CsrGraph lt_prefix_graph() {
-  constexpr vertex_t kHub = 0, kDead = 1, kExact = 2, kRenormalized = 3;
-  constexpr vertex_t kN = 3000;
+  constexpr vertex_t kHub = 0, kDead = 1, kExact = 2, kRenormalized = 3,
+                     kGeometric = 4;
+  constexpr vertex_t kN = 9000;
   constexpr vertex_t kHubDegree = 2400;
+  constexpr vertex_t kGeometricDegree = 8000;
   EdgeList list{kN, {}};
   for (vertex_t u = 1; u <= kHubDegree; ++u)
     list.edges.push_back({u, kHub, u % 5 == 0 ? 0.0f : 1.0f / 2400});
-  for (vertex_t u = 4; u < 12; ++u) list.edges.push_back({u, kDead, 0.0f});
-  for (vertex_t u = 4; u < 8; ++u) list.edges.push_back({u, kExact, 0.25f});
-  for (vertex_t u = 4; u < 11; ++u)
+  for (vertex_t j = 0; j < kGeometricDegree; ++j) {
+    const int from_peak = static_cast<int>(j) - kGeometricDegree / 2;
+    list.edges.push_back(
+        {5 + j, kGeometric,
+         static_cast<float>(0.0004 * std::pow(0.999, std::abs(from_peak)))});
+  }
+  for (vertex_t u = 5; u < 13; ++u) list.edges.push_back({u, kDead, 0.0f});
+  for (vertex_t u = 5; u < 9; ++u) list.edges.push_back({u, kExact, 0.25f});
+  for (vertex_t u = 5; u < 12; ++u)
     list.edges.push_back({u, kRenormalized, 0.3f});
   std::uint64_t state = 88172645463325252ull; // xorshift64
   auto next = [&state] {
@@ -408,9 +426,11 @@ CsrGraph lt_prefix_graph() {
     state ^= state << 17;
     return state;
   };
-  for (vertex_t v = 4; v < kN; ++v) {
-    // Two out of three rows lead to the hub, so walks reach it often.
+  for (vertex_t v = 5; v < kN; ++v) {
+    // Two out of three rows lead to the hub and every row to the geometric
+    // hub, so walks reach both often.
     list.edges.push_back({kHub, v, v % 3 == 0 ? 0.0f : 0.5f});
+    list.edges.push_back({kGeometric, v, v % 3 == 0 ? 0.4f : 0.1f});
     list.edges.push_back({kDead, v, 0.05f});
     list.edges.push_back({kExact, v, 0.05f});
     list.edges.push_back({kRenormalized, v, 0.05f});
@@ -436,19 +456,23 @@ TEST(FusedLtPrefixSearch, EveryFusedEntryPointMatchesTheScalarScan) {
   ASSERT_EQ(row_sum(1), 0.0);
   ASSERT_EQ(row_sum(2), 1.0);
   ASSERT_NEAR(row_sum(3), 1.0, 1e-6);
+  ASSERT_GE(graph.in_degree(4), 8000u);
   ASSERT_LT(row_sum(4), 1.0);
+  ASSERT_LT(row_sum(5), 1.0);
 
   const auto lt = DiffusionModel::LinearThreshold;
   constexpr std::uint64_t kSets = 20000;
   constexpr std::uint64_t kSeed = 61;
   RRRCollection scalar;
   sample_sequential(graph, lt, kSets, kSeed, scalar);
-  // Many walks must step into the hub, or its long row is never searched.
-  std::uint64_t through_hub = 0;
-  for (const RRRSet &set : scalar.sets())
-    through_hub += set.size() > 1 && std::binary_search(set.begin(), set.end(),
-                                                        vertex_t{0});
-  EXPECT_GT(through_hub, kSets / 4);
+  // Many walks must step into each hub, or its long row is never searched.
+  for (const vertex_t hub : {vertex_t{0}, vertex_t{4}}) {
+    std::uint64_t through_hub = 0;
+    for (const RRRSet &set : scalar.sets())
+      through_hub += set.size() > 1 &&
+                     std::binary_search(set.begin(), set.end(), hub);
+    EXPECT_GT(through_hub, kSets / 4) << "hub " << hub;
+  }
 
   RRRCollection sequential;
   sample_sequential_fused(graph, lt, kSets, kSeed, sequential);
@@ -471,6 +495,135 @@ TEST(FusedLtPrefixSearch, EveryFusedEntryPointMatchesTheScalarScan) {
   for (std::size_t j = 0; j < indices.size(); ++j)
     ASSERT_EQ(scattered.sets()[j], scalar.sets()[indices[j]])
         << "index " << indices[j];
+}
+
+// --- the LT walk step's row search -----------------------------------------
+//
+// detail::lt_row_guess and detail::lt_row_search pick an LT walk step's
+// in-edge; together they must answer exactly what std::upper_bound answers
+// over the row's prefix, and the search must do so from any guess.
+
+/// The running double sums of \p weights, as FusedEdgeTable accumulates an
+/// LT row.
+std::vector<double> prefix_of(const std::vector<float> &weights) {
+  std::vector<double> prefix;
+  double cumulative = 0.0;
+  for (const float weight : weights) prefix.push_back(cumulative += weight);
+  return prefix;
+}
+
+/// Checks the guided search for \p x over \p row against std::upper_bound,
+/// from lt_row_guess's guess and from guesses spread over the whole row;
+/// returns how far that guess landed from the answer.
+std::size_t expect_search_matches(const std::vector<double> &row, double x) {
+  const std::size_t degree = row.size();
+  const auto expected = static_cast<std::size_t>(
+      std::upper_bound(row.begin(), row.end(), x) - row.begin());
+  const std::size_t guess = detail::lt_row_guess(x, row.back(), degree);
+  EXPECT_LE(guess, degree);
+  EXPECT_EQ(guess == degree, expected == degree)
+      << "x " << x << ": the guess is the residual mass exactly when the "
+      << "answer is";
+  EXPECT_EQ(detail::lt_row_search(row.data(), degree, x, guess), expected)
+      << "x " << x << " guess " << guess;
+  const std::size_t stride = std::max<std::size_t>(1, degree / 61);
+  for (std::size_t g = 0; g < degree; g += stride)
+    EXPECT_EQ(detail::lt_row_search(row.data(), degree, x, g), expected)
+        << "x " << x << " from guess " << g;
+  EXPECT_EQ(detail::lt_row_search(row.data(), degree, x, degree - 1), expected)
+      << "x " << x << " from the last entry";
+  return guess > expected ? guess - expected : expected - guess;
+}
+
+TEST(LtRowSearch, RunsOfEqualPrefixesFromZeroWeights) {
+  const std::vector<double> row = prefix_of(
+      {0.0f, 0.0f, 0.0f, 0.125f, 0.0f, 0.0f, 0.25f, 0.0f, 0.0f, 0.0f, 0.0f,
+       0.125f, 0.0f, 0.0f});
+  for (const double x : {0.0, 0.0625, 0.125, 0.25, 0.375, 0.4375, 0.5,
+                         0.75, std::nextafter(0.125, 0.0),
+                         std::nextafter(0.375, 1.0)})
+    expect_search_matches(row, x);
+  // Every entry of a run has the run's value: x equal to it skips the
+  // whole run, and x just below it stops at the run's first entry.
+  EXPECT_EQ(detail::lt_row_search(row.data(), row.size(), 0.125, 0), 6u);
+  EXPECT_EQ(detail::lt_row_search(row.data(), row.size(), 0.0, 13), 3u);
+}
+
+TEST(LtRowSearch, DrawEqualToAPrefixValue) {
+  const std::vector<double> quarters = prefix_of({0.25f, 0.25f, 0.25f, 0.25f});
+  for (std::size_t j = 0; j < quarters.size(); ++j) {
+    expect_search_matches(quarters, quarters[j]);
+    EXPECT_EQ(detail::lt_row_search(quarters.data(), 4, quarters[j], 0), j + 1);
+  }
+  // Unequal weights whose running sums are inexact doubles: each prefix
+  // value itself, and its neighbours on both sides.
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<float> weight(0.0f, 1.0f / 300);
+  std::vector<float> weights(300);
+  for (float &w : weights) w = weight(rng);
+  const std::vector<double> row = prefix_of(weights);
+  for (const double value : row) {
+    expect_search_matches(row, value);
+    expect_search_matches(row, std::nextafter(value, 0.0));
+    expect_search_matches(row, std::nextafter(value, 1.0));
+  }
+}
+
+TEST(LtRowSearch, ResidualMassAndZeroTotal) {
+  const std::vector<double> row = prefix_of({0.1f, 0.2f, 0.3f});
+  const double total = row.back();
+  for (const double x : {total, std::nextafter(total, 1.0), 0.75,
+                         std::nextafter(1.0, 0.0)}) {
+    EXPECT_EQ(detail::lt_row_guess(x, total, row.size()), row.size());
+    expect_search_matches(row, x);
+  }
+  // A row whose weights are all 0: every draw is the residual mass.
+  const std::vector<double> dead = prefix_of({0.0f, 0.0f, 0.0f, 0.0f});
+  for (const double x : {0.0, 0x1.0p-53, 0.5, std::nextafter(1.0, 0.0)}) {
+    EXPECT_EQ(detail::lt_row_guess(x, 0.0, dead.size()), dead.size());
+    expect_search_matches(dead, x);
+  }
+}
+
+TEST(LtRowSearch, RowsOfLengthOneAndTwoToTheSixteen) {
+  for (const float w : {0.0f, 0.5f, 1.0f}) {
+    const std::vector<double> single = prefix_of({w});
+    for (const double x : {0.0, 0.25, 0.5, 0.75, std::nextafter(1.0, 0.0)})
+      expect_search_matches(single, x);
+  }
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<float> weight(0.0f, 1.8f / 65536);
+  std::vector<float> weights(std::size_t{1} << 16);
+  for (std::size_t j = 0; j < weights.size(); ++j)
+    weights[j] = j % 7 == 0 ? 0.0f : weight(rng);
+  const std::vector<double> row = prefix_of(weights);
+  ASSERT_LT(row.back(), 1.0);
+  std::uniform_real_distribution<double> draw(0.0, 1.0);
+  for (int i = 0; i < 2000; ++i) expect_search_matches(row, draw(rng));
+  for (std::size_t j = 0; j < row.size(); j += 997)
+    expect_search_matches(row, row[j]);
+}
+
+TEST(LtRowSearch, GeometricWeightsMissTheGuessByThousands) {
+  // Weights falling (and, reversed, rising) by a factor 0.999 per entry put
+  // the mass far from where equal weights would, so the guess lands
+  // thousands of entries off and the gallop covers the distance.
+  std::vector<float> falling(std::size_t{1} << 16);
+  float w = 0.0009f;
+  for (float &weight : falling) {
+    weight = w;
+    w *= 0.999f;
+  }
+  std::vector<float> rising(falling.rbegin(), falling.rend());
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> draw(0.0, 1.0);
+  for (const auto *weights : {&falling, &rising}) {
+    const std::vector<double> row = prefix_of(*weights);
+    std::size_t worst_miss = 0;
+    for (int i = 0; i < 2000; ++i)
+      worst_miss = std::max(worst_miss, expect_search_matches(row, draw(rng)));
+    EXPECT_GT(worst_miss, 10000u);
+  }
 }
 
 TEST(FusedEdgeTable, OneIcTableSharedByFourThreadsMatchesScalar) {
