@@ -10,8 +10,8 @@
 ///           [--model IC|LT] [--epsilon 0.5] [-k 50]
 ///           [--threads N] [--ranks P]     (each 1..1024, the paper's
 ///                                          largest run; exit 2 beyond)
-///           [--rng counter|leapfrog]      (leapfrog: --threads 1 under
-///                                          dist; not dist-part)
+///           [--rng counter|leapfrog]      (leapfrog: --driver dist only,
+///                                          with --threads 1)
 ///           [--sampler seq|fused]         (RRR engine; fused batches 64
 ///                                          samples per traversal pass,
 ///                                          byte-identical output; also
@@ -180,6 +180,8 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
   // Leap-frog streams are one shared LCG per rank, walked draw by draw: the
   // distributed driver runs them on one thread per rank, and the
   // partitioned driver draws per (sample, vertex) and has no use for them.
+  // Every other driver samples from counter streams only, so accepting the
+  // flag there would print counter-mode seeds under a leap-frog label.
   if (options.rng_mode == RngMode::LeapfrogLcg) {
     if (driver == "dist" && options.num_threads > 1) {
       std::fprintf(stderr,
@@ -193,6 +195,14 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       std::fprintf(stderr, "--rng leapfrog does not apply to --driver "
                            "dist-part, which draws per (sample, vertex); "
                            "use --rng counter\n");
+      std::exit(2);
+    }
+    if (driver != "dist") {
+      std::fprintf(stderr,
+                   "--rng leapfrog is implemented by --driver dist only; "
+                   "--driver %s samples from counter streams (use --rng "
+                   "counter)\n",
+                   driver.c_str());
       std::exit(2);
     }
   }

@@ -7,8 +7,11 @@ load-imbalance questions the raw timeline only shows visually:
   * Where did each round's wall time go?  For every martingale round the
     round span ("imm.estimation_round", keyed by its `x` arg; the final
     extend+select pair; the resume replay) is aligned across rank rows
-    (pids).  The round's wall time W is the slowest rank's span.  Each
-    rank's time decomposes into sample compute (sampler batch spans minus
+    (pids).  The round's wall time W is the slowest rank's span.  A final
+    selection that returned the accepted round's seeds (its
+    "imm.select_seeds" span carries reused=1, and no top-up ran) did no
+    work: it is listed as "final (reused)" and has nothing to decompose.
+    Each rank's time decomposes into sample compute (sampler batch spans minus
     the collectives nested in them), select compute (select spans minus
     nested collectives), collective wait (top-level mpsim spans), and
     imbalance slack (W minus the rank's own span) — independently measured
@@ -24,7 +27,7 @@ load-imbalance questions the raw timeline only shows visually:
 
 Checks (nonzero exit on violation, same contract as compare_reports.py):
   * per-round decomposition sums to W within --sum-tolerance (default
-    0.05) on the critical rank;
+    0.05) on the critical rank (a reused final selection is exempt);
   * every flow start pairs with exactly one flow end;
   * every sampler batch span is covered by a batch flow on its pid;
   * optional --max-imbalance bound on every round's max/median compute
@@ -49,6 +52,7 @@ import sys
 
 ROUND_SPAN = "imm.estimation_round"
 FINAL_SPANS = {"imm.sample", "imm.select_seeds"}
+REUSED_LABEL = "final (reused)"
 REPLAY_SPAN = "imm.resume_replay"
 SAMPLER_CATEGORY = "sampler"
 SELECT_CATEGORY = "select"
@@ -174,7 +178,10 @@ def collect_rounds(pid_spans):
             elif name == REPLAY_SPAN:
                 add(("replay", 0, occurrence["replay"]), pid, lo, hi)
             elif name in FINAL_SPANS:
-                add(("final", 0, 0), pid, lo, hi)
+                # A reused selection runs no top-up, so its span is the
+                # whole final pair on every rank.
+                reused = span.get("args", {}).get("reused") == 1
+                add(("reused" if reused else "final", 0, 0), pid, lo, hi)
 
     def order(item):
         key, window = item
@@ -188,6 +195,8 @@ def collect_rounds(pid_spans):
                                     if occurrence else "")
         elif kind == "replay":
             label = "resume replay"
+        elif kind == "reused":
+            label = REUSED_LABEL
         else:
             label = "final"
         labeled.append((label, window))
@@ -314,6 +323,10 @@ def main():
         accounted = (critical.sample_compute + critical.select_compute +
                      critical.wait)
         gap = abs(wall - accounted) / wall if wall > 0 else 0.0
+        # Nothing ran inside a reused selection: its few microseconds of
+        # bookkeeping are not compute the pieces could reassemble.
+        if label == REUSED_LABEL:
+            gap = 0.0
         if gap > args.sum_tolerance:
             failures.append(
                 f"{label}: critical rank {critical.pid} decomposition "

@@ -124,6 +124,14 @@ void finalize_run_report(ImmResult &result, const char *driver,
   report.coverage_fraction = result.coverage_fraction;
   report.seeds.assign(result.seeds.begin(), result.seeds.end());
   report.resumed_from = result.resumed_from;
+  // Registered on first use: a report log names the counter only once some
+  // run's final SelectSeeds returned the accepted round's selection instead
+  // of recomputing it, and counts such runs (once per run, not per rank).
+  if (outcome.selection_reused && metrics::enabled()) {
+    static metrics::Counter &final_reused =
+        metrics::Registry::instance().counter("imm.select.final_reused");
+    final_reused.increment();
+  }
   // Process-wide memory view (v5): the logical tracker peak and the kernel
   // high-water mark at report time, for every driver — the Table 2 harness
   // no longer reads 0 outside imm_partitioned.

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,11 @@ struct MartingaleOutcome {
   /// Accuracy certified by the samples actually generated: the requested
   /// epsilon normally, certified_epsilon() on a degraded run.
   double epsilon_achieved = 0.0;
+  /// True when the final SelectSeeds returned the last estimation round's
+  /// selection because no extend ran after it (no theta top-up, or a budget
+  /// early stop): Alg. 4 is deterministic in R, so recomputing it over the
+  /// same R would return the same seeds and coverage.
+  bool selection_reused = false;
 };
 
 /// Complete martingale-loop state at a round boundary.  This is exactly what
@@ -118,6 +124,8 @@ struct MartingaleProgress {
 
 /// \param extend_to   void(std::uint64_t target): grow R to `target` samples.
 /// \param select      SelectionResult(): run seed selection over current R.
+///                    Called at most once per distinct R: the final step
+///                    reuses the last round's result when R is unchanged.
 /// \param resume      martingale state to re-enter from, or nullptr for a
 ///                    fresh run.  The skeleton replays
 ///                    `extend_to(resume->num_samples)` itself.
@@ -149,6 +157,12 @@ run_imm_martingale(std::uint64_t num_vertices, std::uint32_t k, double epsilon,
   // ladder rung 3): generation is over, but selection over what R holds is
   // still a valid IMM answer at a weaker epsilon — finish, don't abort.
   bool early_stopped = false;
+  // The last estimation round's selection, held only while R is exactly
+  // the collection it ran on: each round's extend is followed by its own
+  // trial, and the theta top-up (a partial one that throws BudgetEarlyStop
+  // too) drops it first.  A resume past acceptance has no trial of its
+  // own, so its final step selects.
+  std::optional<SelectionResult> last_trial;
 
   const bool ledgered = acct.ledger != nullptr && metrics::enabled();
   // Sampler→selection flows: each extend batch starts one flow ("s" when
@@ -231,6 +245,7 @@ run_imm_martingale(std::uint64_t num_vertices, std::uint32_t k, double epsilon,
       record_round(x, sample_seconds, select_seconds,
                    metrics::thread_collective_wait_seconds() - wait_before);
       last_coverage = trial.coverage_fraction();
+      last_trial = std::move(trial);
       // Acceptance needs the full theta_x samples behind it; a truncated
       // round never accepts.
       if (!early_stopped &&
@@ -272,6 +287,7 @@ run_imm_martingale(std::uint64_t num_vertices, std::uint32_t k, double epsilon,
     trace::Span span("imm", "imm.sample", "theta", outcome.theta);
     outcome.extend_targets.push_back(outcome.theta);
     StopWatch watch;
+    last_trial.reset();
     try {
       extend_to(outcome.theta);
       outcome.num_samples = outcome.theta;
@@ -292,12 +308,21 @@ run_imm_martingale(std::uint64_t num_vertices, std::uint32_t k, double epsilon,
     round_hook(static_cast<const MartingaleProgress &>(progress));
   }
   {
+    // The phase, span and ledger row stay on the reused path too, so the
+    // run still says where its time went; they just read ~0.  The span's
+    // two args name |R| and the path taken (k is on the driver's span).
     ScopedPhase phase(timers, Phase::SelectSeeds);
-    trace::Span span("imm", "imm.select_seeds", "k", k, "samples",
-                     outcome.num_samples);
+    outcome.selection_reused = last_trial.has_value();
+    trace::Span span("imm", "imm.select_seeds", "samples", outcome.num_samples,
+                     "reused", outcome.selection_reused ? 1 : 0);
     StopWatch select_watch;
-    outcome.selection = select();
-    double final_select_seconds = select_watch.elapsed_seconds();
+    outcome.selection =
+        outcome.selection_reused ? std::move(*last_trial) : select();
+    // A reused selection did no selection work, so its row reads exactly 0
+    // and its imbalance factor is the no-work 1.0, not a ratio of timer
+    // noise.
+    double final_select_seconds =
+        outcome.selection_reused ? 0.0 : select_watch.elapsed_seconds();
     // The final selection consumes every outstanding batch: terminate the
     // flows while the select span is still open so the arrows land on it.
     if (trace::enabled()) {

@@ -23,6 +23,8 @@
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
+#include "fault_probe.hpp"
+
 namespace ripples {
 namespace {
 
@@ -590,7 +592,12 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   options.checkpoint.dir = dir();
   options.recover_failures = true;
   options.fault_plan = "rank=2,site=6";
-  const ImmResult healed = imm_distributed(graph, options);
+  const ImmResult healed = [&] {
+    fault_probe::ScopedMetrics metrics_on;
+    return fault_probe::expect_fired(
+        options.fault_plan, {fault_probe::kCrashes, fault_probe::kShrinks},
+        [&] { return imm_distributed(graph, options); });
+  }();
   expect_identical_outcome(healed, clean, "healed + checkpointed");
 
   ImmOptions resume_options = cell_options(cell);

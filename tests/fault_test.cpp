@@ -30,6 +30,8 @@
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
+#include "fault_probe.hpp"
+
 namespace ripples::mpsim {
 namespace {
 
@@ -643,6 +645,13 @@ TEST(FaultWatchdog, DisabledWatchdogDoesNotFireOnSlowRanks) {
 namespace ripples {
 namespace {
 
+using fault_probe::expect_fired;
+using fault_probe::kCrashes;
+using fault_probe::kEvictions;
+using fault_probe::kRefusals;
+using fault_probe::kShrinks;
+using fault_probe::ScopedMetrics;
+
 CsrGraph healing_graph() {
   CsrGraph graph(barabasi_albert(400, 3, 11));
   assign_uniform_weights(graph, 12);
@@ -672,12 +681,15 @@ TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   // must both hand back the window's reservation.
   const std::size_t reserved = MemoryTracker::instance().reserved_bytes();
   options.recover_failures = true;
+  ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site : {std::uint64_t{0}, std::uint64_t{3},
                                std::uint64_t{9}}) {
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site);
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed =
+          expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                       [&] { return imm_distributed(graph, options); });
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "healed seed set diverged for " << options.fault_plan;
       EXPECT_EQ(MemoryTracker::instance().reserved_bytes(), reserved)
@@ -724,11 +736,14 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   }
 
   options.recover_failures = true;
+  ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; ++site) {
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site);
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed =
+          expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                       [&] { return imm_distributed(graph, options); });
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "sparse healed seed set diverged for " << options.fault_plan;
     }
@@ -763,7 +778,10 @@ TEST(ImmHealing, EvictedStallHealsToTheFailureFreeSeedSet) {
   options.watchdog_ms = 150;
   options.evict_stalled = true;
   options.fault_plan = "rank=1,site=4,kind=stall";
-  const ImmResult healed = imm_distributed(graph, options);
+  ScopedMetrics metrics_on;
+  const ImmResult healed =
+      expect_fired(options.fault_plan, {kEvictions, kShrinks},
+                   [&] { return imm_distributed(graph, options); });
   EXPECT_EQ(healed.seeds, clean.seeds);
   EXPECT_EQ(healed.theta, clean.theta);
   EXPECT_EQ(healed.coverage_fraction, clean.coverage_fraction);
@@ -797,11 +815,14 @@ TEST(ImmStealHealing, CrashAtStealSitesHealsToTheFailureFreeSeedSet) {
   // unwinds through the store: the window's reservation must come back.
   const std::size_t reserved = MemoryTracker::instance().reserved_bytes();
   options.recover_failures = true;
+  ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; site += 2) {
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site);
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed =
+          expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                       [&] { return imm_distributed(graph, options); });
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "stealing healed seed set diverged for " << options.fault_plan;
       EXPECT_EQ(MemoryTracker::instance().reserved_bytes(), reserved)
@@ -827,10 +848,72 @@ TEST(ImmStealHealing, EvictedStallAtAStealSiteHealsToo) {
   options.watchdog_ms = 150;
   options.evict_stalled = true;
   options.fault_plan = "rank=2,site=3,kind=stall";
-  const ImmResult healed = imm_distributed(graph, options);
+  ScopedMetrics metrics_on;
+  const ImmResult healed =
+      expect_fired(options.fault_plan, {kEvictions, kShrinks},
+                   [&] { return imm_distributed(graph, options); });
   EXPECT_EQ(healed.seeds, clean.seeds);
   EXPECT_EQ(healed.theta, clean.theta);
   EXPECT_EQ(healed.coverage_fraction, clean.coverage_fraction);
+}
+
+TEST(ImmHealing, CrashAtTheLastSiteOfAReusingRunHealsAndStillReuses) {
+  // Every plan above runs an input that tops up theta, so its final
+  // selection is computed.  At epsilon 0.7 theta fits in the accepted
+  // round's |R| here: the final step returns that round's selection and
+  // makes no collective of its own, so the victim's last communication
+  // site falls in the accepted round.  A crash there heals, the restarted
+  // loop runs a fresh trial, and the healed run still reuses it; one site
+  // later no plan fires at all.
+  CsrGraph graph = healing_graph();
+  for (RngMode mode : {RngMode::CounterSequence, RngMode::LeapfrogLcg}) {
+    ImmOptions options = healing_options(mode);
+    options.epsilon = 0.7;
+    ScopedMetrics metrics_on;
+    const std::uint64_t reused0 =
+        fault_probe::value("imm.select.final_reused");
+    const ImmResult clean = imm_distributed(graph, options);
+    ASSERT_EQ(fault_probe::value("imm.select.final_reused"), reused0 + 1)
+        << "the input no longer accepts without a top-up";
+
+    // The victim's site count: without recovery a planned crash throws
+    // exactly when its site is reached.
+    auto fires = [&](std::uint64_t site) {
+      ImmOptions probe = options;
+      probe.fault_plan = "rank=1,site=" + std::to_string(site);
+      try {
+        (void)imm_distributed(graph, probe);
+        return false;
+      } catch (const mpsim::InjectedFault &) {
+        return true;
+      }
+    };
+    std::uint64_t beyond = 16;
+    while (fires(beyond)) beyond *= 2;
+    std::uint64_t last = 0; // fires(last) holds, fires(beyond) does not
+    while (beyond - last > 1) {
+      const std::uint64_t mid = last + (beyond - last) / 2;
+      (fires(mid) ? last : beyond) = mid;
+    }
+
+    options.recover_failures = true;
+    options.fault_plan = "rank=1,site=" + std::to_string(last);
+    const std::uint64_t reused1 =
+        fault_probe::value("imm.select.final_reused");
+    const ImmResult healed =
+        expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                     [&] { return imm_distributed(graph, options); });
+    EXPECT_EQ(healed.seeds, clean.seeds) << options.fault_plan;
+    EXPECT_EQ(healed.theta, clean.theta) << options.fault_plan;
+    EXPECT_EQ(fault_probe::value("imm.select.final_reused"), reused1 + 1)
+        << options.fault_plan;
+
+    options.fault_plan = "rank=1,site=" + std::to_string(last + 1);
+    const std::uint64_t crashes0 = fault_probe::value(kCrashes);
+    const ImmResult untouched = imm_distributed(graph, options);
+    EXPECT_EQ(fault_probe::value(kCrashes), crashes0) << options.fault_plan;
+    EXPECT_EQ(untouched.seeds, clean.seeds);
+  }
 }
 
 TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
@@ -840,8 +923,11 @@ TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
 
   options.recover_failures = true;
   options.fault_plan = "rank=1,site=5";
+  ScopedMetrics metrics_on;
   for (int run = 0; run < 10; ++run) {
-    const ImmResult healed = imm_distributed(graph, options);
+    const ImmResult healed =
+        expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                     [&] { return imm_distributed(graph, options); });
     ASSERT_EQ(healed.seeds, clean.seeds) << "run " << run;
   }
 }
@@ -900,11 +986,14 @@ TEST(ImmOom, RefusedRankHealsLikeACrashedRankAtEverySite) {
   ASSERT_EQ(clean.seeds.size(), options.k);
 
   options.recover_failures = true;
+  ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site : {std::uint64_t{0}, std::uint64_t{1}}) {
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site) + ",kind=oom";
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed =
+          expect_fired(options.fault_plan, {kRefusals, kShrinks},
+                       [&] { return imm_distributed(graph, options); });
       // The heal guarantee is the crash-heal guarantee: the failure-free
       // *seed set*.  (An oom refusal fires mid-extend, not at a collective
       // boundary, so the martingale may accept one round later than the

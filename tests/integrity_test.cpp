@@ -32,6 +32,8 @@
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
+#include "fault_probe.hpp"
+
 namespace ripples::mpsim {
 namespace {
 
@@ -627,7 +629,9 @@ TEST(ImmIntegrity, ScrubbedGovernedRunsMatchTheUngovernedSeeds) {
   const ImmResult plain = imm_sequential(graph, options);
 
   // Every driver scrubs before every selection: at least one pass per
-  // ledger row (one per round, per rank under imm_distributed).
+  // ledger row (one per round, per rank under imm_distributed).  Every row
+  // here selects: this input tops up theta, so the final selection is
+  // computed rather than reused.
   metrics::set_enabled(true);
   auto scrubbed_run = [&](const char *driver, auto solve,
                           const ImmOptions &scrubbed) {
@@ -672,7 +676,9 @@ TEST(ImmCorruptionHealing, TransientCorruptionRetriesToTheCleanSeeds) {
   for (std::uint64_t site = 0; site <= 12; ++site) {
     options.fault_plan = "rank=1,site=" + std::to_string(site) +
                          ",kind=corrupt";
-    const ImmResult retried = imm_distributed(graph, options);
+    const ImmResult retried =
+        fault_probe::expect_fired(options.fault_plan, {fault_probe::kRetries},
+                                  [&] { return imm_distributed(graph, options); });
     EXPECT_EQ(retried.seeds, clean.seeds)
         << "retried seed set diverged for " << options.fault_plan;
   }
@@ -688,11 +694,14 @@ TEST(ImmCorruptionHealing, FlakyLinksAreAbsorbedByRetries) {
   const ImmResult clean = imm_distributed(graph, options);
 
   options.verify_collectives = true;
+  fault_probe::ScopedMetrics metrics_on;
   for (std::uint64_t site : {std::uint64_t{0}, std::uint64_t{5},
                              std::uint64_t{9}}) {
     options.fault_plan = "rank=2,site=" + std::to_string(site) +
                          ",kind=flaky,attempts=2";
-    const ImmResult retried = imm_distributed(graph, options);
+    const ImmResult retried = fault_probe::expect_fired(
+        options.fault_plan, {fault_probe::kFlaky, fault_probe::kRetries},
+        [&] { return imm_distributed(graph, options); });
     EXPECT_EQ(retried.seeds, clean.seeds)
         << "flaky seed set diverged for " << options.fault_plan;
   }
@@ -713,12 +722,16 @@ TEST(ImmCorruptionHealing,
 
   options.verify_collectives = true;
   options.recover_failures = true;
+  fault_probe::ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; ++site) {
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site) +
                            ",kind=corrupt,sticky";
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed = fault_probe::expect_fired(
+          options.fault_plan,
+          {fault_probe::kEscalations, fault_probe::kShrinks},
+          [&] { return imm_distributed(graph, options); });
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "healed seed set diverged for " << options.fault_plan;
     }
@@ -743,17 +756,37 @@ TEST(ImmStealCorruption, StickyCorruptionAtStealSitesHealsToo) {
     ASSERT_EQ(stealing.seeds, clean.seeds) << "fault-free stealing run";
   }
 
+  // Which operation a site names here is timing-dependent, and a corrupt
+  // plan fires only on one that carries a payload: ranks 1 and 2 never
+  // flip anything at site 0, and under load any site index may miss on
+  // every rank.  So a plan that did not fire must simply leave the clean
+  // seeds, every plan that fired must heal, and a floor of a third of the
+  // plans must fire (a loaded host fires 13-19 of the 21).
   options.recover_failures = true;
+  fault_probe::ScopedMetrics metrics_on;
+  int plans = 0;
+  int fired = 0;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; site += 2) {
+      ++plans;
       options.fault_plan = "rank=" + std::to_string(rank) +
                            ",site=" + std::to_string(site) +
                            ",kind=corrupt,sticky";
+      const std::uint64_t escalations0 =
+          fault_probe::value(fault_probe::kEscalations);
+      const std::uint64_t shrinks0 = fault_probe::value(fault_probe::kShrinks);
       const ImmResult healed = imm_distributed(graph, options);
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "stealing healed seed set diverged for " << options.fault_plan;
+      if (fault_probe::value(fault_probe::kEscalations) == escalations0)
+        continue;
+      ++fired;
+      EXPECT_GT(fault_probe::value(fault_probe::kShrinks), shrinks0)
+          << options.fault_plan << " escalated but nothing healed";
     }
   }
+  EXPECT_GE(fired, plans / 3) << "only " << fired << " of " << plans
+                              << " sticky plans fired";
 }
 
 } // namespace

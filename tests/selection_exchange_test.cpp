@@ -25,6 +25,8 @@
 #include "imm/select.hpp"
 #include "support/metrics.hpp"
 
+#include "fault_probe.hpp"
+
 namespace ripples {
 namespace {
 
@@ -669,11 +671,14 @@ TEST(SparseExchangeFaults, HealedSparseRunsMatchTheCleanSeedSetAtEverySite) {
   // Sites 0..12 cover the sampler allreduce plus every collective of the
   // three sparse stages (top-m allgatherv, bound allgather, candidate
   // allreduce, dense resync, delta allgatherv) across several rounds.
+  fault_probe::ScopedMetrics metrics_on;
   for (int rank = 0; rank < options.num_ranks; ++rank) {
     for (std::uint64_t site = 0; site <= 12; ++site) {
       options.fault_plan =
           "rank=" + std::to_string(rank) + ",site=" + std::to_string(site);
-      const ImmResult healed = imm_distributed(graph, options);
+      const ImmResult healed = fault_probe::expect_fired(
+          options.fault_plan, {fault_probe::kCrashes, fault_probe::kShrinks},
+          [&] { return imm_distributed(graph, options); });
       EXPECT_EQ(healed.seeds, clean.seeds)
           << "sparse healing diverged for " << options.fault_plan;
     }
