@@ -17,6 +17,13 @@
 /// the Monte-Carlo influence of the selected seeds.  The naive scheme's
 /// duplicate fraction approaches (p-1)/p and its effective sample count
 /// drops by p, which is exactly the failure mode stream splitting prevents.
+///
+/// The drivers sample counter streams only, so this bench is where the
+/// paper's leap-frog discipline is kept and checked: it exits 1 unless, at
+/// every p, naive-same-seed duplicates at least the samples of all ranks
+/// but one, and leap-frog duplicates fewer than naive and no more than
+/// kLeapfrogMargin away from counter.
+#include <cmath>
 #include <map>
 
 #include "bench_common.hpp"
@@ -97,6 +104,11 @@ double duplicate_fraction(const std::vector<RRRSet> &samples) {
   return static_cast<double>(duplicates) / static_cast<double>(samples.size());
 }
 
+/// Largest |leapfrog - counter| duplicate-fraction gap the check accepts:
+/// both sit at the birthday-collision floor (~0.2 at the ctest's config),
+/// far below naive-same-seed's (p-1)/p.
+constexpr double kLeapfrogMargin = 0.1;
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -119,12 +131,15 @@ int main(int argc, char **argv) {
               {"Ranks", "Discipline", "DuplicateFrac", "EffectiveSamples",
                "Influence", "StdErr"});
 
+  bool disciplines_hold = true;
   for (int p : rank_counts) {
+    std::map<Discipline, double> dups;
     for (Discipline d : {Discipline::Counter, Discipline::Leapfrog,
                          Discipline::NaiveSameSeed}) {
       std::vector<RRRSet> samples =
           sample_with_discipline(graph, theta, p, config.seed, d);
       double dup = duplicate_fraction(samples);
+      dups[d] = dup;
       SelectionResult selection =
           select_seeds(graph.num_vertices(), k, samples);
       InfluenceEstimate influence = estimate_influence(
@@ -139,6 +154,30 @@ int main(int argc, char **argv) {
           .add(influence.mean, 1)
           .add(influence.std_error, 1);
     }
+    // Naive ranks replay one sequence, so at most the largest rank's
+    // ceil(theta/p) samples are distinct: (p-1)/p when p divides theta.
+    const auto largest_rank =
+        static_cast<double>((theta + static_cast<std::uint64_t>(p) - 1) /
+                            static_cast<std::uint64_t>(p));
+    const double naive_floor =
+        1.0 - largest_rank / static_cast<double>(theta);
+    const double counter = dups[Discipline::Counter];
+    const double leapfrog = dups[Discipline::Leapfrog];
+    const double naive = dups[Discipline::NaiveSameSeed];
+    if (naive < naive_floor) {
+      std::fprintf(stderr,
+                   "FAIL p=%d: naive-same-seed duplicate fraction %.3f is "
+                   "below %.3f\n",
+                   p, naive, naive_floor);
+      disciplines_hold = false;
+    }
+    if (leapfrog >= naive || std::abs(leapfrog - counter) > kLeapfrogMargin) {
+      std::fprintf(stderr,
+                   "FAIL p=%d: leapfrog duplicate fraction %.3f must stay "
+                   "below naive's %.3f and within %.2f of counter's %.3f\n",
+                   p, leapfrog, naive, kLeapfrogMargin, counter);
+      disciplines_hold = false;
+    }
   }
 
   table.emit(config.csv_path);
@@ -146,5 +185,5 @@ int main(int argc, char **argv) {
               "birthday-collision floor independent of p; naive-same-seed\n"
               "duplicates ~(p-1)/p of its samples, shrinking the effective\n"
               "collection by p and (on tight budgets) degrading influence.\n");
-  return 0;
+  return disciplines_hold ? 0 : 1;
 }

@@ -10,8 +10,6 @@
 ///           [--model IC|LT] [--epsilon 0.5] [-k 50]
 ///           [--threads N] [--ranks P]     (each 1..1024, the paper's
 ///                                          largest run; exit 2 beyond)
-///           [--rng counter|leapfrog]      (leapfrog: --driver dist only,
-///                                          with --threads 1)
 ///           [--sampler seq|fused]         (RRR engine; fused batches 64
 ///                                          samples per traversal pass,
 ///                                          byte-identical output; also
@@ -168,44 +166,6 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       cli.get_bounded("threads", 1, 1, kMaxWorkers));
   options.num_ranks =
       static_cast<int>(cli.get_bounded("ranks", 2, 1, kMaxWorkers));
-  if (auto rng = cli.value_of("rng")) {
-    if (*rng == "leapfrog") {
-      options.rng_mode = RngMode::LeapfrogLcg;
-    } else if (*rng != "counter") {
-      std::fprintf(stderr, "unknown --rng '%s' (counter|leapfrog)\n",
-                   rng->c_str());
-      std::exit(2);
-    }
-  }
-  // Leap-frog streams are one shared LCG per rank, walked draw by draw: the
-  // distributed driver runs them on one thread per rank, and the
-  // partitioned driver draws per (sample, vertex) and has no use for them.
-  // Every other driver samples from counter streams only, so accepting the
-  // flag there would print counter-mode seeds under a leap-frog label.
-  if (options.rng_mode == RngMode::LeapfrogLcg) {
-    if (driver == "dist" && options.num_threads > 1) {
-      std::fprintf(stderr,
-                   "--rng leapfrog runs one thread per rank under --driver "
-                   "dist; got --threads %u (use --threads 1 or --rng "
-                   "counter)\n",
-                   options.num_threads);
-      std::exit(2);
-    }
-    if (driver == "dist-part") {
-      std::fprintf(stderr, "--rng leapfrog does not apply to --driver "
-                           "dist-part, which draws per (sample, vertex); "
-                           "use --rng counter\n");
-      std::exit(2);
-    }
-    if (driver != "dist") {
-      std::fprintf(stderr,
-                   "--rng leapfrog is implemented by --driver dist only; "
-                   "--driver %s samples from counter streams (use --rng "
-                   "counter)\n",
-                   driver.c_str());
-      std::exit(2);
-    }
-  }
   options.recover_failures = cli.has_flag("recover");
   options.watchdog_ms = static_cast<std::uint32_t>(
       cli.get_bounded("watchdog-ms", 0, 0, UINT32_MAX));
@@ -362,6 +322,14 @@ int main(int argc, char **argv) {
     std::puts("see the header comment of examples/imm_cli.cpp for usage");
     return 0;
   }
+  // Every driver samples counter streams.  The parser skips unknown flags,
+  // so a leftover --rng is refused here instead of silently ignored.
+  if (cli.has_flag("rng")) {
+    std::fprintf(stderr, "unknown option --rng: every driver samples counter "
+                         "streams; the paper's leap-frog LCG split is "
+                         "measured by bench/ablation_rng_streams\n");
+    return 2;
+  }
 
   const auto seed =
       static_cast<std::uint64_t>(cli.get_bounded("seed", 2019, 0, INT64_MAX));
@@ -403,6 +371,12 @@ int main(int argc, char **argv) {
   ImmResult result;
   try {
     result = run_driver(driver, graph, cli, model, seed);
+  } catch (const checkpoint::CheckpointError &error) {
+    // A snapshot that is damaged or belongs to another run is bad input,
+    // refused before any sampling: a typed diagnostic, not a run failure.
+    std::fprintf(stderr, "resume refused (%s): %s\n",
+                 checkpoint::to_string(error.kind()), error.what());
+    return 2;
   } catch (const std::exception &error) {
     // A failed run must still leave its diagnostics behind: a marked
     // partial report and whatever the trace ring buffers held when the

@@ -146,10 +146,9 @@ public:
     std::uint64_t chunk = 16384;
     /// Storage scrubbing (DESIGN.md §14).  Checksums exist only on the
     /// compressed arena, and repair replays admission windows through the
-    /// recorded generators, so drivers must only enable this when their
-    /// generators are pure functions of (first, count) — counter-sequence
-    /// RNG mode; the leapfrog engines are stateful and keep this Off, the
-    /// same silent-no-op rule as work stealing.
+    /// recorded generators, so it requires generators that are pure
+    /// functions of (first, count) — true of every driver's, since each
+    /// sample is drawn from its own counter stream.
     ScrubMode scrub = ScrubMode::Off;
   };
 
@@ -185,7 +184,7 @@ public:
   /// in place), an empty scratch collection with the same record kinds
   /// otherwise.  On the
   /// shared-memory drivers every index is the caller's; the distributed
-  /// driver generates only its rank's leapfrog slice of the window.
+  /// driver generates only its rank's streams' slice of the window.
   using WindowGenerator = std::function<void(
       RRRCollection &out, std::uint64_t first, std::uint64_t count)>;
 

@@ -95,8 +95,6 @@ void finalize_run_report(ImmResult &result, const char *driver,
   report.seed = options.seed;
   report.num_threads = options.num_threads;
   report.num_ranks = options.num_ranks;
-  report.rng_mode =
-      options.rng_mode == RngMode::LeapfrogLcg ? "leapfrog" : "counter";
   report.mem_budget = options.mem_budget;
   report.rrr_compress = options.rrr_compress == CompressMode::Always ? "always"
                         : options.rrr_compress == CompressMode::Off  ? "off"
@@ -162,9 +160,7 @@ RRRStore::Policy store_policy(const CsrGraph &graph,
   policy.num_vertices = graph.num_vertices();
   if (!budget.governed())
     policy.chunk = std::numeric_limits<std::uint64_t>::max();
-  policy.scrub = options.rng_mode == RngMode::CounterSequence
-                     ? options.scrub_rrr
-                     : ScrubMode::Off;
+  policy.scrub = options.scrub_rrr;
   return policy;
 }
 

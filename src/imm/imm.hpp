@@ -14,8 +14,8 @@
 ///
 /// Every driver runs the same martingale estimation (Alg. 2), returns the
 /// phase-decomposed timings the paper's figures plot, and — given the same
-/// (seed, epsilon, k, model) and the default CounterSequence rng mode —
-/// the exact same seed set, which the integration tests assert.
+/// (seed, epsilon, k, model) — the exact same seed set, which the
+/// integration tests assert.
 #ifndef RIPPLES_IMM_IMM_HPP
 #define RIPPLES_IMM_IMM_HPP
 
@@ -33,16 +33,12 @@
 
 namespace ripples {
 
-/// Parallel random-number discipline of the distributed sampler.
+/// The samplers' RNG discipline, with one value: every driver draws sample
+/// i from the Philox stream (seed, i).  The paper's leap-frog LCG split runs
+/// in bench/ablation_rng_streams.  Kept only because bench/perf/perf_suite
+/// assigns ImmOptions::rng_mode; the next benchmark change deletes both.
 enum class RngMode {
-  /// Per-sample Philox streams indexed by the global sample id: R is
-  /// invariant to the rank/thread count (the library default).
   CounterSequence,
-  /// The paper's scheme: one global LCG sequence, leap-frog split across
-  /// ranks (rank r consumes subsequence r, r+p, r+2p, ...).  R depends on p
-  /// only through which rank produced which sample; the consumed random
-  /// numbers are a prefix of the one global stream.
-  LeapfrogLcg,
 };
 
 /// Seed-selection exchange protocol of the mpsim drivers (Section 3.2's
@@ -81,10 +77,9 @@ enum class SamplerEngine {
 /// moving a chunk between ranks cannot change the emitted bytes — stealing
 /// is a pure placement knob, byte-identical on vs. off.  A rank's threads
 /// need no stealing of their own: the samplers' dynamic OpenMP schedule
-/// already balances them.  Requires RngMode::CounterSequence and an
-/// ungoverned store (budget admission windows are rank-local, so a migrated
-/// chunk would be charged to the wrong rank); otherwise it is a silent
-/// no-op (tests assert it).
+/// already balances them.  Requires an ungoverned store (budget admission
+/// windows are rank-local, so a migrated chunk would be charged to the
+/// wrong rank); a governed one ignores it (tests assert it).
 enum class StealMode {
   /// No stealing: every draw runs where the static partition homed it.
   Off,
@@ -119,12 +114,13 @@ struct ImmOptions {
   unsigned num_threads = 1;
   /// mpsim ranks (imm_distributed only).
   int num_ranks = 1;
+  /// Always CounterSequence; see RngMode.
   RngMode rng_mode = RngMode::CounterSequence;
   /// RRR-generation engine; byte-identical results either way (DESIGN.md
   /// §10), so this is a pure performance knob like num_threads.  Defaults
-  /// from RIPPLES_SAMPLER.  Fused applies to the counter-stream engines
-  /// (sequential, multithreaded, distributed); the LeapfrogLcg rng mode and
-  /// the partitioned driver keep their scalar kernels (documented there).
+  /// from RIPPLES_SAMPLER.  Fused applies to the sequential, multithreaded
+  /// and distributed drivers; the partitioned driver keeps its scalar
+  /// kernel (documented there).
   SamplerEngine sampler = sampler_engine_from_env();
 
   // Fault tolerance (the mpsim drivers; see DESIGN.md failure model).
@@ -181,8 +177,8 @@ struct ImmOptions {
   /// Inter-rank stealing (`--steal`); defaults from RIPPLES_STEAL.  A
   /// placement knob only — seeds/theta/|R|/coverage are byte-identical in
   /// both modes and under every steal schedule (stealing_test sweeps them).
-  /// Counter rng mode only; imm_distributed is the consumer (On donates
-  /// chunks to the mpsim steal channel); the other drivers ignore the knob.
+  /// imm_distributed is the consumer (On donates chunks to the mpsim steal
+  /// channel); the other drivers ignore the knob.
   StealMode steal = steal_mode_from_env();
   /// Draws per stealable chunk (`--steal-chunk`); defaults from
   /// RIPPLES_STEAL_CHUNK, 0 is clamped to 1.
@@ -191,7 +187,7 @@ struct ImmOptions {
   /// on the first live rank, manufacturing the fig7 pathological partition.
   /// With stealing off this is the worst-case baseline; with stealing on,
   /// thieves spread the same draws — byte-identical seeds either way.
-  /// Counter mode, imm_distributed, ungoverned store only.
+  /// imm_distributed, ungoverned store only.
   bool steal_skew = steal_skew_from_env();
 
   // End-to-end data integrity (DESIGN.md §14).
@@ -204,9 +200,9 @@ struct ImmOptions {
   /// drivers have no exchanges to checksum).
   bool verify_collectives = mpsim::verify_collectives_from_env();
   /// RRR-store scrubbing (`--scrub-rrr off|on|paranoid`); defaults from
-  /// RIPPLES_SCRUB_RRR.  Applies to the budget-governed store's compressed
-  /// arena in counter rng mode (replayable coordinates); elsewhere it is a
-  /// silent no-op, the stealing/fused-engine precedent.
+  /// RIPPLES_SCRUB_RRR.  Applies to the compressed arena of the drivers'
+  /// RRR store, the only checksummed representation; a run that never
+  /// compresses has nothing to scrub.
   ScrubMode scrub_rrr = scrub_mode_from_env();
 };
 
@@ -291,9 +287,8 @@ void finalize_run_report(ImmResult &result, const char *driver,
 /// The RRRStore policy every driver builds (DESIGN.md §12): budget and
 /// compression from \p options; bitmap records over \p graph's vertices;
 /// one window per extend when \p budget is ungoverned, since nothing can
-/// refuse; and scrubbing only in counter mode, whose windows replay from
-/// their coordinates — the leapfrog engines are stateful (the
-/// stealing/fused silent-no-op rule).
+/// refuse; and the scrub mode of \p options, since every window replays
+/// from its coordinates.
 [[nodiscard]] RRRStore::Policy store_policy(const CsrGraph &graph,
                                             const ImmOptions &options,
                                             const ScopedBudget &budget,

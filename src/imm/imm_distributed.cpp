@@ -21,11 +21,10 @@
 /// so all ranks take the same branch and the seed sequence — including the
 /// smallest-id tie-break — is bit-identical to the dense protocol's.
 ///
-/// Self-healing (ImmOptions::recover_failures): because every sample is
-/// addressed by an RNG stream coordinate — leap-frog stream r of the one
-/// global LCG sequence, or the per-index Philox counter stream — a dead
-/// rank's partition is a *recomputable* function of (seed, stream, count),
-/// not unique state.  When a collective raises mpsim::RankFailed the
+/// Self-healing (ImmOptions::recover_failures): because every sample i is
+/// drawn from its own Philox counter stream (seed, i), a dead rank's
+/// partition is a *recomputable* function of (seed, stream, count), not
+/// unique state.  When a collective raises mpsim::RankFailed the
 /// survivors shrink the communicator, deterministically re-assign the dead
 /// ranks' streams among themselves (round-robin over the dense survivor
 /// order, replayed identically on every rank), regenerate the lost samples
@@ -49,7 +48,6 @@
 #include "imm/select.hpp"
 #include "imm/steal.hpp"
 #include "mpsim/communicator.hpp"
-#include "rng/lcg.hpp"
 #include "support/assert.hpp"
 #include "support/steal_schedule.hpp"
 #include "support/trace.hpp"
@@ -76,13 +74,11 @@ metrics::Counter &stolen_sets_counter() {
   return c;
 }
 
-/// Counter-mode generation at explicit global indices, honoring the
-/// engine knob: the fused kernel batches 64 per-sample streams per
-/// traversal pass and is byte-identical to the scalar path (DESIGN.md
-/// §10), so every window generator — stream list, steal chunk, heal
-/// range — dispatches through here.  The LeapfrogLcg mode is inherently
-/// sequential per stream (one shared LCG walked draw by draw) and keeps
-/// the scalar kernel.
+/// Generation at explicit global indices, honoring the engine knob: the
+/// fused kernel batches 64 per-sample streams per traversal pass and is
+/// byte-identical to the scalar path (DESIGN.md §10), so every window
+/// generator — stream list, steal chunk, heal range — dispatches through
+/// here.
 /// \p shared_table is the solve's fused edge table, built once before the
 /// ranks start; every call passes it, and it is null exactly when the run
 /// is governed (or scalar).  A governed fused window then builds its own
@@ -118,10 +114,6 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
 ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
   RIPPLES_ASSERT(options.num_ranks >= 1);
   RIPPLES_ASSERT(options.num_threads >= 1);
-  RIPPLES_ASSERT_MSG(options.rng_mode == RngMode::CounterSequence ||
-                         options.num_threads == 1,
-                     "leap-frog LCG streams are per-rank sequential; use one "
-                     "thread per rank or CounterSequence mode");
 
   ImmResult result;
   StopWatch total;
@@ -154,8 +146,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
   // runs leave it unbuilt — each admission window charges and builds its
   // own (generate_counter_indices).
   std::optional<FusedEdgeTable> fused_table;
-  if (options.sampler == SamplerEngine::Fused &&
-      options.rng_mode == RngMode::CounterSequence && !budget.governed())
+  if (options.sampler == SamplerEngine::Fused && !budget.governed())
     fused_table.emplace(graph, options.model);
   const FusedEdgeTable *shared_table = fused_table ? &*fused_table : nullptr;
 
@@ -200,20 +191,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // chunks the survivors already hold.
     std::uint64_t window_target = 0;
 
-    // The streams this rank holds, each with its leap-frog engine
-    // positioned at the stream's next unsampled index (the engine is
-    // unused in counter mode, where every index is independently
-    // addressable).  Initially: exactly this rank's own stream.
-    struct OwnedStream {
-      std::uint64_t stream;
-      Lcg64 engine;
-    };
-    std::vector<OwnedStream> owned;
-    owned.push_back({static_cast<std::uint64_t>(comm.world_rank()),
-                     Lcg64::leapfrog_stream(
-                         options.seed,
-                         static_cast<std::uint64_t>(comm.world_rank()),
-                         stride)});
+    // The world streams this rank holds: initially exactly its own, and
+    // healing appends each stream it adopts.
+    std::vector<std::uint64_t> owned{
+        static_cast<std::uint64_t>(comm.world_rank())};
 
     // stream -> world rank currently holding it.  Every rank maintains the
     // full map by replaying the same shrink events with the same
@@ -222,18 +203,12 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     std::vector<int> stream_owner(static_cast<std::size_t>(p));
     for (int s = 0; s < p; ++s) stream_owner[static_cast<std::size_t>(s)] = s;
 
-    // Work-stealing placement (DESIGN.md §13).  Every knob requires the
-    // index-addressable counter streams — under LeapfrogLcg the one global
-    // LCG is walked draw by draw per stream, so stealing and skew are
-    // silent no-ops there (stealing_test pins this, the fused-engine
-    // precedent).  Stealing and skew additionally require an
-    // ungoverned store: budget admission windows are rank-local, so a
+    // Work-stealing placement (DESIGN.md §13).  Stealing and skew require
+    // an ungoverned store: budget admission windows are rank-local, so a
     // migrated chunk would be charged to the wrong rank's ladder.
-    const bool counter_mode = options.rng_mode == RngMode::CounterSequence;
-    const bool stealing = counter_mode && !budget.governed() && p > 1 &&
-                          options.steal == StealMode::On;
-    const bool skew =
-        options.steal_skew && counter_mode && !budget.governed();
+    const bool stealing =
+        !budget.governed() && p > 1 && options.steal == StealMode::On;
+    const bool skew = options.steal_skew && !budget.governed();
     // With stealing or a skewed partition the stream -> rank map no
     // longer says where samples live, so each rank records the global draw
     // ranges it actually executed; healing then gathers the survivors'
@@ -242,36 +217,20 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     detail::StreamInventory inventory;
 
     // Generator of the listed streams' draws in the global window
-    // [lo, lo + count).  Counter mode captures the stream ids by value: the
-    // store journals a copy of every generator for scrub repair, and healing
-    // grows `owned` — a by-reference capture would replay old windows with
-    // the new stream set and break the bit-identical-regeneration contract.
-    // Leap-frog mode advances the owned engines: extend_window walks windows
-    // in ascending order, so each engine resumes exactly where the previous
-    // window left it (scrub is off there, so nothing replays them).
-    auto stream_generator = [&](std::vector<std::uint64_t> streams)
+    // [lo, lo + count).  It captures the stream ids by value: the store
+    // journals a copy of every generator for scrub repair, and healing grows
+    // `owned` — a by-reference capture would replay old windows with the new
+    // stream set and break the bit-identical-regeneration contract.
+    auto stream_generator = [&graph, &options, shared_table, stride](
+                                std::vector<std::uint64_t> streams)
         -> detail::RRRStore::WindowGenerator {
-      if (!counter_mode)
-        return [&, streams](RRRCollection &out, std::uint64_t lo,
-                            std::uint64_t count) {
-          for (std::uint64_t s : streams) {
-            OwnedStream &os = *std::find_if(
-                owned.begin(), owned.end(),
-                [s](const OwnedStream &o) { return o.stream == s; });
-            sample_leapfrog_range(graph, options.model, os.engine, s, stride,
-                                  lo, lo + count, out);
-          }
-        };
       return [&graph, &options, shared_table, stride,
               streams = std::move(streams)](RRRCollection &out,
                                             std::uint64_t lo,
                                             std::uint64_t count) {
-        const std::uint64_t hi = lo + count;
         std::vector<std::uint64_t> indices;
         for (std::uint64_t s : streams)
-          for (std::uint64_t i = leapfrog_first_index(lo, s, stride); i < hi;
-               i += stride)
-            indices.push_back(i);
+          append_stream_indices(indices, lo, lo + count, s, stride);
         generate_counter_indices(graph, options, shared_table, indices, out);
       };
     };
@@ -295,18 +254,14 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         if (skew)
           for (std::uint64_t s = 0; s < stride; ++s) chunk_stream(s);
         else
-          for (const OwnedStream &os : owned) chunk_stream(os.stream);
+          for (std::uint64_t s : owned) chunk_stream(s);
       }
       // Executing a chunk is executor-independent: the RNG coordinates
       // come from the chunk's global stream indices, so a stolen chunk
       // emits byte-for-byte the sets its home rank would have.
       auto execute_chunk = [&](const detail::ChunkRange &c, bool stolen) {
         std::vector<std::uint64_t> indices;
-        for (std::uint64_t i = leapfrog_first_index(c.begin, c.stream, stride);
-             i < c.end; i += stride) {
-          indices.push_back(i);
-          if (stride > ~std::uint64_t{0} - i) break;
-        }
+        append_stream_indices(indices, c.begin, c.end, c.stream, stride);
         if (indices.empty()) return;
         // Same category as the enclosing sampler.dist_batch span, so
         // analyze_trace's toplevel-coverage invariants see one batch.
@@ -365,21 +320,17 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     auto extend_to = [&](std::uint64_t target) {
       if (target <= global_count) return;
       window_target = target;
-      // Rank-local slice of the batch; the sets arg is attached at the end
-      // because leap-frog generation doesn't know its count upfront.
+      // Rank-local slice of the batch; the sets arg is attached at the end,
+      // once the store has admitted the window.
       trace::Span batch_span("sampler", "sampler.dist_batch", "target", target);
       if (flexible_placement) {
         store.extend_window(global_count, target, flexible_generate);
       } else {
-        // The static partition: this rank's own streams.  Counter-mode
-        // Philox streams are keyed by the global index, so R is independent
-        // of p, and generation may additionally use OpenMP threads (the
-        // paper's hybrid MPI+OpenMP configuration).
-        std::vector<std::uint64_t> streams;
-        streams.reserve(owned.size());
-        for (const OwnedStream &os : owned) streams.push_back(os.stream);
-        store.extend_window(global_count, target,
-                            stream_generator(std::move(streams)));
+        // The static partition: this rank's own streams.  Philox streams
+        // are keyed by the global index, so R is independent of p, and
+        // generation may additionally use OpenMP threads (the paper's hybrid
+        // MPI+OpenMP configuration).
+        store.extend_window(global_count, target, stream_generator(owned));
       }
       global_count = target;
       batch_span.arg("local_sets", store.size());
@@ -539,8 +490,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // Adopts the streams this shrink orphaned: every survivor replays the
     // identical assignment (lost streams in ascending order, round-robin
     // over the dense survivor list), and the new holder regenerates the
-    // lost samples from the stream's coordinates — same engine
-    // construction, same index walk, hence bit-identical sets.
+    // lost samples from the stream's coordinates — same Philox streams,
+    // same index walk, hence bit-identical sets.
     auto heal = [&](const mpsim::ShrinkResult &shrink) {
       trace::Span span("imm", "imm.heal", "dead", shrink.newly_dead.size());
       std::vector<std::uint64_t> lost;
@@ -554,8 +505,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         const std::uint64_t s = lost[j];
         const int new_holder = shrink.members[j % shrink.members.size()];
         stream_owner[static_cast<std::size_t>(s)] = new_holder;
-        if (new_holder == comm.world_rank())
-          owned.push_back({s, Lcg64::leapfrog_stream(options.seed, s, stride)});
+        if (new_holder == comm.world_rank()) owned.push_back(s);
       }
       // What died.  With a static partition, every sample of a lost stream.
       // With stealing or skew the dead ranks may have executed anyone's

@@ -61,10 +61,7 @@ Philox4x32 vertex_stream(std::uint64_t seed, std::uint64_t sample_index,
 ImmResult imm_distributed_partitioned(const CsrGraph &graph,
                                       const ImmOptions &options) {
   RIPPLES_ASSERT(options.num_ranks >= 1);
-  RIPPLES_ASSERT_MSG(options.rng_mode == RngMode::CounterSequence,
-                     "the partitioned driver defines randomness per "
-                     "(sample, vertex); leap-frog streams do not apply");
-  // options.sampler is likewise ignored: the fused engine (DESIGN.md §10)
+  // options.sampler is ignored: the fused engine (DESIGN.md §10)
   // batches 64 whole *samples* per traversal pass, but here no rank ever
   // traverses a whole sample — each level of every sample is a distributed
   // exchange, and edge draws come from per-(sample, vertex) streams rather

@@ -112,27 +112,6 @@ void sample_hypergraph(const CsrGraph &graph, DiffusionModel model,
   trace::counter("rrr_sets", collection.size());
 }
 
-std::uint64_t sample_leapfrog_range(const CsrGraph &graph, DiffusionModel model,
-                                    Lcg64 &engine, std::uint64_t stream,
-                                    std::uint64_t num_streams,
-                                    std::uint64_t from, std::uint64_t to,
-                                    RRRCollection &collection) {
-  RRRGenerator generator(graph);
-  std::uint64_t generated = 0;
-  for (std::uint64_t i = leapfrog_first_index(from, stream, num_streams);
-       i < to; i += num_streams) {
-    RRRSet set;
-    generator.generate_random_root(model, engine, set);
-    collection.add(std::move(set));
-    ++generated;
-    // i + num_streams may wrap for `to` near UINT64_MAX; a wrapped index
-    // would re-enter the range and loop forever.
-    if (num_streams > std::numeric_limits<std::uint64_t>::max() - i) break;
-  }
-  count_generated(generated);
-  return generated;
-}
-
 std::uint64_t sample_counter_indices(const CsrGraph &graph,
                                      DiffusionModel model, std::uint64_t seed,
                                      std::span<const std::uint64_t> indices,

@@ -8,17 +8,17 @@
 /// number of OpenMP threads, or by any number of mpsim ranks.  This is the
 /// property the paper obtains from leap-frog LCG splitting ("accurate
 /// generation of pseudorandom numbers in parallel is critical"), delivered
-/// here with a counter-based generator; the faithful leap-frog LCG variant
-/// lives in imm_distributed.cpp and is compared in ablation_rng_streams.
+/// here with a counter-based generator; bench/ablation_rng_streams compares
+/// the paper's leap-frog LCG split against it.
 #ifndef RIPPLES_IMM_SAMPLER_HPP
 #define RIPPLES_IMM_SAMPLER_HPP
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "imm/rrr_collection.hpp"
-#include "rng/lcg.hpp"
 #include "support/assert.hpp"
 
 namespace ripples {
@@ -76,19 +76,21 @@ leapfrog_first_index(std::uint64_t from, std::uint64_t stream,
   return from + advance;
 }
 
-/// Generates the RRR sets of leap-frog stream \p stream of \p num_streams
-/// whose global indices lie in [from, to), appending them to \p collection,
-/// and returns how many were generated.  \p engine must be the stream's
-/// generator positioned at the first such index — `Lcg64::leapfrog_stream`
-/// for from == 0, or an engine carried forward from the previous batch.
-/// Because the engine sequence is a pure function of (seed, stream,
-/// num_streams), re-running this from index 0 reproduces a lost partition
-/// bit-identically — the distributed driver's healing primitive.
-std::uint64_t sample_leapfrog_range(const CsrGraph &graph, DiffusionModel model,
-                                    Lcg64 &engine, std::uint64_t stream,
-                                    std::uint64_t num_streams,
-                                    std::uint64_t from, std::uint64_t to,
-                                    RRRCollection &collection);
+/// Appends to \p out, ascending, the global sample indices of leap-frog
+/// stream \p stream of \p num_streams that lie in [from, to) — the index
+/// walk of every window, steal chunk and heal range of imm_distributed.
+/// Stops before the next index would wrap past UINT64_MAX, so a range
+/// reaching the top of the index space terminates.
+inline void append_stream_indices(std::vector<std::uint64_t> &out,
+                                  std::uint64_t from, std::uint64_t to,
+                                  std::uint64_t stream,
+                                  std::uint64_t num_streams) {
+  for (std::uint64_t i = leapfrog_first_index(from, stream, num_streams);
+       i < to; i += num_streams) {
+    out.push_back(i);
+    if (num_streams > std::numeric_limits<std::uint64_t>::max() - i) break;
+  }
+}
 
 /// Generates the RRR sets at the given global sample indices from their
 /// per-sample counter streams (sample_stream(seed, i)) and appends them to

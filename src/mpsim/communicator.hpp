@@ -39,7 +39,8 @@
 ///     `shrink()`, obtain a dense re-ranked communicator view, and
 ///     continue.  Callers address peers by *dense* rank (`rank()`/`size()`)
 ///     while `world_rank()`/`world_size()` keep the immutable launch-time
-///     identity that data ownership (leap-frog RNG streams) is keyed by.
+///     identity that data ownership (the sampler's world streams) is keyed
+///     by.
 ///  3. *Watchdog* (RunOptions::watchdog, default off): every collective
 ///     wait carries a deadline; a stalled peer converts the wait into a
 ///     diagnosed `CollectiveTimeout` naming the site, the laggard ranks,

@@ -97,17 +97,6 @@ public:
   [[nodiscard]] Lcg64 leapfrog(std::uint64_t stream,
                                std::uint64_t num_streams) const;
 
-  /// The leap-frog substream of the experiment-wide sequence keyed by
-  /// \p seed.  A stream is addressable by its coordinates alone — no
-  /// generator history required — which is what lets a surviving rank
-  /// replay a dead rank's stream from the beginning and regenerate its
-  /// samples bit-identically (see imm_distributed's healing path).
-  [[nodiscard]] static Lcg64 leapfrog_stream(std::uint64_t seed,
-                                             std::uint64_t stream,
-                                             std::uint64_t num_streams) {
-    return Lcg64(seed).leapfrog(stream, num_streams);
-  }
-
   friend bool operator==(const Lcg64 &, const Lcg64 &) = default;
 
 private:

@@ -4,7 +4,7 @@
 /// The shared-memory sampler gives each OpenMP thread an independent
 /// xoshiro256** obtained with jump(), which advances 2^128 steps and thereby
 /// partitions the period into non-overlapping substreams (the shared-memory
-/// analogue of the leap-frog split used by the distributed sampler).
+/// analogue of the paper's leap-frog split).
 #ifndef RIPPLES_RNG_XOSHIRO_HPP
 #define RIPPLES_RNG_XOSHIRO_HPP
 

@@ -5,10 +5,9 @@
 /// process; this module survives whole-process kills (OOM, node reboot,
 /// scheduler preemption) — the dominant failure mode of the long,
 /// memory-heavy runs the paper targets.  The key economy: because every RRR
-/// set is addressed by an RNG stream coordinate (leap-frog LCG stream of the
-/// one global sequence, or a per-index Philox counter), the sample partition
-/// R is a *recomputable* function of (seed, coordinates, count) and never
-/// needs to be serialized.  A snapshot therefore stores only the martingale
+/// set is addressed by an RNG stream coordinate (a per-index Philox counter
+/// stream), the sample partition R is a *recomputable* function of (seed,
+/// coordinates, count) and never needs to be serialized.  A snapshot therefore stores only the martingale
 /// round state plus the per-stream sample counts — O(ranks + rounds) words,
 /// not O(|R|) — and a resumed run rebuilds R by deterministic replay,
 /// producing byte-identical seeds, theta, and coverage to an uninterrupted
@@ -84,6 +83,8 @@ struct RunFingerprint {
   double l = 0.0;
   std::uint32_t k = 0;
   std::uint8_t model = 0;
+  /// 0 on every snapshot the drivers write today (counter streams).  The
+  /// retired leap-frog mode wrote 1, so such a snapshot is refused.
   std::uint8_t rng_mode = 0;
   std::uint8_t selection_exchange = 0;
   std::uint32_t selection_topm = 0;

@@ -219,7 +219,6 @@ void RunReport::to_json(JsonWriter &w) const {
   w.member("seed", seed);
   w.member("threads", static_cast<std::uint64_t>(num_threads));
   w.member("ranks", static_cast<std::int64_t>(num_ranks));
-  w.member("rng_mode", rng_mode);
   w.member("mem_budget", mem_budget);
   w.member("rrr_compress", rrr_compress);
   w.member("steal", steal);

@@ -278,7 +278,8 @@ struct RunReport {
   /// v8: added "options.verify_collectives" / "options.scrub_rrr" — the
   /// end-to-end data-integrity knobs (DESIGN.md §14); their runtime
   /// activity lands in the "integrity.*" counter family.
-  static constexpr std::uint32_t kSchemaVersion = 8;
+  /// v9: removed "options.rng_mode" — every driver samples counter streams.
+  static constexpr std::uint32_t kSchemaVersion = 9;
 
   std::string driver;
 
@@ -298,7 +299,6 @@ struct RunReport {
   std::uint64_t seed = 0;
   unsigned num_threads = 1;
   int num_ranks = 1;
-  std::string rng_mode;
   /// Enforced RRR reservation budget in bytes (0 = unlimited) and the
   /// compression policy ("auto"/"always"/"off") the run executed under.
   std::uint64_t mem_budget = 0;

@@ -4,13 +4,14 @@
 // the end-to-end guarantee that a run killed at ANY martingale round and
 // resumed with checkpoint::Options::resume produces byte-identical seeds,
 // theta, and coverage to the uninterrupted run — across driver x ranks x
-// RNG mode x selection-exchange, and composed with PR 3's fault healing.
+// selection-exchange x engine, and composed with PR 3's fault healing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -307,7 +308,7 @@ CsrGraph checkpoint_graph() {
 }
 
 using ResumeCell =
-    std::tuple<const char *, int, RngMode, SelectionExchange, SamplerEngine>;
+    std::tuple<const char *, int, SelectionExchange, SamplerEngine>;
 
 ImmOptions cell_options(const ResumeCell &cell) {
   ImmOptions options;
@@ -316,13 +317,12 @@ ImmOptions cell_options(const ResumeCell &cell) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = std::get<1>(cell);
-  options.rng_mode = std::get<2>(cell);
-  options.selection_exchange = std::get<3>(cell);
+  options.selection_exchange = std::get<2>(cell);
   // The engine axis must be outcome-invisible: a run checkpointed under
   // one engine and resumed under the same one lands on the same results
   // the scalar engine produces (the fused engine's byte-identity promise
   // composes with mid-run resume).
-  options.sampler = std::get<4>(cell);
+  options.sampler = std::get<3>(cell);
   options.checkpoint = {}; // isolate from any ambient RIPPLES_CHECKPOINT_*
   return options;
 }
@@ -356,10 +356,6 @@ protected:
 };
 
 TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
-  if (std::string(std::get<0>(GetParam())) == "dist-part" &&
-      std::get<2>(GetParam()) == RngMode::LeapfrogLcg)
-    GTEST_SKIP() << "the partitioned driver defines randomness per "
-                    "(sample, vertex); leap-frog streams do not apply";
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options(GetParam());
   const ImmResult clean = run_cell(GetParam(), graph, options);
@@ -409,10 +405,9 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
 
 std::string resume_cell_name(
     const ::testing::TestParamInfo<ResumeCell> &info) {
-  const auto &[driver, ranks, rng, exchange, engine] = info.param;
+  const auto &[driver, ranks, exchange, engine] = info.param;
   std::string name = driver;
   name += "_p" + std::to_string(ranks);
-  name += rng == RngMode::CounterSequence ? "_counter" : "_leapfrog";
   name += exchange == SelectionExchange::Sparse ? "_sparse" : "_dense";
   name += engine == SamplerEngine::Fused ? "_fused" : "";
   // "dist-part" contains an invalid character for a test name.
@@ -422,11 +417,9 @@ std::string resume_cell_name(
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DriverRanksRngExchange, CheckpointResume,
+    DriverRanksExchange, CheckpointResume,
     ::testing::Combine(::testing::Values("dist", "dist-part"),
                        ::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse),
                        ::testing::Values(SamplerEngine::Sequential,
@@ -442,8 +435,7 @@ TEST_F(CheckpointKill, SnapshotsSurviveAnAbruptDeathAndResumeToIdenticalSeeds) {
   // unwinds the whole run mid-martingale.  Whatever snapshots were written
   // before the death must carry a --resume run to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Fused};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -470,8 +462,7 @@ TEST_F(CheckpointKill, StealMidRoundKillResumesToIdenticalSeeds) {
   // must carry BOTH a forced-steal resume and a 1-thread stealing-off
   // resume to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Fused};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -505,8 +496,8 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
   // Killed before the first boundary: nothing on disk, --resume must fall
   // back to a fresh run, not fail.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Sequential};
+  ResumeCell cell{"dist", 2, SelectionExchange::Dense,
+                  SamplerEngine::Sequential};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
   options.checkpoint.dir = dir();
@@ -518,8 +509,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
 
 TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
   const CsrGraph graph = checkpoint_graph();
-  ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense,
+  ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
                                      SamplerEngine::Sequential});
   options.checkpoint.resume = true;
   EXPECT_THROW((void)imm_distributed(graph, options), std::runtime_error);
@@ -527,8 +517,8 @@ TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
 
 TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Sequential};
+  ResumeCell cell{"dist", 2, SelectionExchange::Dense,
+                  SamplerEngine::Sequential};
   ImmOptions options = cell_options(cell);
   options.checkpoint.dir = dir();
   (void)imm_distributed(graph, options);
@@ -556,10 +546,6 @@ TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   changed_eps.epsilon = 0.4;
   expect_refused(changed_eps, graph, "epsilon");
 
-  ImmOptions changed_rng = options;
-  changed_rng.rng_mode = RngMode::LeapfrogLcg;
-  expect_refused(changed_rng, graph, "rng_mode");
-
   ImmOptions changed_ranks = options;
   changed_ranks.num_ranks = 4;
   expect_refused(changed_ranks, graph, "world_size");
@@ -578,14 +564,41 @@ TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   }
 }
 
+TEST_F(CheckpointKill, LeapfrogSnapshotIsRefusedNotResumed) {
+  // Snapshots of the retired leap-frog LCG mode carry rng_mode = 1.  Their
+  // coordinates name other samples than the counter streams', so resuming
+  // one must be refused with the field named, not replayed.
+  const CsrGraph graph = checkpoint_graph();
+  ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
+                                     SamplerEngine::Sequential});
+  options.checkpoint.dir = dir();
+  (void)imm_distributed(graph, options);
+  std::optional<Snapshot> snapshot = CheckpointManager(dir()).load_latest();
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->fingerprint.rng_mode, 0);
+
+  snapshot->fingerprint.rng_mode = 1;
+  options.checkpoint.dir = (directory_ / "leapfrog").string();
+  CheckpointManager(options.checkpoint.dir).write_now(*snapshot);
+  options.checkpoint.resume = true;
+  try {
+    (void)imm_distributed(graph, options);
+    FAIL() << "resume accepted a leap-frog snapshot";
+  } catch (const CheckpointError &error) {
+    EXPECT_EQ(error.kind(), LoadError::FingerprintMismatch);
+    EXPECT_NE(std::string(error.what()).find("rng_mode"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   // PR 3 axis: a checkpointed run that also heals an injected crash must
   // still produce the failure-free outcome, and its snapshots must still
   // carry a resume to that same outcome (the healed run keeps exactly one
   // writer: the current dense rank 0).
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::LeapfrogLcg,
-                  SelectionExchange::Sparse, SamplerEngine::Sequential};
+  ResumeCell cell{"dist", 3, SelectionExchange::Sparse,
+                  SamplerEngine::Sequential};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -609,8 +622,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
 
 TEST_F(CheckpointKill, WritesAndBytesAreCounted) {
   const CsrGraph graph = checkpoint_graph();
-  ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense,
+  ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
                                      SamplerEngine::Sequential});
   options.checkpoint.dir = dir();
   metrics::set_enabled(true);

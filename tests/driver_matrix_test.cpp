@@ -134,18 +134,15 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(SamplerEngine::Sequential, SamplerEngine::Fused)));
 
 // Fused acceptance sweep over rank counts: for every ranks in {1,2,4,8} x
-// rng mode x exchange protocol, the distributed driver under the fused
-// engine must agree bit-exactly with the same configuration under the
-// scalar engine (the engines promise identical collections), and in
-// counter mode with the sequential reference as well.  Leap-frog mode
-// keeps its scalar kernel, so there the check pins the fused flag as a
-// strict no-op.
+// exchange protocol, the distributed driver under the fused engine must
+// agree bit-exactly with the same configuration under the scalar engine
+// (the engines promise identical collections) and with the sequential
+// reference.
 class FusedRankSweep
-    : public ::testing::TestWithParam<
-          std::tuple<int, RngMode, SelectionExchange>> {};
+    : public ::testing::TestWithParam<std::tuple<int, SelectionExchange>> {};
 
 TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
-  auto [ranks, rng_mode, exchange] = GetParam();
+  auto [ranks, exchange] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
@@ -156,7 +153,6 @@ TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 4242;
   options.num_ranks = ranks;
-  options.rng_mode = rng_mode;
   options.selection_exchange = exchange;
 
   options.sampler = SamplerEngine::Fused;
@@ -167,34 +163,29 @@ TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
   EXPECT_EQ(fused.theta, scalar.theta);
   EXPECT_EQ(fused.coverage_fraction, scalar.coverage_fraction);
 
-  if (rng_mode == RngMode::CounterSequence) {
-    ImmResult reference = imm_sequential(graph, options);
-    EXPECT_EQ(fused.seeds, reference.seeds);
-    EXPECT_EQ(fused.theta, reference.theta);
-  }
+  ImmResult reference = imm_sequential(graph, options);
+  EXPECT_EQ(fused.seeds, reference.seeds);
+  EXPECT_EQ(fused.theta, reference.theta);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksRngExchange, FusedRankSweep,
+    RanksExchange, FusedRankSweep,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse)));
 
-// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x rng mode x
-// exchange protocol x engine, the distributed driver with work-stealing on
-// (and the skewed fig7 partition manufactured, so inter steals actually
-// move chunks) must agree bit-exactly with the same configuration with
-// stealing off — stealing is a pure placement knob.  Counter mode is also
-// pinned to the sequential reference; leap-frog mode keeps its pinned
-// placement, so there the sweep asserts the knob is a strict no-op.
+// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x exchange
+// protocol x engine, the distributed driver with work-stealing on (and the
+// skewed fig7 partition manufactured, so inter steals actually move
+// chunks) must agree bit-exactly with the same configuration with stealing
+// off — stealing is a pure placement knob — and with the sequential
+// reference.
 class StealSweep
     : public ::testing::TestWithParam<
-          std::tuple<int, RngMode, SelectionExchange, SamplerEngine>> {};
+          std::tuple<int, SelectionExchange, SamplerEngine>> {};
 
 TEST_P(StealSweep, StealingOnMatchesStealingOff) {
-  auto [ranks, rng_mode, exchange, engine] = GetParam();
+  auto [ranks, exchange, engine] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
@@ -205,7 +196,6 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 4242;
   options.num_ranks = ranks;
-  options.rng_mode = rng_mode;
   options.selection_exchange = exchange;
   options.sampler = engine;
   options.steal = StealMode::Off;
@@ -221,18 +211,14 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   EXPECT_EQ(on.num_samples, off.num_samples);
   EXPECT_EQ(on.coverage_fraction, off.coverage_fraction);
 
-  if (rng_mode == RngMode::CounterSequence) {
-    ImmResult reference = imm_sequential(graph, options);
-    EXPECT_EQ(on.seeds, reference.seeds);
-    EXPECT_EQ(on.theta, reference.theta);
-  }
+  ImmResult reference = imm_sequential(graph, options);
+  EXPECT_EQ(on.seeds, reference.seeds);
+  EXPECT_EQ(on.theta, reference.theta);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksRngExchangeEngine, StealSweep,
+    RanksExchangeEngine, StealSweep,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse),
                        ::testing::Values(SamplerEngine::Sequential,

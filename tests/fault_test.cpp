@@ -658,22 +658,19 @@ CsrGraph healing_graph() {
   return graph;
 }
 
-ImmOptions healing_options(RngMode mode) {
+ImmOptions healing_options() {
   ImmOptions options;
   options.epsilon = 0.5;
   options.k = 8;
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = 3;
-  options.rng_mode = mode;
   return options;
 }
 
-class ImmHealing : public ::testing::TestWithParam<RngMode> {};
-
-TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
+TEST(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(GetParam());
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -698,20 +695,9 @@ TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RngModes, ImmHealing,
-                         ::testing::Values(RngMode::CounterSequence,
-                                           RngMode::LeapfrogLcg),
-                         [](const auto &suite_info) {
-                           return suite_info.param == RngMode::CounterSequence
-                                      ? "counter"
-                                      : "leapfrog";
-                         });
-
-/// RNG mode and threads per rank: Alg. 4 runs on each rank's team, whose
-/// primary thread makes the exchange's collectives.
-using SparseHealingCell = std::tuple<RngMode, unsigned>;
-
-class ImmHealingSparse : public ::testing::TestWithParam<SparseHealingCell> {};
+/// Threads per rank: Alg. 4 runs on each rank's team, whose primary thread
+/// makes the exchange's collectives.
+class ImmHealingSparse : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // The sparse protocol multiplies the collectives per selection round
@@ -722,15 +708,15 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // dense-protocol-identical) seed set.  With threaded ranks the failure
   // surfaces on a team's primary thread and leaves the team before the
   // heal.
-  const auto [mode, threads] = GetParam();
+  const unsigned threads = GetParam();
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(mode);
+  ImmOptions options = healing_options();
   options.selection_exchange = SelectionExchange::Sparse;
   options.num_threads = threads;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
   {
-    ImmOptions dense = healing_options(mode);
+    ImmOptions dense = healing_options();
     const ImmResult reference = imm_distributed(graph, dense);
     ASSERT_EQ(clean.seeds, reference.seeds);
   }
@@ -750,27 +736,18 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RngModes, ImmHealingSparse,
-    ::testing::Values(SparseHealingCell{RngMode::CounterSequence, 1},
-                      SparseHealingCell{RngMode::LeapfrogLcg, 1},
-                      SparseHealingCell{RngMode::CounterSequence, 3}),
-    [](const auto &suite_info) {
-      const unsigned threads = std::get<1>(suite_info.param);
-      std::string name = std::get<0>(suite_info.param) ==
-                                 RngMode::CounterSequence
-                             ? "counter"
-                             : "leapfrog";
-      if (threads != 1) name += "_threads" + std::to_string(threads);
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, ImmHealingSparse, ::testing::Values(1u, 3u),
+                         [](const auto &suite_info) {
+                           return "threads" +
+                                  std::to_string(suite_info.param);
+                         });
 
 TEST(ImmHealing, EvictedStallHealsToTheFailureFreeSeedSet) {
   // PR 3 left stalls diagnose-only; with evict_stalled the watchdog routes
   // the laggard into the same RankFailed -> shrink() -> heal path a crash
   // takes, so a stalled rank costs a watchdog deadline, not the run.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -798,7 +775,7 @@ TEST(ImmStealHealing, CrashAtStealSitesHealsToTheFailureFreeSeedSet) {
   // survivors' executed ranges, so every plan must return the
   // failure-free, stealing-off seed set.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -837,7 +814,7 @@ TEST(ImmStealHealing, EvictedStallAtAStealSiteHealsToo) {
   // allreduce, and the watchdog + eviction route the laggard into the same
   // shrink -> inventory-heal path a crash takes.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   steal_schedule::ScopedPlan forced(
@@ -866,59 +843,57 @@ TEST(ImmHealing, CrashAtTheLastSiteOfAReusingRunHealsAndStillReuses) {
   // loop runs a fresh trial, and the healed run still reuses it; one site
   // later no plan fires at all.
   CsrGraph graph = healing_graph();
-  for (RngMode mode : {RngMode::CounterSequence, RngMode::LeapfrogLcg}) {
-    ImmOptions options = healing_options(mode);
-    options.epsilon = 0.7;
-    ScopedMetrics metrics_on;
-    const std::uint64_t reused0 =
-        fault_probe::value("imm.select.final_reused");
-    const ImmResult clean = imm_distributed(graph, options);
-    ASSERT_EQ(fault_probe::value("imm.select.final_reused"), reused0 + 1)
-        << "the input no longer accepts without a top-up";
+  ImmOptions options = healing_options();
+  options.epsilon = 0.7;
+  ScopedMetrics metrics_on;
+  const std::uint64_t reused0 =
+      fault_probe::value("imm.select.final_reused");
+  const ImmResult clean = imm_distributed(graph, options);
+  ASSERT_EQ(fault_probe::value("imm.select.final_reused"), reused0 + 1)
+      << "the input no longer accepts without a top-up";
 
-    // The victim's site count: without recovery a planned crash throws
-    // exactly when its site is reached.
-    auto fires = [&](std::uint64_t site) {
-      ImmOptions probe = options;
-      probe.fault_plan = "rank=1,site=" + std::to_string(site);
-      try {
-        (void)imm_distributed(graph, probe);
-        return false;
-      } catch (const mpsim::InjectedFault &) {
-        return true;
-      }
-    };
-    std::uint64_t beyond = 16;
-    while (fires(beyond)) beyond *= 2;
-    std::uint64_t last = 0; // fires(last) holds, fires(beyond) does not
-    while (beyond - last > 1) {
-      const std::uint64_t mid = last + (beyond - last) / 2;
-      (fires(mid) ? last : beyond) = mid;
+  // The victim's site count: without recovery a planned crash throws
+  // exactly when its site is reached.
+  auto fires = [&](std::uint64_t site) {
+    ImmOptions probe = options;
+    probe.fault_plan = "rank=1,site=" + std::to_string(site);
+    try {
+      (void)imm_distributed(graph, probe);
+      return false;
+    } catch (const mpsim::InjectedFault &) {
+      return true;
     }
-
-    options.recover_failures = true;
-    options.fault_plan = "rank=1,site=" + std::to_string(last);
-    const std::uint64_t reused1 =
-        fault_probe::value("imm.select.final_reused");
-    const ImmResult healed =
-        expect_fired(options.fault_plan, {kCrashes, kShrinks},
-                     [&] { return imm_distributed(graph, options); });
-    EXPECT_EQ(healed.seeds, clean.seeds) << options.fault_plan;
-    EXPECT_EQ(healed.theta, clean.theta) << options.fault_plan;
-    EXPECT_EQ(fault_probe::value("imm.select.final_reused"), reused1 + 1)
-        << options.fault_plan;
-
-    options.fault_plan = "rank=1,site=" + std::to_string(last + 1);
-    const std::uint64_t crashes0 = fault_probe::value(kCrashes);
-    const ImmResult untouched = imm_distributed(graph, options);
-    EXPECT_EQ(fault_probe::value(kCrashes), crashes0) << options.fault_plan;
-    EXPECT_EQ(untouched.seeds, clean.seeds);
+  };
+  std::uint64_t beyond = 16;
+  while (fires(beyond)) beyond *= 2;
+  std::uint64_t last = 0; // fires(last) holds, fires(beyond) does not
+  while (beyond - last > 1) {
+    const std::uint64_t mid = last + (beyond - last) / 2;
+    (fires(mid) ? last : beyond) = mid;
   }
+
+  options.recover_failures = true;
+  options.fault_plan = "rank=1,site=" + std::to_string(last);
+  const std::uint64_t reused1 =
+      fault_probe::value("imm.select.final_reused");
+  const ImmResult healed =
+      expect_fired(options.fault_plan, {kCrashes, kShrinks},
+                   [&] { return imm_distributed(graph, options); });
+  EXPECT_EQ(healed.seeds, clean.seeds) << options.fault_plan;
+  EXPECT_EQ(healed.theta, clean.theta) << options.fault_plan;
+  EXPECT_EQ(fault_probe::value("imm.select.final_reused"), reused1 + 1)
+      << options.fault_plan;
+
+  options.fault_plan = "rank=1,site=" + std::to_string(last + 1);
+  const std::uint64_t crashes0 = fault_probe::value(kCrashes);
+  const ImmResult untouched = imm_distributed(graph, options);
+  EXPECT_EQ(fault_probe::value(kCrashes), crashes0) << options.fault_plan;
+  EXPECT_EQ(untouched.seeds, clean.seeds);
 }
 
 TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   options.recover_failures = true;
@@ -934,7 +909,7 @@ TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
 
 TEST(ImmHealing, RegenerationIsCountedInMetrics) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.recover_failures = true;
   // Crash late enough that the victim owned samples worth regenerating.
   options.fault_plan = "rank=2,site=9";
@@ -949,7 +924,7 @@ TEST(ImmHealing, RegenerationIsCountedInMetrics) {
 
 TEST(ImmHealing, WithoutRecoveryTheInjectedFaultPropagates) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.fault_plan = "rank=1,site=5";
   EXPECT_THROW((void)imm_distributed(graph, options), mpsim::InjectedFault);
 }
@@ -961,7 +936,7 @@ TEST(ImmOom, RefusalWithoutRecoveryPropagatesTheDiagnostic) {
   // (compress, shed, stop); the distributed rung-3 policy is a hard refusal
   // naming the consumer — never an unhandled bad_alloc.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.fault_plan = "rank=1,site=1,kind=oom";
   try {
     (void)imm_distributed(graph, options);
@@ -981,7 +956,7 @@ TEST(ImmOom, RefusedRankHealsLikeACrashedRankAtEverySite) {
   // survivors shrink, adopt its streams, and regenerate its samples
   // bit-identically, exactly as they would for a crash.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -1012,7 +987,7 @@ TEST(ImmOom, RefusalFlushesACheckpointAndALargerBudgetResumesBitIdentically) {
   // with exactly the failure-free seed set.
   namespace fs = std::filesystem;
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   const fs::path dir =
@@ -1039,7 +1014,7 @@ TEST(ImmOom, RefusalFlushesACheckpointAndALargerBudgetResumesBitIdentically) {
 
 TEST(ImmOom, RefusalsAndReservationsAreCounted) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.recover_failures = true;
   options.fault_plan = "rank=1,site=1,kind=oom";
   metrics::set_enabled(true);

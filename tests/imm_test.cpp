@@ -122,36 +122,6 @@ INSTANTIATE_TEST_SUITE_P(Models, ImmDrivers,
                          ::testing::Values(DiffusionModel::IndependentCascade,
                                            DiffusionModel::LinearThreshold));
 
-TEST(ImmDistributed, LeapfrogModeSatisfiesContractAndQuality) {
-  // Leap-frog LCG mode is the paper-faithful RNG scheme; its collection
-  // differs from counter mode, but contract and quality must hold.
-  CsrGraph graph = test_graph(DiffusionModel::IndependentCascade);
-  ImmOptions options = base_options(DiffusionModel::IndependentCascade);
-  options.rng_mode = RngMode::LeapfrogLcg;
-  options.num_ranks = 3;
-  ImmResult result = imm_distributed(graph, options);
-  check_contract(result, graph, options);
-
-  // Quality: within noise of the counter-mode result.
-  ImmOptions counter_options = base_options(DiffusionModel::IndependentCascade);
-  ImmResult reference = imm_sequential(graph, counter_options);
-  double sigma_leapfrog =
-      estimate_influence(graph, result.seeds, options.model, 2000, 5).mean;
-  double sigma_reference =
-      estimate_influence(graph, reference.seeds, options.model, 2000, 5).mean;
-  EXPECT_GT(sigma_leapfrog, 0.85 * sigma_reference);
-}
-
-TEST(ImmDistributed, LeapfrogModeIsDeterministicPerRankCount) {
-  CsrGraph graph = test_graph(DiffusionModel::IndependentCascade);
-  ImmOptions options = base_options(DiffusionModel::IndependentCascade);
-  options.rng_mode = RngMode::LeapfrogLcg;
-  options.num_ranks = 4;
-  ImmResult a = imm_distributed(graph, options);
-  ImmResult b = imm_distributed(graph, options);
-  EXPECT_EQ(a.seeds, b.seeds);
-}
-
 TEST(ImmQuality, BeatsRandomSeedsSubstantially) {
   CsrGraph graph = test_graph(DiffusionModel::IndependentCascade);
   ImmOptions options = base_options(DiffusionModel::IndependentCascade);

@@ -148,24 +148,6 @@ TEST(EndToEnd, BiologyCaseStudyPipeline) {
   EXPECT_GT(bio::count_significant(degree_rows), 0u);
 }
 
-TEST(EndToEnd, DistributedLeapfrogOnRegistrySurrogate) {
-  CsrGraph graph = materialize(find_dataset("com-Amazon"), 0.003, 90);
-  assign_uniform_weights(graph, 91);
-
-  ImmOptions options;
-  options.epsilon = 0.5;
-  options.k = 6;
-  options.seed = 92;
-  options.num_ranks = 4;
-  options.rng_mode = RngMode::LeapfrogLcg;
-
-  ImmResult result = imm_distributed(graph, options);
-  ASSERT_EQ(result.seeds.size(), 6u);
-  InfluenceEstimate influence = estimate_influence(
-      graph, result.seeds, options.model, 500, 93);
-  EXPECT_GT(influence.mean, 6.0);
-}
-
 TEST(EndToEnd, PhaseTimersCoverTheRun) {
   CsrGraph graph = materialize(find_dataset("cit-HepTh"), 0.02, 94);
   assign_uniform_weights(graph, 95);

@@ -604,7 +604,6 @@ ImmOptions healing_options() {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = 3;
-  options.rng_mode = RngMode::CounterSequence;
   return options;
 }
 

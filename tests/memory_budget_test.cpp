@@ -681,7 +681,6 @@ TEST(GovernedDrivers, LtFusedWindowChargesItsEdgeTableOnce) {
   ImmOptions options = driver_options();
   options.model = DiffusionModel::LinearThreshold;
   options.sampler = SamplerEngine::Fused;
-  options.rng_mode = RngMode::CounterSequence;
   options.num_threads = 4;
   const ImmResult plain = imm_multithreaded(graph, options);
 
@@ -722,7 +721,6 @@ TEST(GovernedDrivers, ThrowingWindowReturnsItsReservation) {
   ImmOptions options = driver_options();
   options.k = 1;
   options.sampler = SamplerEngine::Fused;
-  options.rng_mode = RngMode::CounterSequence;
   ImmOptions threaded = options;
   threaded.num_threads = 2;
   // Ungoverned, the distributed driver builds its one shared table before

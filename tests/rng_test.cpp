@@ -70,7 +70,8 @@ TEST_P(LcgLeapfrog, StreamsPartitionTheBaseSequence) {
     reference.push_back(base_copy());
 
   // Stream r must produce exactly elements r, r+p, r+2p, ... of the base
-  // sequence — the leap-frog contract the distributed sampler relies on.
+  // sequence — the leap-frog contract of the paper's distributed sampler,
+  // which bench/ablation_rng_streams runs.
   for (std::uint64_t r = 0; r < p; ++r) {
     Lcg64 stream = base.leapfrog(r, p);
     for (std::size_t j = 0; j < per_stream; ++j) {

@@ -707,19 +707,23 @@ TEST(LeapfrogFirstIndex, SaturatesInsteadOfWrappingNearMax) {
   EXPECT_EQ(leapfrog_first_index(max - 1, 2, 4), max - 1);
 }
 
-TEST(SampleLeapfrogRange, TerminatesWhenStrideWrapsPastMax) {
+TEST(AppendStreamIndices, AppendsTheStreamMembersOfTheRange) {
+  std::vector<std::uint64_t> indices = {1};
+  append_stream_indices(indices, 7, 19, 3, 5);
+  EXPECT_EQ(indices, (std::vector<std::uint64_t>{1, 8, 13, 18}));
+  append_stream_indices(indices, 19, 23, 3, 5);
+  EXPECT_EQ(indices, (std::vector<std::uint64_t>{1, 8, 13, 18}));
+}
+
+TEST(AppendStreamIndices, TerminatesWhenStrideWrapsPastMax) {
   // num_streams = 2^63 puts exactly two indices of stream 5 in
   // [0, UINT64_MAX): 5 and 5 + 2^63.  The next candidate, 5 + 2^64, wraps
   // to 5 again — without the wrap guard this loop never terminates.
-  CsrGraph graph = test_graph(15);
   const std::uint64_t huge_stride = std::uint64_t{1} << 63;
-  Lcg64 engine = Lcg64::leapfrog_stream(99, 5, huge_stride);
-  RRRCollection collection;
-  std::uint64_t generated = sample_leapfrog_range(
-      graph, DiffusionModel::IndependentCascade, engine, 5, huge_stride, 0,
-      std::numeric_limits<std::uint64_t>::max(), collection);
-  EXPECT_EQ(generated, 2u);
-  EXPECT_EQ(collection.size(), 2u);
+  std::vector<std::uint64_t> indices;
+  append_stream_indices(indices, 0, std::numeric_limits<std::uint64_t>::max(),
+                        5, huge_stride);
+  EXPECT_EQ(indices, (std::vector<std::uint64_t>{5, 5 + huge_stride}));
 }
 
 TEST(SamplerDeterminism, DifferentSeedsGiveDifferentCollections) {

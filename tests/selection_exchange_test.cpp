@@ -4,7 +4,7 @@
 // certification must hold exactly when the documented bound holds, and a
 // certified winner must equal the dense argmax including the smallest-id
 // tie-break.  End to end, the sparse protocol must return bit-identical
-// seed sets and coverage across graphs x ranks x k x RNG modes, survive
+// seed sets and coverage across graphs x ranks x k x threads, survive
 // injected rank failures with bit-identical healing, and demonstrably move
 // fewer words than the dense allreduce (asserted from the metrics
 // registry).
@@ -397,11 +397,10 @@ TEST(SparseExchangeProperty, ExactStageCertifiesOnlyTrueWinners) {
 
 enum class ExchangeDriver { Distributed, Partitioned };
 
-/// (driver, ranks, k, RNG mode, threads per rank, stored representation,
-/// top-m).  The matrix keeps one thread, the ambient representation
+/// (driver, ranks, k, threads per rank, stored representation, top-m).  The matrix keeps one thread, the ambient representation
 /// (CompressMode::Auto leaves it to RIPPLES_RRR_COMPRESS) and the default
 /// m; the threaded-rank cells vary all three.
-using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t, RngMode,
+using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t,
                                    unsigned, CompressMode, std::uint32_t>;
 
 class SparseEquivalence : public ::testing::TestWithParam<EquivalenceCell> {};
@@ -411,12 +410,7 @@ std::uint64_t counter_value(const char *name) {
 }
 
 TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
-  const auto [driver, num_ranks, k, rng_mode, threads, compress, topm] =
-      GetParam();
-  // The partitioned driver defines randomness per (sample, vertex) and
-  // rejects leap-frog streams.
-  if (driver == ExchangeDriver::Partitioned && rng_mode == RngMode::LeapfrogLcg)
-    GTEST_SKIP() << "partitioned driver is counter-stream only";
+  const auto [driver, num_ranks, k, threads, compress, topm] = GetParam();
 
   CsrGraph graph(barabasi_albert(300, 3, 55));
   assign_uniform_weights(graph, 56);
@@ -427,7 +421,6 @@ TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = num_ranks;
-  options.rng_mode = rng_mode;
 
   auto run = [&](SelectionExchange exchange, unsigned num_threads,
                  CompressMode mode, std::uint32_t m) {
@@ -475,12 +468,10 @@ TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
 
 std::string equivalence_name(
     const ::testing::TestParamInfo<EquivalenceCell> &info) {
-  const auto [driver, ranks, k, rng_mode, threads, compress, topm] =
-      info.param;
+  const auto [driver, ranks, k, threads, compress, topm] = info.param;
   std::string name =
       driver == ExchangeDriver::Distributed ? "dist" : "part";
   name += "_p" + std::to_string(ranks) + "_k" + std::to_string(k);
-  name += rng_mode == RngMode::CounterSequence ? "_counter" : "_leapfrog";
   if (threads != 1) name += "_t" + std::to_string(threads);
   if (compress == CompressMode::Off) name += "_plain";
   if (compress == CompressMode::Always) name += "_compressed";
@@ -494,8 +485,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          ExchangeDriver::Partitioned),
                        ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(2u, 8u),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
                        ::testing::Values(1u),
                        ::testing::Values(CompressMode::Auto),
                        ::testing::Values(ImmOptions{}.selection_topm)),
@@ -507,7 +496,6 @@ INSTANTIATE_TEST_SUITE_P(
     ThreadedRanks, SparseEquivalence,
     ::testing::Combine(::testing::Values(ExchangeDriver::Distributed),
                        ::testing::Values(2, 3), ::testing::Values(8u),
-                       ::testing::Values(RngMode::CounterSequence),
                        ::testing::Values(1u, 3u),
                        ::testing::Values(CompressMode::Off,
                                          CompressMode::Always),

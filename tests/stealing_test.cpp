@@ -253,16 +253,6 @@ TEST(StealIdentity, ThreadedRanksWithStealingMatchBaseline) {
               no_steal_baseline(), "steal on, skew, 3 threads, fused");
 }
 
-TEST(StealIdentity, LeapfrogModePinsStealingAsANoOp) {
-  ImmOptions options = sweep_options();
-  options.rng_mode = RngMode::LeapfrogLcg;
-  const Outcome reference = capture(imm_distributed(sweep_graph(), options));
-  options.steal = StealMode::On;
-  options.steal_skew = true;
-  expect_same(capture(imm_distributed(sweep_graph(), options)), reference,
-              "leapfrog + steal on");
-}
-
 TEST(StealIdentity, GovernedBudgetComposesWithStealing) {
   // A generous budget governs every admission without degrading; the
   // governor pins stealing and skew off (rank-local admission), so the
