@@ -4,7 +4,8 @@
 // the end-to-end guarantee that a run killed at ANY martingale round and
 // resumed with checkpoint::Options::resume produces byte-identical seeds,
 // theta, and coverage to the uninterrupted run — across driver x ranks x
-// selection-exchange x engine, and composed with PR 3's fault healing.
+// selection-exchange x engine x threads per rank, and composed with PR 3's
+// fault healing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -307,8 +308,9 @@ CsrGraph checkpoint_graph() {
   return graph;
 }
 
-using ResumeCell =
-    std::tuple<const char *, int, SelectionExchange, SamplerEngine>;
+/// (driver, ranks, selection exchange, engine, threads per rank).
+using ResumeCell = std::tuple<const char *, int, SelectionExchange,
+                              SamplerEngine, unsigned>;
 
 ImmOptions cell_options(const ResumeCell &cell) {
   ImmOptions options;
@@ -323,6 +325,9 @@ ImmOptions cell_options(const ResumeCell &cell) {
   // the scalar engine produces (the fused engine's byte-identity promise
   // composes with mid-run resume).
   options.sampler = std::get<3>(cell);
+  // Counter streams key every draw by its global sample index, so a rank's
+  // thread team changes who draws a sample, never which sample it is.
+  options.num_threads = std::get<4>(cell);
   options.checkpoint = {}; // isolate from any ambient RIPPLES_CHECKPOINT_*
   return options;
 }
@@ -405,11 +410,12 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
 
 std::string resume_cell_name(
     const ::testing::TestParamInfo<ResumeCell> &info) {
-  const auto &[driver, ranks, exchange, engine] = info.param;
+  const auto &[driver, ranks, exchange, engine, threads] = info.param;
   std::string name = driver;
   name += "_p" + std::to_string(ranks);
   name += exchange == SelectionExchange::Sparse ? "_sparse" : "_dense";
   name += engine == SamplerEngine::Fused ? "_fused" : "";
+  if (threads != 1) name += "_t" + std::to_string(threads);
   // "dist-part" contains an invalid character for a test name.
   for (char &c : name)
     if (c == '-') c = '_';
@@ -423,7 +429,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse),
                        ::testing::Values(SamplerEngine::Sequential,
-                                         SamplerEngine::Fused)),
+                                         SamplerEngine::Fused),
+                       ::testing::Values(1u)),
+    resume_cell_name);
+
+// Threaded ranks: the distributed driver samples each rank's windows on a
+// team of two threads under OpenMP's dynamic schedule, and a resumed run
+// must still land on the uninterrupted outcome.  The partitioned driver
+// has no thread team, so it is not swept here.
+INSTANTIATE_TEST_SUITE_P(
+    ThreadedRanks, CheckpointResume,
+    ::testing::Combine(::testing::Values("dist"),
+                       ::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(SelectionExchange::Dense,
+                                         SelectionExchange::Sparse),
+                       ::testing::Values(SamplerEngine::Sequential,
+                                         SamplerEngine::Fused),
+                       ::testing::Values(2u)),
     resume_cell_name);
 
 // --- abnormal death, refusal, and composition with fault healing -------------
@@ -435,7 +457,8 @@ TEST_F(CheckpointKill, SnapshotsSurviveAnAbruptDeathAndResumeToIdenticalSeeds) {
   // unwinds the whole run mid-martingale.  Whatever snapshots were written
   // before the death must carry a --resume run to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused,
+                  1u};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -462,7 +485,8 @@ TEST_F(CheckpointKill, StealMidRoundKillResumesToIdenticalSeeds) {
   // must carry BOTH a forced-steal resume and a 1-thread stealing-off
   // resume to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense, SamplerEngine::Fused,
+                  1u};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -497,7 +521,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
   // back to a fresh run, not fail.
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 2, SelectionExchange::Dense,
-                  SamplerEngine::Sequential};
+                  SamplerEngine::Sequential, 1u};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
   options.checkpoint.dir = dir();
@@ -510,7 +534,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
 TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
-                                     SamplerEngine::Sequential});
+                                     SamplerEngine::Sequential, 1u});
   options.checkpoint.resume = true;
   EXPECT_THROW((void)imm_distributed(graph, options), std::runtime_error);
 }
@@ -518,7 +542,7 @@ TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
 TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 2, SelectionExchange::Dense,
-                  SamplerEngine::Sequential};
+                  SamplerEngine::Sequential, 1u};
   ImmOptions options = cell_options(cell);
   options.checkpoint.dir = dir();
   (void)imm_distributed(graph, options);
@@ -570,7 +594,7 @@ TEST_F(CheckpointKill, LeapfrogSnapshotIsRefusedNotResumed) {
   // one must be refused with the field named, not replayed.
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
-                                     SamplerEngine::Sequential});
+                                     SamplerEngine::Sequential, 1u});
   options.checkpoint.dir = dir();
   (void)imm_distributed(graph, options);
   std::optional<Snapshot> snapshot = CheckpointManager(dir()).load_latest();
@@ -598,7 +622,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   // writer: the current dense rank 0).
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 3, SelectionExchange::Sparse,
-                  SamplerEngine::Sequential};
+                  SamplerEngine::Sequential, 1u};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -623,7 +647,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
 TEST_F(CheckpointKill, WritesAndBytesAreCounted) {
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense,
-                                     SamplerEngine::Sequential});
+                                     SamplerEngine::Sequential, 1u});
   options.checkpoint.dir = dir();
   metrics::set_enabled(true);
   metrics::Registry &registry = metrics::Registry::instance();

@@ -133,26 +133,31 @@ INSTANTIATE_TEST_SUITE_P(
                           SelectionExchange::Sparse),
         ::testing::Values(SamplerEngine::Sequential, SamplerEngine::Fused)));
 
-// Fused acceptance sweep over rank counts: for every ranks in {1,2,4,8} x
-// exchange protocol, the distributed driver under the fused engine must
-// agree bit-exactly with the same configuration under the scalar engine
-// (the engines promise identical collections) and with the sequential
-// reference.
+// Fused acceptance sweep over rank counts: for every model x threads per
+// rank in {1,2} x ranks in {1,2,4,8} x exchange protocol, the distributed
+// driver under the fused engine must agree bit-exactly with the same
+// configuration under the scalar engine (the engines promise identical
+// collections) and with the sequential reference.  The LT cells run the
+// fused engine's batched walk step on every rank count.
 class FusedRankSweep
-    : public ::testing::TestWithParam<std::tuple<int, SelectionExchange>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<DiffusionModel, unsigned, int, SelectionExchange>> {};
 
 TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
-  auto [ranks, exchange] = GetParam();
+  auto [model, threads, ranks, exchange] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
 
   ImmOptions options;
   options.epsilon = 0.5;
   options.k = 8;
-  options.model = DiffusionModel::IndependentCascade;
+  options.model = model;
   options.seed = 4242;
   options.num_ranks = ranks;
+  options.num_threads = threads;
   options.selection_exchange = exchange;
 
   options.sampler = SamplerEngine::Fused;
@@ -170,22 +175,26 @@ TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
 
 INSTANTIATE_TEST_SUITE_P(
     RanksExchange, FusedRankSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+    ::testing::Combine(::testing::Values(DiffusionModel::IndependentCascade,
+                                         DiffusionModel::LinearThreshold),
+                       ::testing::Values(1u, 2u),
+                       ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse)));
 
-// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x exchange
-// protocol x engine, the distributed driver with work-stealing on (and the
-// skewed fig7 partition manufactured, so inter steals actually move
-// chunks) must agree bit-exactly with the same configuration with stealing
-// off — stealing is a pure placement knob — and with the sequential
-// reference.
+// Stealing axis (DESIGN.md §13): for every threads per rank in {1,2} x
+// ranks in {1,2,4,8} x exchange protocol x engine, the distributed driver
+// with work-stealing on (and the skewed fig7 partition manufactured, so
+// inter steals actually move chunks) must agree bit-exactly with the same
+// configuration with stealing off — stealing is a pure placement knob —
+// and with the sequential reference.  With two threads a rank's stolen
+// chunks are drawn under its samplers' dynamic schedule.
 class StealSweep
     : public ::testing::TestWithParam<
-          std::tuple<int, SelectionExchange, SamplerEngine>> {};
+          std::tuple<unsigned, int, SelectionExchange, SamplerEngine>> {};
 
 TEST_P(StealSweep, StealingOnMatchesStealingOff) {
-  auto [ranks, exchange, engine] = GetParam();
+  auto [threads, ranks, exchange, engine] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
@@ -196,6 +205,7 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 4242;
   options.num_ranks = ranks;
+  options.num_threads = threads;
   options.selection_exchange = exchange;
   options.sampler = engine;
   options.steal = StealMode::Off;
@@ -218,7 +228,8 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     RanksExchangeEngine, StealSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+    ::testing::Combine(::testing::Values(1u, 2u),
+                       ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse),
                        ::testing::Values(SamplerEngine::Sequential,

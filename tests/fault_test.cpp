@@ -668,9 +668,14 @@ ImmOptions healing_options() {
   return options;
 }
 
-TEST(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
+/// Threads per rank: a rank's team samples its windows, and a rank that
+/// dies takes its whole team out of the run.
+class ImmHealing : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
+  options.num_threads = GetParam();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -694,6 +699,12 @@ TEST(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, ImmHealing, ::testing::Values(1u, 3u),
+                         [](const auto &suite_info) {
+                           return "threads" +
+                                  std::to_string(suite_info.param);
+                         });
 
 /// Threads per rank: Alg. 4 runs on each rank's team, whose primary thread
 /// makes the exchange's collectives.

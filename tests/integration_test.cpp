@@ -87,6 +87,31 @@ TEST(EndToEnd, LtPipelineOnRegistrySurrogate) {
   EXPECT_GE(influence.mean, 10.0); // at least the seeds themselves
 }
 
+TEST(EndToEnd, DistributedThreadedRanksOnRegistrySurrogate) {
+  // The paper's hybrid layout (ranks x threads) on a second registry
+  // surrogate: the fused engine on four ranks of two threads each must
+  // reproduce the sequential seed set and influence beyond its seeds.
+  CsrGraph graph = materialize(find_dataset("com-Amazon"), 0.003, 90);
+  assign_uniform_weights(graph, 91);
+
+  ImmOptions options;
+  options.epsilon = 0.5;
+  options.k = 6;
+  options.seed = 92;
+  const ImmResult sequential = imm_sequential(graph, options);
+  options.num_ranks = 4;
+  options.num_threads = 2;
+  options.sampler = SamplerEngine::Fused;
+
+  const ImmResult result = imm_distributed(graph, options);
+  ASSERT_EQ(result.seeds.size(), 6u);
+  EXPECT_EQ(result.seeds, sequential.seeds);
+  EXPECT_EQ(result.theta, sequential.theta);
+  InfluenceEstimate influence = estimate_influence(
+      graph, result.seeds, options.model, 500, 93);
+  EXPECT_GT(influence.mean, 6.0);
+}
+
 TEST(EndToEnd, BiologyCaseStudyPipeline) {
   // The full Section 5 flow on synthetic data: expression -> co-expression
   // network -> IMM vs degree top-k -> pathway enrichment.  IMM must find

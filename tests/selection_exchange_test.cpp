@@ -397,9 +397,10 @@ TEST(SparseExchangeProperty, ExactStageCertifiesOnlyTrueWinners) {
 
 enum class ExchangeDriver { Distributed, Partitioned };
 
-/// (driver, ranks, k, threads per rank, stored representation, top-m).  The matrix keeps one thread, the ambient representation
-/// (CompressMode::Auto leaves it to RIPPLES_RRR_COMPRESS) and the default
-/// m; the threaded-rank cells vary all three.
+/// (driver, ranks, k, threads per rank, stored representation, top-m).
+/// The matrix keeps the ambient representation (CompressMode::Auto leaves
+/// it to RIPPLES_RRR_COMPRESS) and the default m, with one thread and, for
+/// the distributed driver, two; the threaded-rank cells vary all three.
 using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t,
                                    unsigned, CompressMode, std::uint32_t>;
 
@@ -486,6 +487,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(2u, 8u),
                        ::testing::Values(1u),
+                       ::testing::Values(CompressMode::Auto),
+                       ::testing::Values(ImmOptions{}.selection_topm)),
+    equivalence_name);
+
+// The matrix's distributed cells again, on two threads per rank: the
+// partitioned driver has no thread team, so only the distributed driver
+// is swept.
+INSTANTIATE_TEST_SUITE_P(
+    ThreadedMatrix, SparseEquivalence,
+    ::testing::Combine(::testing::Values(ExchangeDriver::Distributed),
+                       ::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(2u, 8u),
+                       ::testing::Values(2u),
                        ::testing::Values(CompressMode::Auto),
                        ::testing::Values(ImmOptions{}.selection_topm)),
     equivalence_name);
