@@ -74,27 +74,37 @@ void BM_GenerateRR_IC_Fused(benchmark::State &state) {
 }
 BENCHMARK(BM_GenerateRR_IC_Fused);
 
-/// The paper's fig6 RRR-generation configs (thread_scaling.hpp's default
-/// dataset list at its default scale, uniform [0,1) IC weights): seq vs
-/// fused engine over identical sample indices.  items_per_second is RRR
-/// sets per second; the EXPERIMENTS.md throughput table records the ratio.
-const CsrGraph &fig6_graph(int which) {
-  static std::array<CsrGraph, 4> graphs = [] {
+/// The paper's fig5 (LT) and fig6 (IC) RRR-generation configs
+/// (thread_scaling.hpp's default dataset list at its default scale, uniform
+/// [0,1) weights, renormalized under LT): seq vs fused engine over
+/// identical sample indices.  items_per_second is RRR sets per second; the
+/// EXPERIMENTS.md throughput tables record the ratio.
+const CsrGraph &figure_graph(DiffusionModel model, int which) {
+  auto build = [](DiffusionModel m) {
     const char *names[] = {"cit-HepTh", "soc-Epinions1", "com-DBLP",
                            "com-YouTube"};
     std::array<CsrGraph, 4> gs;
     for (int d = 0; d < 4; ++d) {
-      gs[static_cast<std::size_t>(d)] =
-          materialize(find_dataset(names[d]), 0.01, 2019, std::string());
-      assign_uniform_weights(gs[static_cast<std::size_t>(d)], 2020);
+      CsrGraph &g = gs[static_cast<std::size_t>(d)];
+      g = materialize(find_dataset(names[d]), 0.01, 2019, std::string());
+      assign_uniform_weights(g, 2020);
+      if (m == DiffusionModel::LinearThreshold)
+        renormalize_linear_threshold(g);
     }
     return gs;
-  }();
-  return graphs[static_cast<std::size_t>(which)];
+  };
+  const auto at = static_cast<std::size_t>(which);
+  if (model == DiffusionModel::LinearThreshold) {
+    static std::array<CsrGraph, 4> lt = build(model);
+    return lt[at];
+  }
+  static std::array<CsrGraph, 4> ic = build(model);
+  return ic[at];
 }
 
 void BM_Fig6Sample_Seq(benchmark::State &state) {
-  const CsrGraph &graph = fig6_graph(static_cast<int>(state.range(0)));
+  const CsrGraph &graph = figure_graph(DiffusionModel::IndependentCascade,
+                                       static_cast<int>(state.range(0)));
   const std::uint64_t batch = 256;
   for (auto _ : state) {
     RRRCollection collection;
@@ -108,7 +118,8 @@ void BM_Fig6Sample_Seq(benchmark::State &state) {
 BENCHMARK(BM_Fig6Sample_Seq)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 void BM_Fig6Sample_Fused(benchmark::State &state) {
-  const CsrGraph &graph = fig6_graph(static_cast<int>(state.range(0)));
+  const CsrGraph &graph = figure_graph(DiffusionModel::IndependentCascade,
+                                       static_cast<int>(state.range(0)));
   const std::uint64_t batch = 256;
   for (auto _ : state) {
     RRRCollection collection;
@@ -120,6 +131,44 @@ void BM_Fig6Sample_Fused(benchmark::State &state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_Fig6Sample_Fused)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+/// fig5's LT inputs on range(1) threads.  LT sets average 4-10 members, so
+/// a batch holds 16x the IC rows' sets.
+void BM_Fig5Sample_Seq(benchmark::State &state) {
+  const CsrGraph &graph = figure_graph(DiffusionModel::LinearThreshold,
+                                       static_cast<int>(state.range(0)));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  const std::uint64_t batch = 4096;
+  for (auto _ : state) {
+    RRRCollection collection;
+    sample_multithreaded(graph, DiffusionModel::LinearThreshold, batch, 7,
+                         threads, collection);
+    benchmark::DoNotOptimize(collection.total_associations());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_Fig5Sample_Seq)
+    ->ArgsProduct({{0, 1, 2, 3}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Fig5Sample_Fused(benchmark::State &state) {
+  const CsrGraph &graph = figure_graph(DiffusionModel::LinearThreshold,
+                                       static_cast<int>(state.range(0)));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  const std::uint64_t batch = 4096;
+  for (auto _ : state) {
+    RRRCollection collection;
+    sample_multithreaded_fused(graph, DiffusionModel::LinearThreshold, batch,
+                               7, threads, collection);
+    benchmark::DoNotOptimize(collection.total_associations());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_Fig5Sample_Fused)
+    ->ArgsProduct({{0, 1, 2, 3}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PhiloxBulk(benchmark::State &state) {
   std::vector<std::uint64_t> out(4096);

@@ -29,10 +29,10 @@
 ///           [--inject-fault rank=R,site=N
 ///                           [,kind=crash|stall|oom|corrupt|flaky]
 ///                           [,sticky][,attempts=M]]
-///                                         (deterministic fault plan; also
-///                                          RIPPLES_FAULTS. kind=oom fails
-///                                          rank R's Nth tracked memory
-///                                          reservation, sticky.
+///                                         (deterministic fault plan.
+///                                          kind=oom fails rank R's Nth
+///                                          tracked memory reservation,
+///                                          sticky.
 ///                                          kind=corrupt flips a payload
 ///                                          bit at the Nth communication
 ///                                          entry — once, or on every
@@ -49,12 +49,6 @@
 ///                                         (delta+varint RRR encoding; auto
 ///                                          switches under budget pressure;
 ///                                          also RIPPLES_RRR_COMPRESS)
-///           [--selection-exchange dense|sparse]
-///                                         (dist/dist-part seed-selection
-///                                          protocol; also
-///                                          RIPPLES_SELECTION_EXCHANGE)
-///           [--selection-topm N]          (candidates per rank per sparse
-///                                          round; default 16)
 ///           [--steal on|off]              (inter-rank work stealing;
 ///                                          byte-identical seeds either
 ///                                          way — placement only; counter
@@ -200,20 +194,6 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
       std::exit(2);
     }
   }
-  // The flag overrides RIPPLES_SELECTION_EXCHANGE (the option's default).
-  if (auto exchange = cli.value_of("selection-exchange")) {
-    if (*exchange == "sparse") {
-      options.selection_exchange = SelectionExchange::Sparse;
-    } else if (*exchange == "dense") {
-      options.selection_exchange = SelectionExchange::Dense;
-    } else {
-      std::fprintf(stderr, "unknown --selection-exchange '%s' (dense|sparse)\n",
-                   exchange->c_str());
-      std::exit(2);
-    }
-  }
-  options.selection_topm = static_cast<std::uint32_t>(cli.get_bounded(
-      "selection-topm", options.selection_topm, 1, UINT32_MAX));
   // The flag overrides RIPPLES_STEAL (the option's default).
   if (auto steal = cli.value_of("steal")) {
     if (*steal == "on") {
@@ -329,6 +309,15 @@ int main(int argc, char **argv) {
                          "streams; the paper's leap-frog LCG split is "
                          "measured by bench/ablation_rng_streams\n");
     return 2;
+  }
+  // The mpsim drivers' one selection exchange is the counter allreduce.
+  for (const char *flag : {"selection-exchange", "selection-topm"}) {
+    if (cli.has_flag(flag)) {
+      std::fprintf(stderr, "unknown option --%s: the distributed drivers "
+                           "always allreduce the selection counters\n",
+                   flag);
+      return 2;
+    }
   }
 
   const auto seed =

@@ -8,7 +8,6 @@
 #   scripts/check.sh --no-asan   # skip the AddressSanitizer stage
 #   scripts/check.sh --no-ubsan  # skip the UndefinedBehaviorSanitizer stage
 #   scripts/check.sh --no-soak   # skip the fault-injection soak stage
-#   scripts/check.sh --no-sparse # skip the sparse selection-exchange leg
 #   scripts/check.sh --no-checkpoint # skip the kill-resume soak leg
 #   scripts/check.sh --no-fused  # skip the fused sampling-engine leg
 #   scripts/check.sh --no-observability # skip the trace/analyze leg
@@ -16,18 +15,15 @@
 #   scripts/check.sh --no-stealing # skip the work-stealing leg
 #   scripts/check.sh --no-integrity # skip the data-integrity leg
 #
-# The sparse leg reruns the selection suites (`ctest -L selection`) plus the
-# IMM driver tier-1 subset with RIPPLES_SELECTION_EXCHANGE=sparse, so the
-# env-selected sparse protocol sees the same coverage the dense default
-# gets; selection_exchange_test also rides in the TSan stage because the
-# sparse exchange adds new cross-rank collectives worth race-checking.
+# selection_exchange_test rides in the TSan stage: its threaded-rank cells
+# make the selection allreduce on each rank team's primary thread.
 #
 # The fused leg reruns the sampling, driver-matrix, checkpoint, and fault
 # suites with RIPPLES_SAMPLER=fused, so the env-selected fused engine sees
 # the same coverage the scalar default gets; every byte-identity assertion
 # in those suites then compares fused output against the same expectations.
 #
-# The observability leg runs a 4-rank fused+sparse imm_cli with --trace
+# The observability leg runs a 4-rank fused imm_cli with --trace
 # --profile-mem --json-report and pushes the artifacts through the full
 # analysis pipeline: validate_trace.py with flow-pairing and counter-track
 # enforcement, then analyze_trace.py (critical-path decomposition must sum
@@ -48,7 +44,7 @@
 # MemoryBudgetExceeded (dist), never a raw bad_alloc.
 #
 # The stealing leg (DESIGN.md §13) runs `ctest -L stealing`, then drives the
-# fig7 pathology end to end: a 4-rank fused+sparse run with --steal-skew
+# fig7 pathology end to end: a 4-rank fused run with --steal-skew
 # homes every draw on rank 0, so the per-round compute imbalance factor is
 # pathological (hundreds).  Three baseline and three steal-on runs are
 # traced; the steal-on traces must pass analyze_trace.py --max-imbalance
@@ -58,7 +54,7 @@
 # to its no-steal baseline — stealing moves work, never results.
 #
 # The integrity leg (DESIGN.md §14) runs `ctest -L integrity`, then drives
-# the corruption machinery end to end on a 4-rank fused+sparse+steal run:
+# the corruption machinery end to end on a 4-rank fused+steal run:
 # a transient bit-flip is injected at EVERY communication site (the sweep
 # walks site indices, rotating the victim rank, until the plan stops firing
 # on any rank) and each run must detect the flip, retry it away, and finish
@@ -107,7 +103,6 @@ run_tsan=1
 run_asan=1
 run_ubsan=1
 run_soak=1
-run_sparse=1
 run_checkpoint=1
 run_fused=1
 run_observability=1
@@ -120,14 +115,13 @@ for arg in "$@"; do
     --no-asan) run_asan=0 ;;
     --no-ubsan) run_ubsan=0 ;;
     --no-soak) run_soak=0 ;;
-    --no-sparse) run_sparse=0 ;;
     --no-checkpoint) run_checkpoint=0 ;;
     --no-fused) run_fused=0 ;;
     --no-observability) run_observability=0 ;;
     --no-membudget) run_membudget=0 ;;
     --no-stealing) run_stealing=0 ;;
     --no-integrity) run_integrity=0 ;;
-    *) echo "unknown option: $arg (--no-tsan | --no-asan | --no-ubsan | --no-soak | --no-sparse | --no-checkpoint | --no-fused | --no-observability | --no-membudget | --no-stealing | --no-integrity)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (--no-tsan | --no-asan | --no-ubsan | --no-soak | --no-checkpoint | --no-fused | --no-observability | --no-membudget | --no-stealing | --no-integrity)" >&2; exit 2 ;;
   esac
 done
 
@@ -137,15 +131,6 @@ cmake --build build -j "$jobs"
 
 echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$jobs"
-
-if [[ "$run_sparse" == 1 ]]; then
-  echo "== sparse: ctest -L selection + IMM drivers under RIPPLES_SELECTION_EXCHANGE=sparse =="
-  RIPPLES_SELECTION_EXCHANGE=sparse \
-    ctest --test-dir build -L selection --output-on-failure -j "$jobs"
-  RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/imm_test
-  RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/driver_matrix_test
-  RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/fault_test
-fi
 
 if [[ "$run_fused" == 1 ]]; then
   echo "== fused: sampling + driver + checkpoint suites under RIPPLES_SAMPLER=fused =="
@@ -234,8 +219,7 @@ if [[ "$run_observability" == 1 ]]; then
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   obs_work=$(mktemp -d)
   ./build/examples/imm_cli --driver dist --ranks 4 --sampler fused \
-    --selection-exchange sparse --dataset cit-HepTh --scale 0.1 \
-    --epsilon 0.5 -k 16 --seed 2019 \
+    --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16 --seed 2019 \
     --trace "$obs_work/trace.json" --profile-mem \
     --json-report "$obs_work/report.json" > /dev/null \
     || { rm -rf "$obs_work"; echo "observability run failed" >&2; exit 1; }
@@ -396,7 +380,7 @@ if [[ "$run_stealing" == 1 ]]; then
   echo "== stealing: ctest -L stealing =="
   ctest --test-dir build -L stealing --output-on-failure -j "$jobs"
 
-  echo "== stealing: fig7 skewed-partition imbalance gate (4-rank fused+sparse, min-of-3) =="
+  echo "== stealing: fig7 skewed-partition imbalance gate (4-rank fused, min-of-3) =="
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   steal_work=$(mktemp -d)
   steal_cli=./build/examples/imm_cli
@@ -404,8 +388,8 @@ if [[ "$run_stealing" == 1 ]]; then
   # pathology.  The baseline keeps stealing off (factor: hundreds); the
   # steal-on runs must close the tail AND stay byte-identical.
   steal_args=(--driver dist --ranks 4 --sampler fused
-              --selection-exchange sparse --dataset cit-HepTh --scale 0.1
-              --epsilon 0.5 -k 16 --seed 2019 --steal-skew)
+              --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16
+              --seed 2019 --steal-skew)
   for i in 1 2 3; do
     "$steal_cli" "${steal_args[@]}" --trace "$steal_work/base-$i.json" \
       --json-report "$steal_work/base-report-$i.json" > /dev/null \
@@ -473,13 +457,12 @@ if [[ "$run_integrity" == 1 ]]; then
   echo "== integrity: ctest -L integrity =="
   ctest --test-dir build -L integrity --output-on-failure -j "$jobs"
 
-  echo "== integrity: corruption sweep over every communication site (4-rank fused+sparse+steal) =="
+  echo "== integrity: corruption sweep over every communication site (4-rank fused+steal) =="
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   int_work=$(mktemp -d)
   int_cli=./build/examples/imm_cli
-  int_args=(--driver dist --ranks 4 --sampler fused --selection-exchange sparse
-            --steal on --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16
-            --seed 2019)
+  int_args=(--driver dist --ranks 4 --sampler fused --steal on
+            --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16 --seed 2019)
   # References: the unverified run proves the checksum layer changes nothing
   # observable; the verified run is the byte-identity baseline every injected
   # run below must reproduce.

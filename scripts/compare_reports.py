@@ -59,8 +59,10 @@ Four families of checks, each with its own threshold:
     boundary may shift acceptance by one round, moving theta slightly.
 
 --ignore-placement skips the families that encode WHERE work ran rather
-than WHAT was computed: mpsim collective traffic, storage peaks, and the
-per-round ledger (per-rank rrr_sets and imbalance).  check.sh's stealing
+than WHAT was computed: mpsim collective traffic, storage peaks, the
+per-round ledger (per-rank rrr_sets and imbalance), and the governor's
+reservation count (a heal regenerates a dead rank's windows on a survivor,
+so the number of admission windows depends on where work ran).  check.sh's stealing
 leg uses it to compare a work-stealing run against its no-steal baseline —
 the runs must agree on every result-identity and sampling-distribution
 check while legitimately differing in placement.
@@ -81,6 +83,12 @@ Exit status: 0 when no check fails, 1 on any regression or match failure.
 import argparse
 import json
 import sys
+
+
+# Registry counters that count admission windows rather than results:
+# skipped under --ignore-placement.  Refusals, compression switches and shed
+# batches stay compared.
+PLACEMENT_COUNTERS = {"mem.budget.reservations"}
 
 
 def load_reports(path):
@@ -320,6 +328,8 @@ class Comparison:
         base_counters = dig(base_registry, "counters") or {}
         cand_counters = dig(cand_registry, "counters") or {}
         for name in sorted(set(base_counters) | set(cand_counters)):
+            if self.args.ignore_placement and name in PLACEMENT_COUNTERS:
+                continue
             if name not in base_counters or name not in cand_counters:
                 self.presence_diff(f"registry.counters.{name}",
                                    name in base_counters)
@@ -374,7 +384,8 @@ def main():
     parser.add_argument("--ignore-placement", action="store_true",
                         help="skip the placement-sensitive families (mpsim "
                              "collective traffic, storage peaks, per-round "
-                             "ledger) when comparing runs whose work "
+                             "ledger, mem.budget.reservations) when "
+                             "comparing runs whose work "
                              "placement legitimately differs, e.g. stealing "
                              "on vs off; result identity and the RRR "
                              "histogram still apply")

@@ -100,11 +100,8 @@ metrics::Counter &scrub_repaired_counter() {
 } // namespace
 
 std::vector<OomFaultSpec> oom_faults_from_plan(const std::string &fault_plan) {
-  const mpsim::FaultPlan plan = fault_plan.empty()
-                                    ? mpsim::fault_plan_from_env()
-                                    : mpsim::parse_fault_plan(fault_plan);
   std::vector<OomFaultSpec> faults;
-  for (const mpsim::FaultSpec &fault : plan)
+  for (const mpsim::FaultSpec &fault : mpsim::parse_fault_plan(fault_plan))
     if (fault.kind == mpsim::FaultSpec::Kind::Oom)
       faults.push_back({fault.rank, fault.site});
   return faults;

@@ -92,8 +92,7 @@ struct BudgetEarlyStop {
 };
 
 /// kind=oom entries of \p fault_plan translated for
-/// MemoryTracker::install_oom_faults; falls back to RIPPLES_FAULTS when the
-/// plan string is empty, mirroring the communicator's merge rule.
+/// MemoryTracker::install_oom_faults.
 [[nodiscard]] std::vector<OomFaultSpec>
 oom_faults_from_plan(const std::string &fault_plan);
 

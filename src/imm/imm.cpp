@@ -34,13 +34,6 @@ bool unset_or_is(const char *value, const char *default_spelling) {
 
 } // namespace
 
-SelectionExchange selection_exchange_from_env() {
-  const char *value = std::getenv("RIPPLES_SELECTION_EXCHANGE");
-  if (unset_or_is(value, "dense")) return SelectionExchange::Dense;
-  if (std::strcmp(value, "sparse") == 0) return SelectionExchange::Sparse;
-  reject_env("RIPPLES_SELECTION_EXCHANGE", "dense|sparse", value);
-}
-
 SamplerEngine sampler_engine_from_env() {
   const char *value = std::getenv("RIPPLES_SAMPLER");
   if (unset_or_is(value, "seq")) return SamplerEngine::Sequential;

@@ -41,20 +41,15 @@ enum class RngMode {
   CounterSequence,
 };
 
-/// Seed-selection exchange protocol of the mpsim drivers (Section 3.2's
-/// allreduce vs. the sparse top-m protocol of DESIGN.md §8).  Both produce
-/// bit-identical seed sets; sparse trades the per-round n-word allreduce for
-/// top-m candidate pairs plus bound words, falling back to targeted dense
-/// exchanges only when the bound cannot certify the argmax.
+/// The mpsim drivers' seed-selection exchange, with one protocol: every
+/// greedy round allreduces the n-entry counter vector (Section 3.2,
+/// DESIGN.md §8).  Kept only because bench/perf/perf_suite assigns
+/// ImmOptions::selection_exchange; both values run the allreduce, and the
+/// next benchmark change deletes the enum.
 enum class SelectionExchange {
   Dense,
   Sparse,
 };
-
-/// Reads RIPPLES_SELECTION_EXCHANGE: `dense` (default, also when unset or
-/// empty) or `sparse`, so test legs can flip the protocol without touching
-/// call sites.  Any other value terminates with a diagnostic (exit 2).
-[[nodiscard]] SelectionExchange selection_exchange_from_env();
 
 /// RRR-generation engine (DESIGN.md §10).  Both engines draw sample i from
 /// the Philox stream (seed, i) and produce byte-identical collections; Fused
@@ -134,7 +129,7 @@ struct ImmOptions {
   /// site and laggard instead of hanging the run.
   std::uint32_t watchdog_ms = 0;
   /// Deterministic fault plan, `rank=R,site=N[,kind=crash|stall|oom][;...]`
-  /// (see mpsim/fault.hpp).  Empty means faults only from RIPPLES_FAULTS.
+  /// (see mpsim/fault.hpp).  Empty injects nothing.
   /// `kind=oom` entries are consumed by the memory-budget governor rather
   /// than the communicator (DESIGN.md §12).
   std::string fault_plan;
@@ -149,13 +144,11 @@ struct ImmOptions {
   /// dir disables checkpointing; defaults come from RIPPLES_CHECKPOINT_*.
   checkpoint::Options checkpoint = checkpoint::options_from_env();
 
-  // Seed-selection exchange (the mpsim drivers; see DESIGN.md §8).
-  /// Dense counter allreduce vs. sparse top-m exchange; defaults from
-  /// RIPPLES_SELECTION_EXCHANGE.  Other drivers ignore it.
-  SelectionExchange selection_exchange = selection_exchange_from_env();
-  /// Candidates each rank reports per sparse round (m).  Larger m means
-  /// fewer fallbacks but more words per round; 16 certifies nearly every
-  /// round on the paper's benchmark graphs.
+  /// Ignored: the mpsim drivers always allreduce their counters.  Kept,
+  /// like rng_mode and selection_topm, only for bench/perf/perf_suite's
+  /// assignments; the next benchmark change deletes them.
+  SelectionExchange selection_exchange = SelectionExchange::Dense;
+  /// Ignored (see selection_exchange).
   std::uint32_t selection_topm = 16;
 
   // Memory-pressure resilience (DESIGN.md §12).

@@ -46,9 +46,6 @@ make_run_fingerprint(const char *driver, const CsrGraph &graph,
   fp.l = options.l;
   fp.k = options.k;
   fp.model = static_cast<std::uint8_t>(options.model);
-  fp.selection_exchange =
-      static_cast<std::uint8_t>(options.selection_exchange);
-  fp.selection_topm = options.selection_topm;
   fp.world_size = options.num_ranks;
   return fp;
 }

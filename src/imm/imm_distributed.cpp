@@ -9,18 +9,6 @@
 /// purging the local partition are rank-local operations.  The dominant
 /// communication is therefore the k All-Reduce operations per selection.
 ///
-/// Sparse selection exchange (ImmOptions::selection_exchange, DESIGN.md §8)
-/// replaces that per-round n-word allreduce with the three-stage protocol
-/// built from the kernels in select.hpp: (1) allgather each rank's top-m
-/// (vertex, count) pairs plus one outside-bound word and certify the argmax
-/// from the merged union; (2) on bound failure, a targeted allreduce of
-/// just the candidate union plus one outside word; (3) as a last resort, a
-/// dense exchange against a cached global counter vector kept current with
-/// retirement *deltas* (allgatherv of only the touched counters) instead of
-/// a full re-reduce.  Every stage decides from identically gathered data,
-/// so all ranks take the same branch and the seed sequence — including the
-/// smallest-id tie-break — is bit-identical to the dense protocol's.
-///
 /// Self-healing (ImmOptions::recover_failures): because every sample i is
 /// drawn from its own Philox counter stream (seed, i), a dead rank's
 /// partition is a *recomputable* function of (seed, stream, count), not
@@ -353,116 +341,18 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     };
 
     std::vector<std::uint32_t> global_counts(n);
-    const bool sparse =
-        options.selection_exchange == SelectionExchange::Sparse;
-    const std::uint32_t topm = std::max<std::uint32_t>(1, options.selection_topm);
     // Alg. 4 over this rank's partition on its --threads team, with the
-    // round's pick made through the exchange on the rank's own thread (the
-    // team's primary).  The body counts the local memberships; the pick
+    // round's pick made through the counter allreduce on the rank's own
+    // thread (the team's primary).  The body counts the local memberships; the pick
     // aggregates them across ranks; choosing the seed and purging the local
     // partition are then rank-local, identical on every rank.
     auto select = [&]() -> SelectionResult {
       trace::Span span("select", "select.distributed", "k", options.k,
                        "samples", store.size());
-      // Sparse-exchange state, all local to this invocation: a healing
-      // restart re-enters select() and rebuilds it from the (intact) local
-      // counters, so a failure inside any sparse collective recovers to the
-      // same place a dense run would.  `global_counts` doubles as the
-      // stage-3 cache of the true global vector; `retire_log` accumulates
-      // the retirement decrements not yet folded into it.
-      bool cache_valid = false;
-      RetireLog retire_log(sparse ? n : 0);
-      using Counts = std::span<const std::uint32_t>;
-      using Flags = std::span<const std::uint8_t>;
-
-      // Stage 3: brings the cached global counter vector current — a full
-      // allreduce the first time, afterwards an allgatherv of only the
-      // counters retirement touched since the last sync (every rank applies
-      // every rank's decrements, so the caches stay identical).
-      auto dense_resync = [&](Counts local_counts) {
-        if (!cache_valid) {
-          std::copy(local_counts.begin(), local_counts.end(),
-                    global_counts.begin());
-          comm.allreduce(std::span<std::uint32_t>(global_counts),
-                         mpsim::ReduceOp::Sum);
-          detail::record_exchange_words(n);
-          cache_valid = true;
-        } else {
-          std::vector<CounterPair> deltas;
-          deltas.reserve(retire_log.pending_touched.size());
-          for (vertex_t v : retire_log.pending_touched)
-            deltas.push_back({v, retire_log.pending_dec[v]});
-          detail::record_exchange_words(2 * deltas.size());
-          const std::vector<CounterPair> all =
-              comm.allgatherv(std::span<const CounterPair>(deltas));
-          for (const CounterPair &d : all) {
-            RIPPLES_DEBUG_ASSERT(global_counts[d.vertex] >= d.count);
-            global_counts[d.vertex] -= d.count;
-          }
-        }
-        for (vertex_t v : retire_log.pending_touched)
-          retire_log.pending_dec[v] = 0;
-        retire_log.pending_touched.clear();
-      };
-
-      // One sparse round: escalate through the three stages until one
-      // certifies the argmax.  Every decision below is a pure function of
-      // collectively gathered data, so all ranks agree on each branch.
-      auto sparse_round = [&](std::uint32_t round, Counts local_counts,
-                              Flags selected) -> vertex_t {
-        // Stage 1: top-m union-merge with the provable-winner bound.
-        TopmSummary mine = sparse_topm(local_counts, selected, topm);
-        detail::record_exchange_words(2 * mine.top.size() + 1);
-        std::vector<std::vector<CounterPair>> tops =
-            comm.allgatherv_ranks(std::span<const CounterPair>(mine.top));
-        const std::vector<std::uint32_t> bounds =
-            comm.allgather(mine.outside_bound);
-        std::vector<TopmSummary> summaries(tops.size());
-        for (std::size_t r = 0; r < tops.size(); ++r)
-          summaries[r] = {std::move(tops[r]), bounds[r]};
-        const SparseMergeResult merged = sparse_merge(summaries);
-        detail::record_sparse_round(merged.certified);
-        if (merged.certified) return merged.winner;
-
-        // Stage 2: targeted re-reduce — exact counts of the candidate
-        // union plus each rank's exact maximum outside it (summed, a
-        // tighter outside bound than stage 1's).
-        detail::record_candidate_fallback();
-        trace::instant("select", "select.sparse_candidate_fallback", "round",
-                       round);
-        std::vector<std::uint32_t> exact(merged.candidates.size() + 1, 0);
-        std::uint32_t outside_max = 0;
-        for (vertex_t v = 0; v < n; ++v) {
-          if (selected[v]) continue;
-          if (std::binary_search(merged.candidates.begin(),
-                                 merged.candidates.end(), v))
-            continue;
-          outside_max = std::max(outside_max, local_counts[v]);
-        }
-        for (std::size_t c = 0; c < merged.candidates.size(); ++c)
-          exact[c] = local_counts[merged.candidates[c]];
-        exact.back() = outside_max;
-        detail::record_exchange_words(exact.size());
-        comm.allreduce(std::span<std::uint32_t>(exact), mpsim::ReduceOp::Sum);
-        const SparseExactResult proven = sparse_certify_exact(
-            merged.candidates,
-            std::span<const std::uint32_t>(exact.data(),
-                                           merged.candidates.size()),
-            exact.back());
-        if (proven.certified) return proven.winner;
-
-        // Stage 3: dense fallback against the delta-maintained cache.
-        detail::record_dense_fallback();
-        trace::instant("select", "select.sparse_dense_fallback", "round",
-                       round);
-        dense_resync(local_counts);
-        return argmax_counter(global_counts, selected);
-      };
-
       SelectionHooks hooks;
-      hooks.pick = [&](std::uint32_t round, Counts local_counts,
-                       Flags selected) -> vertex_t {
-        if (sparse) return sparse_round(round, local_counts, selected);
+      hooks.pick = [&](std::uint32_t,
+                       std::span<const std::uint32_t> local_counts,
+                       std::span<const std::uint8_t> selected) -> vertex_t {
         // The All-Reduce that dominates the communication (O(k n lg p)
         // total).  The local counts are copied, never reduced in place: a
         // failure mid-allreduce may leave the target buffer partially
@@ -475,8 +365,6 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         detail::record_exchange_words(n);
         return argmax_counter(global_counts, selected);
       };
-      // Sparse mode logs the decrements so stage 3 can delta-sync.
-      if (sparse) hooks.log = &retire_log;
       SelectionResult selection =
           store.select(n, options.k, options.num_threads, hooks);
 

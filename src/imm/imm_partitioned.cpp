@@ -219,52 +219,16 @@ ImmResult imm_distributed_partitioned(const CsrGraph &graph,
       std::vector<std::uint8_t> selected(n, 0);
       std::vector<std::uint8_t> contains(slices.size(), 0);
 
-      // Sparse exchange is *always exact* here: counter ownership is
-      // vertex-partitioned, so rank r's local count of an owned vertex IS
-      // its global count and every other rank's is zero.  One (vertex,
-      // count) pair per rank — each interval's best by (count, smallest
-      // id) — determines the dense argmax with no bound or fallback; the
-      // sentinel vertex n flags an interval with nothing unselected.
-      const bool sparse =
-          options.selection_exchange == SelectionExchange::Sparse;
-      auto sparse_round = [&]() -> vertex_t {
-        CounterPair best{n, 0};
-        for (vertex_t v = vl; v < vh; ++v) {
-          if (selected[v]) continue;
-          if (best.vertex == n || local_counts[v] > best.count ||
-              (local_counts[v] == best.count && v < best.vertex))
-            best = {v, local_counts[v]};
-        }
-        detail::record_exchange_words(2);
-        const std::vector<CounterPair> bests = comm.allgather(best);
-        CounterPair winner{n, 0};
-        for (const CounterPair &b : bests) {
-          if (b.vertex == n) continue;
-          if (winner.vertex == n || b.count > winner.count ||
-              (b.count == winner.count && b.vertex < winner.vertex))
-            winner = b;
-        }
-        RIPPLES_ASSERT_MSG(winner.vertex != n,
-                           "k exceeds the number of vertices");
-        detail::record_sparse_round(/*certified=*/true);
-        return winner.vertex;
-      };
-
       SelectionResult selection;
       selection.total_samples = slices.size();
       for (std::uint32_t i = 0; i < options.k; ++i) {
         trace::Span round("select", "select.round", "round", i);
-        vertex_t seed;
-        if (sparse) {
-          seed = sparse_round();
-        } else {
-          std::copy(local_counts.begin(), local_counts.end(),
-                    global_counts.begin());
-          comm.allreduce(std::span<std::uint32_t>(global_counts),
-                         mpsim::ReduceOp::Sum);
-          detail::record_exchange_words(n);
-          seed = argmax_counter(global_counts, selected);
-        }
+        std::copy(local_counts.begin(), local_counts.end(),
+                  global_counts.begin());
+        comm.allreduce(std::span<std::uint32_t>(global_counts),
+                       mpsim::ReduceOp::Sum);
+        detail::record_exchange_words(n);
+        const vertex_t seed = argmax_counter(global_counts, selected);
         selected[seed] = 1;
         selection.seeds.push_back(seed);
 

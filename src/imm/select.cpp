@@ -138,8 +138,7 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       std::make_unique_for_overwrite<LiveSet<Ref>[]>(num_samples);
   const auto hits = std::make_unique_for_overwrite<Ref[]>(num_samples);
   // One slot per thread, published for the whole team: its argmax
-  // candidate and its hits of the current round, and its decrement-log
-  // touches.  One cache line each: every thread writes its own slot each
+  // candidate and its hits of the current round.  One cache line each: every thread writes its own slot each
   // round, so unpadded slots would false-share.  Candidates start at the
   // "no candidate" sentinel: when the team comes out smaller than requested
   // (a nested call, OMP_THREAD_LIMIT), the slots no thread writes must not
@@ -151,9 +150,8 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   struct alignas(64) Slot {
     Candidate best;
     std::span<const Ref> hits;
-    std::vector<vertex_t> touched;
   };
-  std::vector<Slot> slots(num_threads, Slot{{0, num_vertices}, {}, {}});
+  std::vector<Slot> slots(num_threads, Slot{{0, num_vertices}, {}});
   // The team argmax: higher count wins, and ties go to the smaller id
   // because the slots' intervals ascend.
   auto team_argmax = [&] {
@@ -163,13 +161,6 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
           (global.vertex >= num_vertices || slot.best.count > global.count))
         global = slot.best;
     return global.vertex;
-  };
-  auto join_log = [&] {
-    std::vector<vertex_t> &joined = hooks.log->pending_touched;
-    for (Slot &slot : slots) {
-      joined.insert(joined.end(), slot.touched.begin(), slot.touched.end());
-      slot.touched.clear();
-    }
   };
   // What the team throws.  No exception may cross the OpenMP region: a
   // thread catches what its work between two barriers (phase q) throws,
@@ -279,7 +270,6 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       // what a worker wrote would be reported outside this function.
 #pragma omp masked
       try {
-        if (hooks.log != nullptr) join_log();
         chosen = hooks.pick
                      ? hooks.pick(i, {counts, num_vertices},
                                   {selected.get(), num_vertices})
@@ -323,25 +313,14 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
 #pragma omp barrier
       if (failed_before(++phase)) break;
       // Decrement: every thread walks every hit list but touches only the
-      // counters of its own interval — no atomics (Alg. 4).  A log's
-      // pending entries are the interval's too, its touches the thread's.
+      // counters of its own interval — no atomics (Alg. 4).
       try {
         for (unsigned owner = 0; owner < p; ++owner) {
           const std::span<const Ref> owner_hits = slots[owner].hits;
           if (t == 0) result.covered_samples += owner_hits.size();
-          if (hooks.log == nullptr) {
-            for (const Ref ref : owner_hits)
-              sets.record(ref, scratch).template adjust_counters<true>(
-                  counts, vl, vh);
-            continue;
-          }
-          std::uint32_t *const pending = hooks.log->pending_dec.data();
           for (const Ref ref : owner_hits)
-            sets.record(ref, scratch).for_each_member(vl, vh, [&](vertex_t u) {
-              RIPPLES_DEBUG_ASSERT(counts[u] > 0);
-              --counts[u];
-              if (pending[u]++ == 0) slots[t].touched.push_back(u);
-            });
+            sets.record(ref, scratch).template adjust_counters<true>(counts,
+                                                                     vl, vh);
         }
       } catch (...) {
         fail(t, phase);
@@ -352,7 +331,6 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   RIPPLES_TEAM_JOIN(acquire, &chosen);
   for (const std::exception_ptr &error : errors)
     if (error) std::rethrow_exception(error);
-  if (hooks.log != nullptr) join_log();
   return result;
 }
 
@@ -536,188 +514,13 @@ SelectionResult select_seeds_hypergraph(vertex_t num_vertices, std::uint32_t k,
   return result;
 }
 
-// --- sparse selection exchange ----------------------------------------------
-
-TopmSummary sparse_topm(std::span<const std::uint32_t> counters,
-                        std::span<const std::uint8_t> selected,
-                        std::uint32_t m) {
-  RIPPLES_ASSERT(m >= 1);
-  RIPPLES_ASSERT(counters.size() == selected.size());
-  TopmSummary summary;
-  summary.top.reserve(m);
-  // Bounded "best m" heap ordered worst-first, so the root is the entry a
-  // better candidate evicts.  Everything rejected or evicted feeds the
-  // outside bound: the exact maximum count among unreported unselected
-  // vertices.
-  auto worse = [](const CounterPair &a, const CounterPair &b) {
-    return a.count > b.count || (a.count == b.count && a.vertex < b.vertex);
-  };
-  std::vector<CounterPair> &heap = summary.top;
-  std::uint32_t outside = 0;
-  bool any_outside = false;
-  for (vertex_t v = 0; v < counters.size(); ++v) {
-    if (selected[v]) continue;
-    const CounterPair entry{v, counters[v]};
-    if (heap.size() < m) {
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), worse);
-      continue;
-    }
-    const CounterPair &weakest = heap.front();
-    if (worse(entry, weakest)) {
-      // Evict the weakest in favour of this entry.
-      std::pop_heap(heap.begin(), heap.end(), worse);
-      const CounterPair evicted = heap.back();
-      heap.back() = entry;
-      std::push_heap(heap.begin(), heap.end(), worse);
-      outside = std::max(outside, evicted.count);
-      any_outside = true;
-    } else {
-      outside = std::max(outside, entry.count);
-      any_outside = true;
-    }
-  }
-  summary.outside_bound = any_outside ? outside : 0;
-  // Wire and merge order: count descending, ties to the smaller id —
-  // the dense argmax preference order.
-  std::sort(heap.begin(), heap.end(), [](const CounterPair &a,
-                                         const CounterPair &b) {
-    return a.count > b.count || (a.count == b.count && a.vertex < b.vertex);
-  });
-  return summary;
-}
-
-SparseMergeResult sparse_merge(std::span<const TopmSummary> summaries) {
-  // Candidate accumulation: LB = sum of reported counts; the reporters'
-  // outside bounds are summed per candidate so UB = LB + (T - reported_T)
-  // without needing per-rank membership bitmaps.
-  struct Candidate {
-    vertex_t vertex;
-    std::uint64_t lb = 0;
-    std::uint64_t reported_outside = 0; // sum of outside_bound over reporters
-    std::uint32_t reporters = 0;
-  };
-  std::uint64_t total_outside = 0; // T: bound on any unreported vertex
-  std::vector<Candidate> candidates;
-  std::size_t total_pairs = 0;
-  for (const TopmSummary &summary : summaries) {
-    total_outside += summary.outside_bound;
-    total_pairs += summary.top.size();
-  }
-  candidates.reserve(total_pairs);
-  for (const TopmSummary &summary : summaries)
-    for (const CounterPair &pair : summary.top)
-      candidates.push_back({pair.vertex, pair.count, summary.outside_bound, 1});
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate &a, const Candidate &b) {
-              return a.vertex < b.vertex;
-            });
-  // Merge duplicate vertices (reported by several ranks) in place.
-  std::size_t unique = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (unique > 0 && candidates[unique - 1].vertex == candidates[i].vertex) {
-      candidates[unique - 1].lb += candidates[i].lb;
-      candidates[unique - 1].reported_outside += candidates[i].reported_outside;
-      candidates[unique - 1].reporters += 1;
-    } else {
-      candidates[unique++] = candidates[i];
-    }
-  }
-  candidates.resize(unique);
-
-  SparseMergeResult result;
-  result.candidates.reserve(unique);
-  for (const Candidate &c : candidates) result.candidates.push_back(c.vertex);
-  if (candidates.empty()) return result; // nothing reported: cannot certify
-
-  const std::uint32_t num_ranks = static_cast<std::uint32_t>(summaries.size());
-  auto ub_of = [&](const Candidate &c) {
-    return c.lb + (total_outside - c.reported_outside);
-  };
-  auto exact = [&](const Candidate &c) {
-    // Fully known iff every rank reported it, or the missing ranks can
-    // only contribute zero.
-    return c.reporters == num_ranks || ub_of(c) == c.lb;
-  };
-
-  // Winner preference: LB descending, ties to the smaller id (the ids of
-  // sorted candidates ascend, so the first maximum wins ties for free).
-  const Candidate *best = &candidates.front();
-  for (const Candidate &c : candidates)
-    if (c.lb > best->lb) best = &c;
-  result.winner = best->vertex;
-
-  // Certification (see the header's bound derivation).
-  if (total_outside >= best->lb) return result; // (ii) violated
-  for (const Candidate &c : candidates) {
-    if (&c == best) continue;
-    const std::uint64_t ub = ub_of(c);
-    if (ub < best->lb) continue;
-    const bool exact_tie = ub == best->lb && exact(c) && exact(*best) &&
-                           best->vertex < c.vertex;
-    if (!exact_tie) return result; // (i) violated
-  }
-  result.certified = true;
-  return result;
-}
-
-SparseExactResult sparse_certify_exact(std::span<const vertex_t> candidates,
-                                       std::span<const std::uint32_t> exact_counts,
-                                       std::uint64_t outside_sum) {
-  RIPPLES_ASSERT(candidates.size() == exact_counts.size());
-  RIPPLES_ASSERT(!candidates.empty());
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    if (exact_counts[i] > exact_counts[best] ||
-        (exact_counts[i] == exact_counts[best] &&
-         candidates[i] < candidates[best]))
-      best = i;
-  }
-  SparseExactResult result;
-  result.winner = candidates[best];
-  // Strict: a vertex outside the candidate set with count == the winner's
-  // could have a smaller id and win the dense tie-break.
-  result.certified = exact_counts[best] > outside_sum;
-  return result;
-}
-
 namespace detail {
-
-namespace {
-metrics::Counter &counter(const char *name) {
-  return metrics::Registry::instance().counter(name);
-}
-} // namespace
 
 void record_exchange_words(std::uint64_t words) {
   if (!metrics::enabled()) return;
-  static metrics::Counter &c = counter("imm.select.exchange_words");
-  c.add(words);
-}
-
-void record_sparse_round(bool certified) {
-  if (!metrics::enabled()) return;
-  static metrics::Counter &rounds = counter("imm.select.sparse_rounds");
-  rounds.increment();
-  if (!certified) return;
-  // Registered on the first certification only, as every counter here is
-  // registered on first use: a report lists no certification count until
-  // one happens.
-  static metrics::Counter &hits = counter("imm.select.sparse_certified");
-  hits.increment();
-}
-
-void record_candidate_fallback() {
-  if (!metrics::enabled()) return;
   static metrics::Counter &c =
-      counter("imm.select.sparse_candidate_fallbacks");
-  c.increment();
-}
-
-void record_dense_fallback() {
-  if (!metrics::enabled()) return;
-  static metrics::Counter &c = counter("imm.select.sparse_dense_fallbacks");
-  c.increment();
+      metrics::Registry::instance().counter("imm.select.exchange_words");
+  c.add(words);
 }
 
 } // namespace detail

@@ -17,9 +17,8 @@
 /// seed's bit; the whole team then decrements from the hit lists.
 ///  * The pick is the one step a caller varies (SelectionHooks): shared
 ///    memory takes the team's argmax; a distributed rank (Section 3.2,
-///    imm_distributed.cpp) exchanges its counters with the other ranks,
-///    densely or through the sparse protocol below, on the team's primary
-///    thread.
+///    imm_distributed.cpp) allreduces its counters with the other ranks'
+///    on the team's primary thread.
 ///  * Compressed storage (DESIGN.md §12) feeds the same body: a live entry
 ///    keeps its record's payload offset, the count pass decodes each record
 ///    once per thread, and a round decodes a record only on a signature
@@ -61,19 +60,6 @@ struct SelectionResult {
   }
 };
 
-/// Retirement-delta log of the sparse selection exchange: Alg. 4's
-/// decrement pass, given one, also accumulates every decrement here, so a
-/// later fallback can synchronize a cached global counter vector by
-/// exchanging only the touched entries.
-struct RetireLog {
-  explicit RetireLog(vertex_t num_vertices) : pending_dec(num_vertices, 0) {}
-  /// Dense per-vertex sum of the decrements not yet synchronized.
-  std::vector<std::uint32_t> pending_dec;
-  /// Vertices whose pending_dec left zero: each thread's first-touch order
-  /// over its own vertex interval, the threads joined in order.
-  std::vector<vertex_t> pending_touched;
-};
-
 /// The steps a caller varies in Alg. 4's body.  Both functions run on the
 /// team's primary thread — the caller's own — between barriers, so they see
 /// the whole team's counters and may call collectives; whatever they throw
@@ -86,9 +72,6 @@ struct SelectionHooks {
                          std::span<const std::uint32_t> counters,
                          std::span<const std::uint8_t> selected)>
       pick;
-  /// Non-null: the decrement pass also records every decrement here; each
-  /// round's entries are joined before the next pick.
-  RetireLog *log = nullptr;
   /// Runs before the count pass and after each round's pick, before the
   /// search reads the samples (the store's ScrubMode::Paranoid scrub).
   std::function<void()> verify;
@@ -166,94 +149,18 @@ std::uint64_t retire_samples_containing(vertex_t seed,
 [[nodiscard]] vertex_t argmax_counter(std::span<const std::uint32_t> counters,
                                       std::span<const std::uint8_t> selected);
 
-// ---------------------------------------------------------------------------
-// Sparse selection exchange (distributed top-m argmax; see DESIGN.md §8).
-//
-// The distributed drivers' dense protocol allreduces the full n-entry
-// counter vector once per greedy round.  The sparse protocol instead
-// exchanges each rank's best m (vertex, count) pairs plus one word bounding
-// everything the rank did *not* report, and certifies the argmax from the
-// union when the bound proves no unreported vertex can win.  The kernels
-// below are pure (no communication) so the property harness can drive them
-// directly against a brute-force oracle.
-// ---------------------------------------------------------------------------
-
-/// One (vertex, local-count) pair of a sparse exchange round.  Trivially
-/// copyable so mpsim collectives ship arrays of them directly.
+/// One (vertex, count) pair, trivially copyable so mpsim collectives ship
+/// arrays of them directly (the benches' collective kernels).
 struct CounterPair {
   vertex_t vertex;
   std::uint32_t count;
 };
 
-/// One rank's round contribution: its best m unselected counters (count
-/// descending, ties to the smaller id) and the exact maximum count among
-/// the unselected vertices it did not list.  For any unreported unselected
-/// vertex v, the rank's local count obeys c_r(v) <= outside_bound.
-struct TopmSummary {
-  std::vector<CounterPair> top;
-  std::uint32_t outside_bound = 0;
-};
-
-/// Extracts the top-m summary of one rank's local counters.  Vertices with
-/// `selected[v]` set are never reported (they are retired from the greedy).
-[[nodiscard]] TopmSummary sparse_topm(std::span<const std::uint32_t> counters,
-                                      std::span<const std::uint8_t> selected,
-                                      std::uint32_t m);
-
-/// Outcome of merging the gathered per-rank summaries.
-///
-/// Bound derivation: for candidate v let LB(v) = sum of the counts reported
-/// for v (ranks not reporting contribute >= 0) and UB(v) = LB(v) + sum of
-/// outside_bound over the ranks that did not report v; a vertex reported by
-/// nobody is bounded by T = sum of all outside_bounds.  The candidate v*
-/// maximizing (LB, then smallest id) is *certified* as the exact dense
-/// argmax iff
-///   (i)  every other candidate u has UB(u) < LB(v*), or ties exactly
-///        (UB(u) == LB(v*) with both u and v* fully reported, i.e. exact)
-///        and v*.id < u.id — the dense tie-break; and
-///   (ii) T < LB(v*) — strict, because an unreported vertex of unknown id
-///        could otherwise tie and win the smallest-id tie-break.
-/// When certified, C(v*) >= LB(v*) > C(u) for every other vertex u (or ties
-/// resolved identically to the dense argmax), so the winner is exact.
-struct SparseMergeResult {
-  /// True when the bound proves `winner` equals the dense argmax,
-  /// including the smallest-id tie-break.
-  bool certified = false;
-  vertex_t winner = 0;
-  /// Sorted union of every reported vertex — identical on all ranks, and
-  /// the candidate set of the targeted re-reduce fallback.
-  std::vector<vertex_t> candidates;
-};
-
-[[nodiscard]] SparseMergeResult
-sparse_merge(std::span<const TopmSummary> summaries);
-
-/// Second-stage certification after the targeted re-reduce: \p exact_counts
-/// holds the exact global count of every candidate (allreduced across
-/// ranks) and \p outside_sum the sum over ranks of each rank's exact
-/// maximum count outside the candidate set.  The winner (max count, ties to
-/// the smaller id) is certified iff its count strictly exceeds
-/// \p outside_sum.
-struct SparseExactResult {
-  bool certified = false;
-  vertex_t winner = 0;
-};
-
-[[nodiscard]] SparseExactResult
-sparse_certify_exact(std::span<const vertex_t> candidates,
-                     std::span<const std::uint32_t> exact_counts,
-                     std::uint64_t outside_sum);
-
 namespace detail {
-/// Selection-exchange instrumentation shared by the mpsim drivers.  All are
-/// no-ops unless metrics::enabled().  Words are 4-byte counter units
-/// contributed by the calling rank (`imm.select.exchange_words`); sparse
-/// rounds, certifications, and the two fallback stages land in
-/// `imm.select.sparse_{rounds,certified,candidate_fallbacks,dense_fallbacks}`.
+/// Selection-exchange instrumentation shared by the mpsim drivers: adds the
+/// 4-byte counter words the calling rank contributes to
+/// `imm.select.exchange_words`.  A no-op unless metrics::enabled().
 void record_exchange_words(std::uint64_t words);
-void record_sparse_round(bool certified);
-void record_candidate_fallback();
-void record_dense_fallback();
 } // namespace detail
 
 } // namespace ripples

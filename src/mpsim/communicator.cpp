@@ -1306,15 +1306,9 @@ void Context::run(int num_ranks,
   run(options, rank_main);
 }
 
-void Context::run(const RunOptions &options_in,
+void Context::run(const RunOptions &options,
                   const std::function<void(Communicator &)> &rank_main) {
-  RunOptions options = options_in;
   RIPPLES_ASSERT(options.num_ranks >= 1);
-  if (options.faults.empty()) options.faults = fault_plan_from_env();
-  if (options.watchdog.count() == 0) options.watchdog = watchdog_from_env();
-  if (!options.verify_collectives)
-    options.verify_collectives = verify_collectives_from_env();
-
   detail::SharedState shared(options);
 
   std::mutex error_mutex;

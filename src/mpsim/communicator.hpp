@@ -55,7 +55,7 @@
 ///     peers — so silent data corruption becomes either a healed transient
 ///     or a diagnosed rank death, never a wrong answer.
 ///
-/// Deterministic fault injection (`RunOptions::faults`, `RIPPLES_FAULTS`)
+/// Deterministic fault injection (`RunOptions::faults`)
 /// turns each of these paths into a reproducible test; see fault.hpp.
 #ifndef RIPPLES_MPSIM_COMMUNICATOR_HPP
 #define RIPPLES_MPSIM_COMMUNICATOR_HPP
@@ -224,8 +224,7 @@ struct RunOptions {
   /// Survivable-collective mode: a rank's death raises RankFailed on the
   /// survivors (who may shrink() and continue) instead of aborting the run.
   bool recover = false;
-  /// Per-collective wait deadline; zero disables the watchdog.  Also read
-  /// from RIPPLES_WATCHDOG_MS when left at zero.
+  /// Per-collective wait deadline; zero disables the watchdog.
   std::chrono::milliseconds watchdog{0};
   /// Treat watchdog-diagnosed stalls as rank failures: the expiring waiter
   /// marks the laggards dead and raises RankFailed, routing them through the
@@ -236,10 +235,9 @@ struct RunOptions {
   bool evict_stalled = false;
   /// Checksummed exchanges: every payload carries a producer CRC-32 that
   /// consumers recompute before use, with retry/backoff on mismatch and
-  /// escalation to the failure model on exhaustion (DESIGN.md §14).  Also
-  /// read from RIPPLES_VERIFY_COLLECTIVES when left false.
+  /// escalation to the failure model on exhaustion (DESIGN.md §14).
   bool verify_collectives = false;
-  /// Deterministic fault plan; merged with RIPPLES_FAULTS when empty.
+  /// Deterministic fault plan; empty injects nothing.
   FaultPlan faults;
 };
 
@@ -419,31 +417,6 @@ public:
                }
              });
     return gathered;
-  }
-
-  /// MPI_Allgatherv preserving the per-rank sections: result[i] is dense
-  /// rank i's vector.  The sparse selection exchange needs the rank
-  /// boundaries (each section is one rank's top-m summary); the flat
-  /// overload above cannot recover them once lengths differ.
-  template <typename T>
-  std::vector<std::vector<T>> allgatherv_ranks(std::span<const T> local) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t site = begin_collective(Collective::Allgatherv);
-    record(Collective::Allgatherv, local.size() * sizeof(T));
-    trace::Span span("mpsim", "mpsim.allgatherv", "bytes",
-                     local.size() * sizeof(T));
-    std::vector<std::vector<T>> sections(members_.size());
-    exchange(Collective::Allgatherv, site, local.data(),
-             local.size() * sizeof(T), nullptr, [&] {
-               for (std::size_t i = 0; i < members_.size(); ++i) {
-                 const std::size_t bytes = peer_size(members_[i]);
-                 sections[i].resize(bytes / sizeof(T));
-                 if (bytes > 0)
-                   std::memcpy(sections[i].data(), peer_pointer(members_[i]),
-                               bytes);
-               }
-             });
-    return sections;
   }
 
   /// One stealable unit of work on the donate/steal channel: an opaque

@@ -1,7 +1,6 @@
 #include "mpsim/fault.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace ripples::mpsim {
 
@@ -124,29 +123,6 @@ FaultPlan parse_fault_plan(const std::string &spec) {
     plan.push_back(fault);
   }
   return plan;
-}
-
-FaultPlan fault_plan_from_env() {
-  const char *value = std::getenv("RIPPLES_FAULTS");
-  if (value == nullptr || *value == '\0') return {};
-  try {
-    return parse_fault_plan(value);
-  } catch (const std::exception &error) {
-    std::fprintf(stderr, "RIPPLES_FAULTS: %s\n", error.what());
-    std::exit(2);
-  }
-}
-
-std::chrono::milliseconds watchdog_from_env() {
-  const char *value = std::getenv("RIPPLES_WATCHDOG_MS");
-  if (value == nullptr || *value == '\0') return std::chrono::milliseconds{0};
-  try {
-    return std::chrono::milliseconds{
-        parse_number(value, "RIPPLES_WATCHDOG_MS")};
-  } catch (const std::exception &error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    std::exit(2);
-  }
 }
 
 namespace {

@@ -42,17 +42,15 @@
 /// Plans are written `rank=R,site=N[,kind=crash|stall|oom|corrupt|flaky]`
 /// (plus `,sticky` for corrupt and `,attempts=M` for flaky), multiple
 /// faults separated by `;`.  They arrive programmatically
-/// (RunOptions::faults, ImmOptions::fault_plan, imm_cli --inject-fault) or
-/// via the `RIPPLES_FAULTS` environment variable.  Because site counting is
-/// per-rank and deterministic, the same plan hits the same operation on
-/// every run — the property the determinism tests assert.  Two entries
-/// naming the same (rank, site) coordinate in the same counting space
-/// (communication sites, or reservation sites for oom) are ambiguous and
-/// rejected at parse time.
+/// (RunOptions::faults, ImmOptions::fault_plan, imm_cli --inject-fault).
+/// Because site counting is per-rank and deterministic, the same plan hits
+/// the same operation on every run — the property the determinism tests
+/// assert.  Two entries naming the same (rank, site) coordinate in the same
+/// counting space (communication sites, or reservation sites for oom) are
+/// ambiguous and rejected at parse time.
 #ifndef RIPPLES_MPSIM_FAULT_HPP
 #define RIPPLES_MPSIM_FAULT_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -86,14 +84,6 @@ using FaultPlan = std::vector<FaultSpec>;
 /// kind, or duplicate (rank, site) coordinates — throw std::invalid_argument
 /// with a message naming the offending token.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string &spec);
-
-/// The plan from the RIPPLES_FAULTS environment variable (empty when unset).
-/// A malformed value terminates with a diagnostic: silently ignoring a fault
-/// plan would turn an intended failure test into a false pass.
-[[nodiscard]] FaultPlan fault_plan_from_env();
-
-/// Watchdog deadline from RIPPLES_WATCHDOG_MS (zero when unset/empty).
-[[nodiscard]] std::chrono::milliseconds watchdog_from_env();
 
 /// Thrown by the injector at a planned crash site.  The message is a pure
 /// function of the fault coordinates, so repeated runs of one plan fail

@@ -164,8 +164,10 @@ void write_fingerprint(ByteWriter &w, const RunFingerprint &fp) {
   w.u32(fp.k);
   w.u8(fp.model);
   w.u8(fp.rng_mode);
-  w.u8(fp.selection_exchange);
-  w.u32(fp.selection_topm);
+  // The retired selection-exchange byte and top-m word: written as 0 and
+  // skipped on read, because the exchange protocol never changed an answer.
+  w.u8(0);
+  w.u32(0);
   w.u32(static_cast<std::uint32_t>(fp.world_size));
 }
 
@@ -181,8 +183,8 @@ RunFingerprint read_fingerprint(ByteReader &r) {
   fp.k = r.u32();
   fp.model = r.u8();
   fp.rng_mode = r.u8();
-  fp.selection_exchange = r.u8();
-  fp.selection_topm = r.u32();
+  (void)r.u8();
+  (void)r.u32();
   fp.world_size = static_cast<std::int32_t>(r.u32());
   return fp;
 }
@@ -212,9 +214,6 @@ RunFingerprint::describe_mismatch(const RunFingerprint &other) const {
   field("model", static_cast<int>(model), static_cast<int>(other.model));
   field("rng_mode", static_cast<int>(rng_mode),
         static_cast<int>(other.rng_mode));
-  field("selection_exchange", static_cast<int>(selection_exchange),
-        static_cast<int>(other.selection_exchange));
-  field("selection_topm", selection_topm, other.selection_topm);
   field("world_size", world_size, other.world_size);
   return out.str();
 }

@@ -86,8 +86,6 @@ struct RunFingerprint {
   /// 0 on every snapshot the drivers write today (counter streams).  The
   /// retired leap-frog mode wrote 1, so such a snapshot is refused.
   std::uint8_t rng_mode = 0;
-  std::uint8_t selection_exchange = 0;
-  std::uint32_t selection_topm = 0;
   std::int32_t world_size = 0;
 
   friend bool operator==(const RunFingerprint &,
@@ -141,7 +139,7 @@ void require_matching_fingerprint(const Snapshot &snapshot,
 
 /// Checkpoint/resume knobs carried by ImmOptions.  Defaults come from the
 /// RIPPLES_CHECKPOINT_* environment (see options_from_env), mirroring the
-/// RIPPLES_METRICS / RIPPLES_SELECTION_EXCHANGE idiom so benches and test
+/// RIPPLES_METRICS / RIPPLES_SAMPLER idiom so benches and test
 /// legs can turn checkpointing on without touching call sites.
 struct Options {
   /// Snapshot directory; empty disables checkpointing entirely.

@@ -611,7 +611,6 @@ TEST(ImmIntegrity, VerificationOnAFaultFreeRunChangesNothing) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
   options.sampler = SamplerEngine::Fused;
-  options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -665,7 +664,6 @@ TEST(ImmCorruptionHealing, TransientCorruptionRetriesToTheCleanSeeds) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
   options.sampler = SamplerEngine::Fused;
-  options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -689,7 +687,6 @@ TEST(ImmCorruptionHealing, FlakyLinksAreAbsorbedByRetries) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
   options.sampler = SamplerEngine::Fused;
-  options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
 
   options.verify_collectives = true;
@@ -707,15 +704,14 @@ TEST(ImmCorruptionHealing, FlakyLinksAreAbsorbedByRetries) {
 }
 
 TEST(ImmCorruptionHealing,
-     StickyCorruptionAtEverySparseCollectiveSiteHealsBitIdentically) {
+     StickyCorruptionAtEveryCollectiveSiteHealsBitIdentically) {
   // The acceptance sweep: a sticky corrupter at each early collective site
-  // of the fused+sparse protocol exhausts its retry budget, dies with the
+  // of a fused run exhausts its retry budget, dies with the
   // diagnosis, and the survivors shrink and regenerate its samples — the
   // healed run must return the failure-free seed set exactly.
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
   options.sampler = SamplerEngine::Fused;
-  options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
