@@ -23,8 +23,8 @@
 ///                                          and counter tracks in the
 ///                                          trace; also RIPPLES_PROFILE_MEM)
 ///           [--profile-mem-hz HZ]         (sampling rate; default 10)
-///           [--recover]                   (dist: survive rank failures by
-///                                          shrinking + regenerating)
+///           [--recover]                   (dist only: survive rank failures
+///                                          by shrinking + regenerating)
 ///           [--watchdog-ms N]             (collective stall deadline; 0=off)
 ///           [--inject-fault rank=R,site=N
 ///                           [,kind=crash|stall|oom|corrupt|flaky]
@@ -51,19 +51,20 @@
 ///                                          also RIPPLES_RRR_COMPRESS)
 ///           [--steal on|off]              (inter-rank work stealing;
 ///                                          byte-identical seeds either
-///                                          way — placement only; counter
-///                                          rng, dist driver; also
-///                                          RIPPLES_STEAL)
-///           [--steal-chunk N]             (draws per stealable chunk;
-///                                          default 64; also
+///                                          way — placement only; dist
+///                                          only; also RIPPLES_STEAL)
+///           [--steal-chunk N]             (dist only: draws per stealable
+///                                          chunk; default 64; also
 ///                                          RIPPLES_STEAL_CHUNK)
-///           [--steal-skew]                (benchmark knob: home every
-///                                          stream on the first live rank —
-///                                          the fig7 pathological partition;
-///                                          also RIPPLES_STEAL_SKEW)
-///           [--verify-collectives]        (CRC-32 every collective/steal
-///                                          payload; mismatches retry with
-///                                          capped backoff, then heal; also
+///           [--steal-skew]                (dist only; benchmark knob: home
+///                                          every stream on the first live
+///                                          rank — the fig7 pathological
+///                                          partition; also
+///                                          RIPPLES_STEAL_SKEW)
+///           [--verify-collectives]        (dist/dist-part: CRC-32 every
+///                                          collective/steal payload;
+///                                          mismatches retry with capped
+///                                          backoff, then heal; also
 ///                                          RIPPLES_VERIFY_COLLECTIVES)
 ///           [--scrub-rrr off|on|paranoid] (verify + self-repair stored RRR
 ///                                          arena checksums before selection
@@ -78,17 +79,22 @@
 ///           [--checkpoint-keep N]         (snapshots retained; default 3)
 ///           [--resume]                    (resume from the newest intact
 ///                                          snapshot in --checkpoint-dir)
-///           [--evict-stalled]             (dist + --recover + --watchdog-ms:
-///                                          heal watchdog-diagnosed stalls
-///                                          like crashes instead of aborting)
+///           [--evict-stalled]             (dist only, with --recover and
+///                                          --watchdog-ms: heal watchdog-
+///                                          diagnosed stalls like crashes
+///                                          instead of aborting)
 ///           [--strict-input]              (reject self-loops and duplicate
 ///                                          edges in --input, not just
 ///                                          malformed lines/weights)
 ///   imm_cli --dataset com-DBLP --scale 0.01 ...     (surrogate input)
+///
+/// A flag marked "dist only" or "dist/dist-part" exits 2 under any other
+/// driver instead of being ignored.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <utility>
 
 #include "ripples/ripples.hpp"
 
@@ -324,6 +330,23 @@ int main(int argc, char **argv) {
       static_cast<std::uint64_t>(cli.get_bounded("seed", 2019, 0, INT64_MAX));
   const DiffusionModel model = parse_model(cli.get("model", std::string("IC")));
   const std::string driver = cli.get("driver", std::string("mt"));
+  // The mpsim-only flags: healing and stealing exist only in
+  // imm_distributed, checksummed exchanges in both mpsim drivers.  Any
+  // other driver would ignore them, so they are refused instead.
+  const bool dist = driver == "dist";
+  const bool mpsim = dist || driver == "dist-part";
+  const std::pair<const char *, bool> mpsim_only[] = {
+      {"recover", dist},    {"evict-stalled", dist},
+      {"steal", dist},      {"steal-chunk", dist},
+      {"steal-skew", dist}, {"verify-collectives", mpsim},
+  };
+  for (const auto &[flag, applies] : mpsim_only) {
+    if (!applies && cli.has_flag(flag)) {
+      std::fprintf(stderr, "option --%s does not apply to --driver %s\n",
+                   flag, driver.c_str());
+      return 2;
+    }
+  }
   // Enable metrics before the run so the report captures communication
   // volume and registry counters (RIPPLES_METRICS=1 works too).  The report
   // log flushes at exit, carrying the registry alongside the run report.

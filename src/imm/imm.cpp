@@ -141,6 +141,16 @@ void finalize_run_report(ImmResult &result, const char *driver,
   if (metrics::enabled()) metrics::report_log().add(report);
 }
 
+void finalize_result(ImmResult &result, const MartingaleOutcome &outcome) {
+  result.seeds = outcome.selection.seeds;
+  result.theta = outcome.theta;
+  result.num_samples = outcome.num_samples;
+  result.lower_bound = outcome.lower_bound;
+  result.coverage_fraction = outcome.selection.coverage_fraction();
+  result.degraded = outcome.degraded;
+  result.epsilon_achieved = outcome.epsilon_achieved;
+}
+
 RRRStore::Policy store_policy(const CsrGraph &graph,
                               const ImmOptions &options,
                               const ScopedBudget &budget, const char *consumer,
@@ -160,17 +170,6 @@ RRRStore::Policy store_policy(const CsrGraph &graph,
 } // namespace detail
 
 namespace {
-
-/// Fills the fields common to all drivers from the martingale outcome.
-void finalize_result(ImmResult &result, const detail::MartingaleOutcome &outcome) {
-  result.seeds = outcome.selection.seeds;
-  result.theta = outcome.theta;
-  result.num_samples = outcome.num_samples;
-  result.lower_bound = outcome.lower_bound;
-  result.coverage_fraction = outcome.selection.coverage_fraction();
-  result.degraded = outcome.degraded;
-  result.epsilon_achieved = outcome.epsilon_achieved;
-}
 
 /// Records each sample's member count into the report's size histogram.
 void record_sample_sizes(metrics::RunReport &report,
@@ -232,7 +231,7 @@ ImmResult imm_shared_memory(const CsrGraph &graph, const ImmOptions &options,
   auto outcome = detail::run_imm_martingale(
       graph.num_vertices(), options.k, options.epsilon, options.l, extend_to,
       select, result.timers, acct);
-  finalize_result(result, outcome);
+  detail::finalize_result(result, outcome);
   result.rrr_peak_bytes = store.peak_footprint_bytes();
   result.total_associations = store.total_associations();
   result.report.rounds = ledger.entries();
@@ -282,7 +281,7 @@ ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
   auto outcome = detail::run_imm_martingale(
       graph.num_vertices(), options.k, options.epsilon, options.l, extend_to,
       select, result.timers, acct);
-  finalize_result(result, outcome);
+  detail::finalize_result(result, outcome);
   result.report.rounds = ledger.entries();
   result.timers.add(Phase::Other,
                     total.elapsed_seconds() - result.timers.total());

@@ -277,6 +277,11 @@ void finalize_run_report(ImmResult &result, const char *driver,
                          const CsrGraph &graph, const ImmOptions &options,
                          const MartingaleOutcome &outcome);
 
+/// Fills the result fields every driver shares from the martingale
+/// outcome: seeds, theta, |R|, lower bound, coverage, and the degraded flag
+/// with the accuracy the samples certify.
+void finalize_result(ImmResult &result, const MartingaleOutcome &outcome);
+
 /// The RRRStore policy every driver builds (DESIGN.md §12): budget and
 /// compression from \p options; bitmap records over \p graph's vertices;
 /// one window per extend when \p budget is ungoverned, since nothing can

@@ -478,13 +478,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     }
     // Dense rank 0 — world rank 0 unless it died — records the outcome.
     if (comm.rank() == 0) {
-      result.seeds = outcome.selection.seeds;
-      result.theta = outcome.theta;
-      result.num_samples = outcome.num_samples;
-      result.lower_bound = outcome.lower_bound;
-      result.coverage_fraction = outcome.selection.coverage_fraction();
-      result.degraded = outcome.degraded;
-      result.epsilon_achieved = outcome.epsilon_achieved;
+      detail::finalize_result(result, outcome);
       result.timers = timers;
       report_outcome = std::move(outcome);
     }

@@ -277,11 +277,7 @@ ImmResult imm_distributed_partitioned(const CsrGraph &graph,
         n, options.k, options.epsilon, options.l, extend_to, select, timers,
         ckpt.resume_progress(), round_hook, acct);
     if (comm.rank() == 0) {
-      result.seeds = outcome.selection.seeds;
-      result.theta = outcome.theta;
-      result.num_samples = outcome.num_samples;
-      result.lower_bound = outcome.lower_bound;
-      result.coverage_fraction = outcome.selection.coverage_fraction();
+      detail::finalize_result(result, outcome);
       result.timers = timers;
       report_outcome = std::move(outcome);
     }

@@ -26,6 +26,7 @@
 #include "support/steal_schedule.hpp"
 
 #include "fault_probe.hpp"
+#include "scalar_reference.hpp"
 
 namespace ripples {
 namespace {
@@ -388,6 +389,13 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
   const ImmResult clean = run_cell(GetParam(), graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
   EXPECT_EQ(clean.resumed_from, -1);
+  // The distributed driver's uninterrupted run is the scalar reference's
+  // answer in either engine, so every resume below lands on it too.  The
+  // partitioned driver draws per-(sample, vertex) streams, another
+  // experiment.
+  if (std::string(std::get<0>(GetParam())) == "dist")
+    scalar_reference::expect_matches(
+        clean, scalar_reference::solve(graph, options), "uninterrupted run");
 
   // Checkpointed run, retaining every round boundary.
   options.checkpoint.dir = (directory_ / "full").string();

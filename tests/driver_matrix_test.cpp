@@ -1,8 +1,9 @@
 // Combinatorial contract sweep: every IMM driver (the distributed one also
 // with threaded ranks) x both diffusion models x several (epsilon, k)
 // settings x two graph shapes x both sampling engines must satisfy the
-// output contract, and the counter-stream drivers must agree bit-exactly
-// with the sequential reference in every cell of the matrix.
+// output contract, and the counter-stream drivers must return the scalar
+// reference martingale's answer (scalar_reference.hpp) bit-exactly in
+// every cell of the matrix.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,6 +12,7 @@
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "imm/imm.hpp"
+#include "scalar_reference.hpp"
 
 namespace ripples {
 namespace {
@@ -93,7 +95,7 @@ TEST_P(DriverMatrix, SatisfiesContractAndSequentialAgreement) {
   options.seed = 4242;
   // The fused engine promises byte-identical collections, so every
   // contract and agreement check below must hold cell-for-cell in both
-  // engines; the reference below always runs the scalar engine.
+  // engines; the reference below always runs the scalar kernels.
   options.sampler = engine;
 
   ImmResult result = run(driver, graph, options);
@@ -108,21 +110,19 @@ TEST_P(DriverMatrix, SatisfiesContractAndSequentialAgreement) {
   EXPECT_GT(result.coverage_fraction, 0.0);
   EXPECT_LE(result.coverage_fraction, 1.0);
   EXPECT_GT(result.rrr_peak_bytes, 0u);
+  // No budget here, so every driver certifies the requested accuracy.
+  EXPECT_FALSE(result.degraded) << name_of(driver);
+  EXPECT_EQ(result.epsilon_achieved, epsilon) << name_of(driver);
+  EXPECT_EQ(result.report.epsilon_achieved, epsilon) << name_of(driver);
 
   // The counter-stream drivers share the exact sample distribution with
-  // the sequential reference, so the seed set must be identical.  The
+  // the scalar reference, so they must return its answer; in the fused
+  // cells that comparison IS the fused byte-identity claim.  The
   // partitioned driver uses per-(sample, vertex) streams and is checked
   // for rank invariance in imm_partitioned_test instead.
-  // A fused sequential cell is still checked against the scalar-engine
-  // reference: that comparison IS the fused byte-identity claim.
-  if (driver != Driver::DistributedPartitioned &&
-      (driver != Driver::Sequential || engine == SamplerEngine::Fused)) {
-    ImmOptions reference_options = options;
-    reference_options.sampler = SamplerEngine::Sequential;
-    ImmResult reference = imm_sequential(graph, reference_options);
-    EXPECT_EQ(result.seeds, reference.seeds) << name_of(driver);
-    EXPECT_EQ(result.theta, reference.theta);
-  }
+  if (driver != Driver::DistributedPartitioned)
+    scalar_reference::expect_matches(
+        result, scalar_reference::solve(graph, options), name_of(driver));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,10 +141,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Fused acceptance sweep over rank counts: for every model x threads per
 // rank in {1,2} x ranks in {1,2,4,8} x graph shape, the distributed
-// driver under the fused engine must agree bit-exactly with the same
-// configuration under the scalar engine (the engines promise identical
-// collections) and with the sequential reference.  The LT cells run the
-// fused engine's batched walk step on every rank count.
+// driver must return the scalar reference's answer bit-exactly under
+// both engines (the engines promise identical collections).  The LT cells
+// run the fused engine's batched walk step on every rank count.
 class FusedRankSweep
     : public ::testing::TestWithParam<
           std::tuple<DiffusionModel, unsigned, int, Shape>> {};
@@ -162,17 +161,13 @@ TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
   options.num_ranks = ranks;
   options.num_threads = threads;
 
+  const auto reference = scalar_reference::solve(graph, options);
   options.sampler = SamplerEngine::Fused;
-  ImmResult fused = imm_distributed(graph, options);
+  scalar_reference::expect_matches(imm_distributed(graph, options), reference,
+                                   "fused");
   options.sampler = SamplerEngine::Sequential;
-  ImmResult scalar = imm_distributed(graph, options);
-  EXPECT_EQ(fused.seeds, scalar.seeds);
-  EXPECT_EQ(fused.theta, scalar.theta);
-  EXPECT_EQ(fused.coverage_fraction, scalar.coverage_fraction);
-
-  ImmResult reference = imm_sequential(graph, options);
-  EXPECT_EQ(fused.seeds, reference.seeds);
-  EXPECT_EQ(fused.theta, reference.theta);
+  scalar_reference::expect_matches(imm_distributed(graph, options), reference,
+                                   "scalar");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -189,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
 // with work-stealing on (and the skewed fig7 partition manufactured, so
 // inter steals actually move chunks) must agree bit-exactly with the same
 // configuration with stealing off — stealing is a pure placement knob —
-// and with the sequential reference.  With two threads a rank's stolen
+// and with the scalar reference.  With two threads a rank's stolen
 // chunks are drawn under its samplers' dynamic schedule.
 class StealSweep
     : public ::testing::TestWithParam<
@@ -222,9 +217,8 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   EXPECT_EQ(on.num_samples, off.num_samples);
   EXPECT_EQ(on.coverage_fraction, off.coverage_fraction);
 
-  ImmResult reference = imm_sequential(graph, options);
-  EXPECT_EQ(on.seeds, reference.seeds);
-  EXPECT_EQ(on.theta, reference.theta);
+  scalar_reference::expect_matches(on, scalar_reference::solve(graph, options),
+                                   "stealing on");
 }
 
 INSTANTIATE_TEST_SUITE_P(

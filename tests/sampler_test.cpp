@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/registry.hpp"
 #include "graph/weights.hpp"
 #include "imm/imm.hpp"
 #include "imm/sampler.hpp"
@@ -672,6 +673,43 @@ TEST(FusedEdgeTableDeathTest, SamplerRejectsAModelItsTableWasNotBuiltFor) {
                          std::span(&index, 1), &out);
       },
       "edge table");
+}
+
+// The fused LT walk searches each row from a guess made from the row's
+// total, and R-MAT hub rows (the benchmark's graph shape, hundreds of
+// in-edges a row) are where that guess misses furthest.  On the soc-Pokec
+// surrogate with imm_cli's default weights, the fused collections must
+// equal the scalar ones byte for byte: over a contiguous range on 4
+// threads, and over each of 4 ranks' stream-strided index lists.
+TEST(FusedSamplerEngine, LtMatchesScalarOnThePokecSurrogate) {
+  const std::uint64_t seed = 2019;
+  CsrGraph graph = materialize(find_dataset("soc-Pokec"), 0.005, seed);
+  assign_uniform_weights(graph, seed + 1);
+  renormalize_linear_threshold(graph);
+  const std::uint64_t count = 8192;
+
+  RRRCollection scalar, fused;
+  sample_multithreaded(graph, DiffusionModel::LinearThreshold, count, seed, 4,
+                       scalar);
+  sample_multithreaded_fused(graph, DiffusionModel::LinearThreshold, count,
+                             seed, 4, fused);
+  ASSERT_EQ(fused.size(), count);
+  EXPECT_TRUE(fused.sets() == scalar.sets());
+
+  const FusedEdgeTable table(graph, DiffusionModel::LinearThreshold);
+  for (std::uint64_t stream = 0; stream < 4; ++stream) {
+    std::vector<std::uint64_t> indices;
+    append_stream_indices(indices, 0, count, stream, 4);
+    RRRCollection scalar_rank, fused_rank;
+    sample_counter_indices(graph, DiffusionModel::LinearThreshold, seed,
+                           indices, 4, scalar_rank);
+    sample_counter_indices_fused(table, seed, indices, 4, fused_rank);
+    ASSERT_EQ(fused_rank.size(), indices.size());
+    EXPECT_TRUE(fused_rank.sets() == scalar_rank.sets()) << "stream " << stream;
+    for (std::size_t j = 0; j < indices.size(); ++j)
+      ASSERT_EQ(fused_rank.sets()[j], scalar.sets()[indices[j]])
+          << "index " << indices[j];
+  }
 }
 
 using SamplerEnvDeathTest = ::testing::Test;
