@@ -31,7 +31,7 @@ int main(int argc, char **argv) {
                "Associations", "GraphBytes/rank"});
 
   for (int ranks : rank_counts) {
-    ImmOptions options;
+    ImmOptions options = config.options;
     options.epsilon = epsilon;
     options.k = k;
     options.seed = config.seed;

@@ -13,8 +13,6 @@
 ///   --scale <f>     fraction of the original dataset size (per-bench default)
 ///   --seed <n>      experiment seed (default 2019, the paper's year)
 ///   --threads <n>   OpenMP threads for _mt drivers (default: hardware)
-///   --sampler <e>   RRR engine, seq|fused (exported to RIPPLES_SAMPLER so
-///                   every driver run picks it up; byte-identical output)
 ///   --snap-dir <d>  directory with genuine SNAP .txt files (optional)
 ///   --csv <path>    also write the table as CSV
 ///   --json-report <path>  enable metrics and write the structured run
@@ -25,10 +23,12 @@
 ///                   report carries the memory timeline, and the trace (when
 ///                   enabled) gains mem.* counter tracks
 ///   --profile-mem-hz <hz>  sampling rate (default 10)
-///   --checkpoint-dir <d>  snapshot martingale state of the mpsim drivers
-///                   (plus --checkpoint-every/--checkpoint-keep/--resume);
-///                   exported to RIPPLES_CHECKPOINT_* so every driver run
-///                   the bench makes picks them up
+///   ImmOptions flags  --sampler, --mem-budget, --rrr-compress, --steal,
+///                   --steal-chunk, --steal-skew, --verify-collectives,
+///                   --scrub-rrr, --checkpoint-dir, --checkpoint-every,
+///                   --checkpoint-keep and --resume, parsed by
+///                   apply_option_flags into BenchConfig::options, the base
+///                   of every driver run the bench makes
 ///   --full          run the paper's full parameter grid instead of the
 ///                   time-budgeted default subset
 #ifndef RIPPLES_BENCH_COMMON_HPP
@@ -55,6 +55,8 @@ struct BenchConfig {
   std::string json_report;
   std::string trace_path;
   bool full;
+  /// The ImmOptions flags; every bench starts its runs' options from it.
+  ImmOptions options;
 
   static BenchConfig parse(const CommandLine &cli, double default_scale) {
     BenchConfig config;
@@ -68,6 +70,7 @@ struct BenchConfig {
     config.json_report = cli.get("json-report", std::string());
     config.trace_path = cli.get("trace", std::string());
     config.full = cli.has_flag("full");
+    apply_option_flags(cli, config.options);
     // Every driver run appends its RunReport to the process-wide log; the
     // atexit hook flushes them all, so each bench binary gets structured
     // output from this one line.
@@ -82,40 +85,6 @@ struct BenchConfig {
     if (cli.has_flag("profile-mem") || cli.value_of("profile-mem-hz"))
       ResourceSampler::instance().start(
           cli.get_bounded("profile-mem-hz", 10.0, 0.1, 1000.0));
-    // Checkpoint flags travel via the environment: ImmOptions defaults from
-    // RIPPLES_CHECKPOINT_*, so exporting here covers every driver the bench
-    // constructs without threading options through each table loop.
-    // The sampler engine travels the same way (ImmOptions defaults from
-    // RIPPLES_SAMPLER), so --sampler fused applies to every driver a bench
-    // constructs.
-    if (auto sampler = cli.value_of("sampler")) {
-      if (*sampler != "seq" && *sampler != "fused") {
-        std::fprintf(stderr, "unknown --sampler '%s' (seq|fused)\n",
-                     sampler->c_str());
-        std::exit(2);
-      }
-      setenv("RIPPLES_SAMPLER", sampler->c_str(), 1);
-    }
-    if (auto dir = cli.value_of("checkpoint-dir"))
-      setenv("RIPPLES_CHECKPOINT_DIR", dir->c_str(), 1);
-    if (auto every = cli.value_of("checkpoint-every"))
-      setenv("RIPPLES_CHECKPOINT_EVERY", every->c_str(), 1);
-    if (auto keep = cli.value_of("checkpoint-keep"))
-      setenv("RIPPLES_CHECKPOINT_KEEP", keep->c_str(), 1);
-    if (cli.has_flag("resume")) setenv("RIPPLES_CHECKPOINT_RESUME", "1", 1);
-    // Data-integrity knobs ride the same environment path (ImmOptions
-    // defaults from RIPPLES_VERIFY_COLLECTIVES / RIPPLES_SCRUB_RRR), so the
-    // overhead benches flip them without touching each table loop.
-    if (cli.has_flag("verify-collectives"))
-      setenv("RIPPLES_VERIFY_COLLECTIVES", "1", 1);
-    if (auto scrub = cli.value_of("scrub-rrr")) {
-      if (*scrub != "off" && *scrub != "on" && *scrub != "paranoid") {
-        std::fprintf(stderr, "unknown --scrub-rrr '%s' (off|on|paranoid)\n",
-                     scrub->c_str());
-        std::exit(2);
-      }
-      setenv("RIPPLES_SCRUB_RRR", scrub->c_str(), 1);
-    }
     // Graceful shutdown: SIGINT/SIGTERM writes any pending checkpoint and
     // flushes the report log + trace buffers before exiting 128+signum.
     checkpoint::install_signal_flush();

@@ -80,7 +80,7 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(stats.num_edges));
 
     // Method 1: IMM.
-    ImmOptions options;
+    ImmOptions options = config.options;
     options.epsilon = 0.5;
     options.k = k;
     options.seed = config.seed + 2;

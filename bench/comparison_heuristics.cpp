@@ -53,7 +53,7 @@ int main(int argc, char **argv) {
 
     {
       StopWatch watch;
-      ImmOptions options;
+      ImmOptions options = config.options;
       options.epsilon = 0.5;
       options.k = k;
       options.seed = config.seed;

@@ -48,7 +48,7 @@ inline int run_dist_scaling(int argc, char **argv,
         print_input_banner(dataset, graph, config);
       double reference = 0.0;
       for (int ranks : rank_counts) {
-        ImmOptions options;
+        ImmOptions options = config.options;
         options.epsilon = epsilon;
         options.k = k;
         options.model = model;

@@ -38,7 +38,7 @@ int main(int argc, char **argv) {
                "ImmTime(s)"});
 
   for (const Regime &regime : regimes) {
-    ImmOptions options;
+    ImmOptions options = config.options;
     options.epsilon = regime.epsilon;
     options.k = regime.max_k;
     options.seed = config.seed;

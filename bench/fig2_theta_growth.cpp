@@ -36,7 +36,7 @@ int main(int argc, char **argv) {
   const double n = static_cast<double>(graph.num_vertices());
   for (double epsilon : epsilons) {
     for (std::uint32_t k : ks) {
-      ImmOptions options;
+      ImmOptions options = config.options;
       options.epsilon = epsilon;
       options.k = k;
       options.seed = config.seed;

@@ -35,7 +35,7 @@ int main(int argc, char **argv) {
                                  DiffusionModel::IndependentCascade);
     print_input_banner(dataset, graph, config);
     for (double epsilon : epsilons) {
-      ImmOptions options;
+      ImmOptions options = config.options;
       options.epsilon = epsilon;
       options.k = k;
       options.seed = config.seed;

@@ -33,7 +33,7 @@ int main(int argc, char **argv) {
                                  DiffusionModel::IndependentCascade);
     print_input_banner(dataset, graph, config);
     for (std::uint32_t k : ks) {
-      ImmOptions options;
+      ImmOptions options = config.options;
       options.epsilon = epsilon;
       options.k = k;
       options.seed = config.seed;

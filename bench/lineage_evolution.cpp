@@ -62,7 +62,7 @@ int main(int argc, char **argv) {
     tim_options.seed = config.seed;
     evaluate("TIM+", tim_plus(graph, tim_options));
 
-    ImmOptions imm_options;
+    ImmOptions imm_options = config.options;
     imm_options.epsilon = epsilon;
     imm_options.k = k;
     imm_options.seed = config.seed;

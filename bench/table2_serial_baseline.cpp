@@ -28,7 +28,7 @@ int main(int argc, char **argv) {
          {"com-YouTube", "soc-Pokec", "soc-LiveJournal1", "com-Orkut"})
       datasets.push_back(name);
 
-  ImmOptions options;
+  ImmOptions options = config.options;
   options.epsilon = cli.get("epsilon", 0.5);
   options.k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{50}));
   options.seed = config.seed;

@@ -37,7 +37,7 @@ int main(int argc, char **argv) {
     print_input_banner(dataset, graph, config);
     const PaperReference &paper = find_dataset(dataset).paper;
 
-    ImmOptions serial_options;
+    ImmOptions serial_options = config.options;
     serial_options.epsilon = 0.5;
     serial_options.k = 100;
     serial_options.seed = config.seed;
@@ -69,7 +69,7 @@ int main(int argc, char **argv) {
         .add(reference_time / multithreaded.timers.total(), 2)
         .add(dataset == "com-Orkut" ? 21.24 : 16.02, 2);
 
-    ImmOptions dist_options;
+    ImmOptions dist_options = config.options;
     dist_options.epsilon = dist_epsilon;
     dist_options.k = dist_k;
     dist_options.seed = config.seed;

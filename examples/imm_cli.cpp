@@ -10,9 +10,10 @@
 ///           [--model IC|LT] [--epsilon 0.5] [-k 50]
 ///           [--threads N] [--ranks P]     (each 1..1024, the paper's
 ///                                          largest run; exit 2 beyond)
-///           [--sampler seq|fused]         (RRR engine; fused batches 64
-///                                          samples per traversal pass,
-///                                          byte-identical output; also
+///           [--sampler seq|fused]         (seq/mt/dist: RRR engine; fused
+///                                          batches 64 samples per
+///                                          traversal pass, byte-identical
+///                                          output; default from
 ///                                          RIPPLES_SAMPLER)
 ///           [--evaluate-trials 0] [--json out.json] [--seed S]
 ///           [--json-report report.json]   (structured metrics run report)
@@ -40,45 +41,43 @@
 ///                                          kind=flaky fails delivery of
 ///                                          the first M attempts there,
 ///                                          then succeeds)
-///           [--mem-budget BYTES]          (RRR memory budget; 0 = unlimited.
-///                                          Over-budget runs degrade:
-///                                          compress, shed batches, certify
-///                                          a looser epsilon; also
-///                                          RIPPLES_MEM_BUDGET)
+///           [--mem-budget BYTES]          (seq/mt/dist: RRR memory budget;
+///                                          0 = unlimited.  Over-budget
+///                                          runs degrade: compress, shed
+///                                          batches, certify a looser
+///                                          epsilon)
 ///           [--rrr-compress auto|always|off]
-///                                         (delta+varint RRR encoding; auto
-///                                          switches under budget pressure;
-///                                          also RIPPLES_RRR_COMPRESS)
-///           [--steal on|off]              (inter-rank work stealing;
-///                                          byte-identical seeds either
-///                                          way — placement only; dist
-///                                          only; also RIPPLES_STEAL)
+///                                         (seq/mt/dist: delta+varint RRR
+///                                          encoding; auto switches under
+///                                          budget pressure)
+///           [--steal on|off]              (dist only: inter-rank work
+///                                          stealing; byte-identical seeds
+///                                          either way — placement only)
 ///           [--steal-chunk N]             (dist only: draws per stealable
-///                                          chunk; default 64; also
-///                                          RIPPLES_STEAL_CHUNK)
+///                                          chunk; default 64)
 ///           [--steal-skew]                (dist only; benchmark knob: home
 ///                                          every stream on the first live
 ///                                          rank — the fig7 pathological
-///                                          partition; also
-///                                          RIPPLES_STEAL_SKEW)
+///                                          partition)
 ///           [--verify-collectives]        (dist/dist-part: CRC-32 every
 ///                                          collective/steal payload;
 ///                                          mismatches retry with capped
-///                                          backoff, then heal; also
-///                                          RIPPLES_VERIFY_COLLECTIVES)
-///           [--scrub-rrr off|on|paranoid] (verify + self-repair stored RRR
-///                                          arena checksums before selection
-///                                          (on) or every kernel (paranoid);
-///                                          also RIPPLES_SCRUB_RRR)
+///                                          backoff, then heal)
+///           [--scrub-rrr off|on|paranoid] (seq/mt/dist: verify + self-
+///                                          repair stored RRR arena
+///                                          checksums before selection (on)
+///                                          or every kernel (paranoid))
 ///           [--checkpoint-dir DIR]        (dist/dist-part: snapshot the
 ///                                          martingale state at round
-///                                          boundaries; also
-///                                          RIPPLES_CHECKPOINT_DIR)
-///           [--checkpoint-every N]        (write every Nth boundary;
-///                                          acceptance always writes)
-///           [--checkpoint-keep N]         (snapshots retained; default 3)
-///           [--resume]                    (resume from the newest intact
-///                                          snapshot in --checkpoint-dir)
+///                                          boundaries)
+///           [--checkpoint-every N]        (dist/dist-part: write every Nth
+///                                          boundary; acceptance always
+///                                          writes)
+///           [--checkpoint-keep N]         (dist/dist-part: snapshots
+///                                          retained; default 3)
+///           [--resume]                    (dist/dist-part: resume from the
+///                                          newest intact snapshot in
+///                                          --checkpoint-dir)
 ///           [--evict-stalled]             (dist only, with --recover and
 ///                                          --watchdog-ms: heal watchdog-
 ///                                          diagnosed stalls like crashes
@@ -88,8 +87,10 @@
 ///                                          malformed lines/weights)
 ///   imm_cli --dataset com-DBLP --scale 0.01 ...     (surrogate input)
 ///
-/// A flag marked "dist only" or "dist/dist-part" exits 2 under any other
-/// driver instead of being ignored.
+/// A flag marked "dist only", "dist/dist-part" or "seq/mt/dist" exits 2
+/// under any other driver instead of being ignored.  --epsilon outside
+/// (0, 1), -k above the graph's vertex count and a graph of fewer than two
+/// vertices exit 2 as well.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -154,92 +155,7 @@ CsrGraph load_graph(const CommandLine &cli, std::uint64_t seed,
 }
 
 ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
-                     const CommandLine &cli, DiffusionModel model,
-                     std::uint64_t seed) {
-  ImmOptions options;
-  options.epsilon = cli.get("epsilon", 0.5);
-  options.k = static_cast<std::uint32_t>(
-      cli.get_bounded("k", 50, 1, UINT32_MAX));
-  options.model = model;
-  options.seed = seed;
-  options.num_threads = static_cast<unsigned>(
-      cli.get_bounded("threads", 1, 1, kMaxWorkers));
-  options.num_ranks =
-      static_cast<int>(cli.get_bounded("ranks", 2, 1, kMaxWorkers));
-  options.recover_failures = cli.has_flag("recover");
-  options.watchdog_ms = static_cast<std::uint32_t>(
-      cli.get_bounded("watchdog-ms", 0, 0, UINT32_MAX));
-  options.fault_plan = cli.get("inject-fault", std::string());
-  // The flag overrides RIPPLES_MEM_BUDGET (the option's default).
-  options.mem_budget = static_cast<std::size_t>(cli.get_bounded(
-      "mem-budget", static_cast<std::int64_t>(options.mem_budget), 0,
-      INT64_MAX));
-  // The flag overrides RIPPLES_RRR_COMPRESS (the option's default).
-  if (auto compress = cli.value_of("rrr-compress")) {
-    if (*compress == "auto") {
-      options.rrr_compress = CompressMode::Auto;
-    } else if (*compress == "always") {
-      options.rrr_compress = CompressMode::Always;
-    } else if (*compress == "off") {
-      options.rrr_compress = CompressMode::Off;
-    } else {
-      std::fprintf(stderr, "unknown --rrr-compress '%s' (auto|always|off)\n",
-                   compress->c_str());
-      std::exit(2);
-    }
-  }
-  // The flag overrides RIPPLES_SAMPLER (the option's default).
-  if (auto sampler = cli.value_of("sampler")) {
-    if (*sampler == "fused") {
-      options.sampler = SamplerEngine::Fused;
-    } else if (*sampler == "seq") {
-      options.sampler = SamplerEngine::Sequential;
-    } else {
-      std::fprintf(stderr, "unknown --sampler '%s' (seq|fused)\n",
-                   sampler->c_str());
-      std::exit(2);
-    }
-  }
-  // The flag overrides RIPPLES_STEAL (the option's default).
-  if (auto steal = cli.value_of("steal")) {
-    if (*steal == "on") {
-      options.steal = StealMode::On;
-    } else if (*steal == "off") {
-      options.steal = StealMode::Off;
-    } else {
-      std::fprintf(stderr, "unknown --steal '%s' (on|off)\n", steal->c_str());
-      std::exit(2);
-    }
-  }
-  options.steal_chunk = static_cast<std::uint64_t>(cli.get_bounded(
-      "steal-chunk", static_cast<std::int64_t>(options.steal_chunk), 1,
-      INT64_MAX));
-  if (cli.has_flag("steal-skew")) options.steal_skew = true;
-  // The flag overrides RIPPLES_VERIFY_COLLECTIVES (the option's default).
-  if (cli.has_flag("verify-collectives")) options.verify_collectives = true;
-  // The flag overrides RIPPLES_SCRUB_RRR (the option's default).
-  if (auto scrub = cli.value_of("scrub-rrr")) {
-    if (*scrub == "off") {
-      options.scrub_rrr = ScrubMode::Off;
-    } else if (*scrub == "on") {
-      options.scrub_rrr = ScrubMode::On;
-    } else if (*scrub == "paranoid") {
-      options.scrub_rrr = ScrubMode::Paranoid;
-    } else {
-      std::fprintf(stderr, "unknown --scrub-rrr '%s' (off|on|paranoid)\n",
-                   scrub->c_str());
-      std::exit(2);
-    }
-  }
-  options.evict_stalled = cli.has_flag("evict-stalled");
-  // Flags override the RIPPLES_CHECKPOINT_* environment (the defaults).
-  if (auto dir = cli.value_of("checkpoint-dir")) options.checkpoint.dir = *dir;
-  options.checkpoint.every = static_cast<std::uint32_t>(cli.get_bounded(
-      "checkpoint-every", options.checkpoint.every, 1, UINT32_MAX));
-  options.checkpoint.keep_last = static_cast<std::uint32_t>(cli.get_bounded(
-      "checkpoint-keep", options.checkpoint.keep_last, 1, UINT32_MAX));
-  if (cli.has_flag("resume")) options.checkpoint.resume = true;
-
+                     const ImmOptions &options, const CommandLine &cli) {
   if (driver == "seq") return imm_sequential(graph, options);
   if (driver == "baseline") return imm_baseline_hypergraph(graph, options);
   if (driver == "mt") return imm_multithreaded(graph, options);
@@ -249,16 +165,16 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
     TimOptions tim;
     tim.epsilon = options.epsilon;
     tim.k = options.k;
-    tim.model = model;
-    tim.seed = seed;
+    tim.model = options.model;
+    tim.seed = options.seed;
     return tim_plus(graph, tim);
   }
   if (driver == "ris") {
     RisOptions ris;
     ris.epsilon = options.epsilon;
     ris.k = options.k;
-    ris.model = model;
-    ris.seed = seed;
+    ris.model = options.model;
+    ris.seed = options.seed;
     ris.budget_scale = cli.get("ris-budget-scale", 0.05);
     return ris_threshold(graph, ris);
   }
@@ -330,23 +246,55 @@ int main(int argc, char **argv) {
       static_cast<std::uint64_t>(cli.get_bounded("seed", 2019, 0, INT64_MAX));
   const DiffusionModel model = parse_model(cli.get("model", std::string("IC")));
   const std::string driver = cli.get("driver", std::string("mt"));
-  // The mpsim-only flags: healing and stealing exist only in
-  // imm_distributed, checksummed exchanges in both mpsim drivers.  Any
-  // other driver would ignore them, so they are refused instead.
+  // Driver-scoped flags: healing and stealing exist only in
+  // imm_distributed, checksummed exchanges and checkpoints in both mpsim
+  // drivers, and the fused engine and the memory governor in the drivers
+  // that store through the RRR store (seq, mt, dist).  Any other driver
+  // would ignore them, so they are refused instead.
   const bool dist = driver == "dist";
   const bool mpsim = dist || driver == "dist-part";
-  const std::pair<const char *, bool> mpsim_only[] = {
-      {"recover", dist},    {"evict-stalled", dist},
-      {"steal", dist},      {"steal-chunk", dist},
-      {"steal-skew", dist}, {"verify-collectives", mpsim},
+  const bool rrr_store = dist || driver == "seq" || driver == "mt";
+  const std::pair<const char *, bool> driver_scoped[] = {
+      {"recover", dist},           {"evict-stalled", dist},
+      {"steal", dist},             {"steal-chunk", dist},
+      {"steal-skew", dist},        {"verify-collectives", mpsim},
+      {"checkpoint-dir", mpsim},   {"checkpoint-every", mpsim},
+      {"checkpoint-keep", mpsim},  {"resume", mpsim},
+      {"sampler", rrr_store},      {"mem-budget", rrr_store},
+      {"rrr-compress", rrr_store}, {"scrub-rrr", rrr_store},
   };
-  for (const auto &[flag, applies] : mpsim_only) {
+  for (const auto &[flag, applies] : driver_scoped) {
     if (!applies && cli.has_flag(flag)) {
       std::fprintf(stderr, "option --%s does not apply to --driver %s\n",
                    flag, driver.c_str());
       return 2;
     }
   }
+  ImmOptions options;
+  options.epsilon = cli.get("epsilon", 0.5);
+  // The theta schedule asserts epsilon in (0, 1), n >= 2 and k <= n: each
+  // is refused with exit 2 instead (n and k once the graph is loaded).
+  if (!(options.epsilon > 0.0 && options.epsilon < 1.0)) {
+    std::fprintf(stderr, "option --epsilon expects a value in (0, 1), got "
+                         "'%s'\n",
+                 cli.get("epsilon", std::string()).c_str());
+    return 2;
+  }
+  options.k = static_cast<std::uint32_t>(
+      cli.get_bounded("k", 50, 1, UINT32_MAX));
+  options.model = model;
+  options.seed = seed;
+  options.num_threads = static_cast<unsigned>(
+      cli.get_bounded("threads", 1, 1, kMaxWorkers));
+  options.num_ranks =
+      static_cast<int>(cli.get_bounded("ranks", 2, 1, kMaxWorkers));
+  options.recover_failures = cli.has_flag("recover");
+  options.watchdog_ms = static_cast<std::uint32_t>(
+      cli.get_bounded("watchdog-ms", 0, 0, UINT32_MAX));
+  options.fault_plan = cli.get("inject-fault", std::string());
+  options.evict_stalled = cli.has_flag("evict-stalled");
+  apply_option_flags(cli, options);
+
   // Enable metrics before the run so the report captures communication
   // volume and registry counters (RIPPLES_METRICS=1 works too).  The report
   // log flushes at exit, carrying the registry alongside the run report.
@@ -375,6 +323,18 @@ int main(int argc, char **argv) {
     }
   }();
   GraphStats stats = compute_stats(graph);
+  if (stats.num_vertices < 2) {
+    std::fprintf(stderr, "input rejected: IMM needs at least 2 vertices, the "
+                         "graph has %u\n",
+                 stats.num_vertices);
+    return 2;
+  }
+  if (options.k > stats.num_vertices) {
+    std::fprintf(stderr, "option -k expects at most the graph's %u vertices, "
+                         "got %u\n",
+                 stats.num_vertices, options.k);
+    return 2;
+  }
   std::printf("graph: %u vertices, %llu arcs | driver=%s model=%s\n",
               stats.num_vertices,
               static_cast<unsigned long long>(stats.num_edges), driver.c_str(),
@@ -382,7 +342,7 @@ int main(int argc, char **argv) {
 
   ImmResult result;
   try {
-    result = run_driver(driver, graph, cli, model, seed);
+    result = run_driver(driver, graph, options, cli);
   } catch (const checkpoint::CheckpointError &error) {
     // A snapshot that is damaged or belongs to another run is bad input,
     // refused before any sampling: a typed diagnostic, not a run failure.
@@ -420,7 +380,7 @@ int main(int argc, char **argv) {
   if (result.degraded)
     std::printf("degraded: memory budget reached; certified epsilon %.4f "
                 "(requested %.4f)\n",
-                result.epsilon_achieved, cli.get("epsilon", 0.5));
+                result.epsilon_achieved, options.epsilon);
 
   InfluenceEstimate influence;
   const auto trials = static_cast<std::uint32_t>(

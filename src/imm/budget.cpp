@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,53 +12,6 @@
 #include "support/trace.hpp"
 
 namespace ripples {
-
-CompressMode compress_mode_from_env() {
-  const char *value = std::getenv("RIPPLES_RRR_COMPRESS");
-  if (value == nullptr || *value == '\0' || std::strcmp(value, "auto") == 0)
-    return CompressMode::Auto;
-  if (std::strcmp(value, "always") == 0) return CompressMode::Always;
-  if (std::strcmp(value, "off") == 0) return CompressMode::Off;
-  std::fprintf(stderr,
-               "RIPPLES_RRR_COMPRESS: expected auto|always|off, got '%s'\n",
-               value);
-  std::exit(2);
-}
-
-std::size_t mem_budget_from_env() {
-  const char *value = std::getenv("RIPPLES_MEM_BUDGET");
-  if (value == nullptr || *value == '\0') return 0;
-  char *end = nullptr;
-  const unsigned long long bytes = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr,
-                 "RIPPLES_MEM_BUDGET: expected a byte count, got '%s'\n",
-                 value);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(bytes);
-}
-
-ScrubMode scrub_mode_from_env() {
-  const char *value = std::getenv("RIPPLES_SCRUB_RRR");
-  if (value == nullptr || *value == '\0' || std::strcmp(value, "off") == 0)
-    return ScrubMode::Off;
-  if (std::strcmp(value, "on") == 0) return ScrubMode::On;
-  if (std::strcmp(value, "paranoid") == 0) return ScrubMode::Paranoid;
-  std::fprintf(stderr,
-               "RIPPLES_SCRUB_RRR: expected off|on|paranoid, got '%s'\n",
-               value);
-  std::exit(2);
-}
-
-const char *to_string(ScrubMode mode) {
-  switch (mode) {
-  case ScrubMode::On: return "on";
-  case ScrubMode::Paranoid: return "paranoid";
-  case ScrubMode::Off: break;
-  }
-  return "off";
-}
 
 namespace detail {
 

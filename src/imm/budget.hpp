@@ -55,15 +55,6 @@ namespace ripples {
 /// ladder goes straight from shedding to stopping.
 enum class CompressMode { Auto, Always, Off };
 
-/// RIPPLES_RRR_COMPRESS: `auto` (default), `always`, or `off`.  Any other
-/// value terminates with a diagnostic — a typo'd mode would silently turn a
-/// forced-compression test into a false pass.
-[[nodiscard]] CompressMode compress_mode_from_env();
-
-/// RIPPLES_MEM_BUDGET: RRR budget in bytes, 0/unset = unlimited.  A
-/// non-numeric value terminates with a diagnostic.
-[[nodiscard]] std::size_t mem_budget_from_env();
-
 /// RRR-store scrubbing intensity (DESIGN.md §14).  `Off` pays nothing;
 /// `On` verifies the stored arena's checksums before every seed selection;
 /// `Paranoid` verifies before selection's count pass and again before each
@@ -73,12 +64,7 @@ enum class CompressMode { Auto, Always, Off };
 /// not byte-identical.
 enum class ScrubMode { Off, On, Paranoid };
 
-/// RIPPLES_SCRUB_RRR: `off` (default), `on`, or `paranoid`.  Any other
-/// value terminates with a diagnostic — a typo'd mode would silently turn a
-/// scrub test into a false pass.
-[[nodiscard]] ScrubMode scrub_mode_from_env();
-
-/// Spelling used by the CLI and the RunReport (off/on/paranoid).
+/// Spelling used by `--scrub-rrr` and the RunReport (off/on/paranoid).
 [[nodiscard]] const char *to_string(ScrubMode mode);
 
 namespace detail {

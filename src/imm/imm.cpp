@@ -1,16 +1,15 @@
 #include "imm/imm.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <string>
 
 #include "imm/imm_core.hpp"
 #include "imm/sampler.hpp"
 #include "imm/sampler_fused.hpp"
 #include "support/assert.hpp"
+#include "support/cli.hpp"
 #include "support/memory.hpp"
 #include "support/trace.hpp"
 
@@ -18,61 +17,100 @@ namespace ripples {
 
 namespace {
 
-/// The shared diagnostic of the mode readers below: a typo'd value would
-/// otherwise run silently with the default and turn a test leg into a
+/// One enum's spellings, shared by its flag (or variable) parser and its
+/// RunReport string, so each list is written once.
+template <typename Enum> struct Spelling {
+  const char *text;
+  Enum value;
+};
+
+constexpr Spelling<SamplerEngine> kSamplerSpellings[] = {
+    {"seq", SamplerEngine::Sequential}, {"fused", SamplerEngine::Fused}};
+constexpr Spelling<CompressMode> kCompressSpellings[] = {
+    {"auto", CompressMode::Auto},
+    {"always", CompressMode::Always},
+    {"off", CompressMode::Off}};
+constexpr Spelling<StealMode> kStealSpellings[] = {{"off", StealMode::Off},
+                                                   {"on", StealMode::On}};
+constexpr Spelling<ScrubMode> kScrubSpellings[] = {
+    {"off", ScrubMode::Off},
+    {"on", ScrubMode::On},
+    {"paranoid", ScrubMode::Paranoid}};
+
+template <typename Enum, std::size_t N>
+const char *spelling_of(const Spelling<Enum> (&table)[N], Enum value) {
+  for (const Spelling<Enum> &entry : table)
+    if (entry.value == value) return entry.text;
+  return "?";
+}
+
+/// The value \p text spells in \p table.  Anything else terminates with a
+/// diagnostic naming \p source and the accepted spellings (exit 2): a typo'd
+/// value would otherwise run with the default and turn a test leg into a
 /// false pass.
-[[noreturn]] void reject_env(const char *name, const char *expected,
-                             const char *value) {
-  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, value);
+template <typename Enum, std::size_t N>
+Enum parse_spelling(const Spelling<Enum> (&table)[N], const char *source,
+                    const std::string &text) {
+  std::string expected;
+  for (const Spelling<Enum> &entry : table) {
+    if (text == entry.text) return entry.value;
+    expected += expected.empty() ? "" : "|";
+    expected += entry.text;
+  }
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", source,
+               expected.c_str(), text.c_str());
   std::exit(2);
 }
 
-bool unset_or_is(const char *value, const char *default_spelling) {
-  return value == nullptr || *value == '\0' ||
-         std::strcmp(value, default_spelling) == 0;
+/// Sets \p field from `--name`, when given; a bare `--name` is refused like
+/// a misspelled value.
+template <typename Enum, std::size_t N>
+void parse_enum_flag(const CommandLine &cli, const char *name,
+                     const Spelling<Enum> (&table)[N], Enum &field) {
+  if (!cli.has_flag(name)) return;
+  const std::string flag = std::string("--") + name;
+  field = parse_spelling(table, flag.c_str(), cli.get(name, std::string()));
 }
 
 } // namespace
 
 SamplerEngine sampler_engine_from_env() {
   const char *value = std::getenv("RIPPLES_SAMPLER");
-  if (unset_or_is(value, "seq")) return SamplerEngine::Sequential;
-  if (std::strcmp(value, "fused") == 0) return SamplerEngine::Fused;
-  reject_env("RIPPLES_SAMPLER", "seq|fused", value);
-}
-
-StealMode steal_mode_from_env() {
-  const char *value = std::getenv("RIPPLES_STEAL");
-  if (unset_or_is(value, "off")) return StealMode::Off;
-  if (std::strcmp(value, "on") == 0) return StealMode::On;
-  reject_env("RIPPLES_STEAL", "off|on", value);
-}
-
-std::uint64_t steal_chunk_from_env() {
-  const char *value = std::getenv("RIPPLES_STEAL_CHUNK");
-  if (value == nullptr || *value == '\0') return 64; // one fused batch
-  char *end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  // strtoull would accept leading blanks and a sign; a chunk is digits only.
-  if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
-      errno == ERANGE || parsed == 0)
-    reject_env("RIPPLES_STEAL_CHUNK", "a positive integer", value);
-  return static_cast<std::uint64_t>(parsed);
-}
-
-bool steal_skew_from_env() {
-  const char *value = std::getenv("RIPPLES_STEAL_SKEW");
-  return value != nullptr &&
-         (std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0);
+  if (value == nullptr || *value == '\0') return SamplerEngine::Sequential;
+  return parse_spelling(kSamplerSpellings, "RIPPLES_SAMPLER", value);
 }
 
 const char *to_string(StealMode mode) {
-  switch (mode) {
-  case StealMode::Off: return "off";
-  case StealMode::On: return "on";
-  }
-  return "?";
+  return spelling_of(kStealSpellings, mode);
+}
+
+const char *to_string(ScrubMode mode) {
+  return spelling_of(kScrubSpellings, mode);
+}
+
+void apply_option_flags(const CommandLine &cli, ImmOptions &options) {
+  parse_enum_flag(cli, "sampler", kSamplerSpellings, options.sampler);
+  options.mem_budget = static_cast<std::size_t>(cli.get_bounded(
+      "mem-budget", static_cast<std::int64_t>(options.mem_budget), 0,
+      std::numeric_limits<std::int64_t>::max()));
+  parse_enum_flag(cli, "rrr-compress", kCompressSpellings,
+                  options.rrr_compress);
+  parse_enum_flag(cli, "steal", kStealSpellings, options.steal);
+  options.steal_chunk = static_cast<std::uint64_t>(cli.get_bounded(
+      "steal-chunk", static_cast<std::int64_t>(options.steal_chunk), 1,
+      std::numeric_limits<std::int64_t>::max()));
+  if (cli.has_flag("steal-skew")) options.steal_skew = true;
+  if (cli.has_flag("verify-collectives")) options.verify_collectives = true;
+  parse_enum_flag(cli, "scrub-rrr", kScrubSpellings, options.scrub_rrr);
+  checkpoint::Options &checkpoint = options.checkpoint;
+  checkpoint.dir = cli.get("checkpoint-dir", checkpoint.dir);
+  checkpoint.every = static_cast<std::uint32_t>(cli.get_bounded(
+      "checkpoint-every", checkpoint.every, 1,
+      std::numeric_limits<std::uint32_t>::max()));
+  checkpoint.keep_last = static_cast<std::uint32_t>(cli.get_bounded(
+      "checkpoint-keep", checkpoint.keep_last, 1,
+      std::numeric_limits<std::uint32_t>::max()));
+  if (cli.has_flag("resume")) checkpoint.resume = true;
 }
 
 namespace detail {
@@ -89,9 +127,7 @@ void finalize_run_report(ImmResult &result, const char *driver,
   report.num_threads = options.num_threads;
   report.num_ranks = options.num_ranks;
   report.mem_budget = options.mem_budget;
-  report.rrr_compress = options.rrr_compress == CompressMode::Always ? "always"
-                        : options.rrr_compress == CompressMode::Off  ? "off"
-                                                                     : "auto";
+  report.rrr_compress = spelling_of(kCompressSpellings, options.rrr_compress);
   report.steal = to_string(options.steal);
   report.steal_chunk = options.steal_chunk;
   report.steal_skew = options.steal_skew;

@@ -26,7 +26,6 @@
 #include "diffusion/model.hpp"
 #include "graph/csr.hpp"
 #include "imm/budget.hpp"
-#include "mpsim/integrity.hpp"
 #include "support/checkpoint.hpp"
 #include "support/metrics.hpp"
 #include "support/timer.hpp"
@@ -62,9 +61,11 @@ enum class SamplerEngine {
 };
 
 /// Reads RIPPLES_SAMPLER: `seq` (default, also when unset or empty) or
-/// `fused`, so check.sh can rerun the whole suite under the fused engine
-/// without touching call sites.  Any other value terminates with a
-/// diagnostic (exit 2).
+/// `fused`.  The one environment default left in ImmOptions: CI, check.sh
+/// and the TSan/ASan legs rerun whole test suites under the fused engine
+/// through it without touching call sites.  It goes when the engine option
+/// does (the scalar engine's deletion, ROADMAP).  Any other value
+/// terminates with a diagnostic (exit 2).
 [[nodiscard]] SamplerEngine sampler_engine_from_env();
 
 /// Inter-rank work stealing in the sampling phase (DESIGN.md §13).  Because
@@ -83,20 +84,10 @@ enum class StealMode {
   On,
 };
 
-/// Reads RIPPLES_STEAL: `off` (default, also when unset or empty) or `on`.
-/// Any other value terminates with a diagnostic (exit 2).
-[[nodiscard]] StealMode steal_mode_from_env();
-
 [[nodiscard]] const char *to_string(StealMode mode);
 
-/// Reads RIPPLES_STEAL_CHUNK: draws per chunk, a positive integer; unset or
-/// empty selects the default of 64 (one fused batch per chunk).  Anything
-/// else terminates with a diagnostic (exit 2).
-[[nodiscard]] std::uint64_t steal_chunk_from_env();
-
-/// Reads RIPPLES_STEAL_SKEW ("1"/"on" enables).
-[[nodiscard]] bool steal_skew_from_env();
-
+/// One run's configuration.  Plain data apart from `sampler`: a field is
+/// set by code, or from its command-line flag by apply_option_flags.
 struct ImmOptions {
   double epsilon = 0.5;
   std::uint32_t k = 50;
@@ -141,8 +132,8 @@ struct ImmOptions {
 
   // Durable checkpoint/restart (the mpsim drivers; see DESIGN.md §9).
   /// Snapshot directory, write stride, resume flag, retention.  An empty
-  /// dir disables checkpointing; defaults come from RIPPLES_CHECKPOINT_*.
-  checkpoint::Options checkpoint = checkpoint::options_from_env();
+  /// dir disables checkpointing.
+  checkpoint::Options checkpoint;
 
   /// Ignored: the mpsim drivers always allreduce their counters.  Kept,
   /// like rng_mode and selection_topm, only for bench/perf/perf_suite's
@@ -152,52 +143,62 @@ struct ImmOptions {
   std::uint32_t selection_topm = 16;
 
   // Memory-pressure resilience (DESIGN.md §12).
-  /// Enforced RRR reservation budget in bytes, 0 = unlimited; defaults from
-  /// RIPPLES_MEM_BUDGET (`--mem-budget` in imm_cli).  The shared-memory
-  /// drivers and every imm_distributed rank always store RRR sets in the
-  /// governor's store; a finite budget (or a kind=oom fault, or
+  /// Enforced RRR reservation budget in bytes, 0 = unlimited
+  /// (`--mem-budget`).  The shared-memory drivers and every imm_distributed
+  /// rank always store RRR sets in the governor's store; a finite budget (or a kind=oom fault, or
   /// rrr_compress == Always) makes it admit in budget-charged chunks,
   /// otherwise it admits each extend whole.
   /// The baseline-hypergraph and partitioned drivers stay ungoverned: the
   /// former *is* Table 2's memory-hungry reference, the latter stores
   /// per-rank sample slices whose budget story is future work.
-  std::size_t mem_budget = mem_budget_from_env();
-  /// When the governor may switch to the compressed RRR representation;
-  /// defaults from RIPPLES_RRR_COMPRESS (`--rrr-compress` in imm_cli).
-  CompressMode rrr_compress = compress_mode_from_env();
+  std::size_t mem_budget = 0;
+  /// When the governor may switch to the compressed RRR representation
+  /// (`--rrr-compress`).
+  CompressMode rrr_compress = CompressMode::Auto;
 
   // Work-stealing sampler (DESIGN.md §13).
-  /// Inter-rank stealing (`--steal`); defaults from RIPPLES_STEAL.  A
-  /// placement knob only — seeds/theta/|R|/coverage are byte-identical in
-  /// both modes and under every steal schedule (stealing_test sweeps them).
+  /// Inter-rank stealing (`--steal`).  A placement knob only —
+  /// seeds/theta/|R|/coverage are byte-identical in both modes and under
+  /// every steal schedule (stealing_test sweeps them).
   /// imm_distributed is the consumer (On donates chunks to the mpsim steal
   /// channel); the other drivers ignore the knob.
-  StealMode steal = steal_mode_from_env();
-  /// Draws per stealable chunk (`--steal-chunk`); defaults from
-  /// RIPPLES_STEAL_CHUNK, 0 is clamped to 1.
-  std::uint64_t steal_chunk = steal_chunk_from_env();
+  StealMode steal = StealMode::Off;
+  /// Draws per stealable chunk (`--steal-chunk`); the default is one fused
+  /// batch, and 0 is clamped to 1.
+  std::uint64_t steal_chunk = 64;
   /// Test/benchmark knob (`--steal-skew`): home every stream's generation
   /// on the first live rank, manufacturing the fig7 pathological partition.
   /// With stealing off this is the worst-case baseline; with stealing on,
   /// thieves spread the same draws — byte-identical seeds either way.
   /// imm_distributed, ungoverned store only.
-  bool steal_skew = steal_skew_from_env();
+  bool steal_skew = false;
 
   // End-to-end data integrity (DESIGN.md §14).
   /// Checksum every collective payload, mailbox message, and steal-channel
   /// item (`--verify-collectives`); a mismatch is retried against the
   /// sender's still-live buffer with capped exponential backoff and
   /// escalates to the shrink-and-heal path when the budget exhausts, so the
-  /// healed run's seeds equal a failure-free run's exactly.  Defaults from
-  /// RIPPLES_VERIFY_COLLECTIVES; imm_distributed only (the shared-memory
-  /// drivers have no exchanges to checksum).
-  bool verify_collectives = mpsim::verify_collectives_from_env();
-  /// RRR-store scrubbing (`--scrub-rrr off|on|paranoid`); defaults from
-  /// RIPPLES_SCRUB_RRR.  Applies to the compressed arena of the drivers'
-  /// RRR store, the only checksummed representation; a run that never
-  /// compresses has nothing to scrub.
-  ScrubMode scrub_rrr = scrub_mode_from_env();
+  /// healed run's seeds equal a failure-free run's exactly.  The mpsim
+  /// drivers only (the shared-memory drivers have no exchanges to
+  /// checksum).
+  bool verify_collectives = false;
+  /// RRR-store scrubbing (`--scrub-rrr off|on|paranoid`).  Applies to the
+  /// compressed arena of the drivers' RRR store, the only checksummed
+  /// representation; a run that never compresses has nothing to scrub.
+  ScrubMode scrub_rrr = ScrubMode::Off;
 };
+
+class CommandLine;
+
+/// Sets the ImmOptions fields that have a command-line flag shared by
+/// imm_cli and the bench binaries: `--sampler`, `--mem-budget`,
+/// `--rrr-compress`, `--steal`, `--steal-chunk`, `--steal-skew`,
+/// `--verify-collectives`, `--scrub-rrr`, `--checkpoint-dir`,
+/// `--checkpoint-every`, `--checkpoint-keep` and `--resume`.  An absent
+/// flag leaves its field as it was; a malformed or out-of-range value
+/// terminates with a diagnostic naming the flag and what it accepts
+/// (exit 2).
+void apply_option_flags(const CommandLine &cli, ImmOptions &options);
 
 struct ImmResult {
   std::vector<vertex_t> seeds;

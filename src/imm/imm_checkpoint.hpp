@@ -122,7 +122,7 @@ inline DriverCheckpoint prepare_driver_checkpoint(const char *driver,
     if (config.resume)
       throw std::runtime_error(
           "ripples checkpoint: --resume requires a checkpoint directory "
-          "(--checkpoint-dir or RIPPLES_CHECKPOINT_DIR)");
+          "(--checkpoint-dir)");
     return state;
   }
   state.fingerprint = make_run_fingerprint(driver, graph, options);

@@ -1,8 +1,6 @@
 #include "mpsim/integrity.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -40,13 +38,6 @@ void backoff_sleep(int attempt) {
     hook(delay);
   else
     std::this_thread::sleep_for(delay);
-}
-
-bool verify_collectives_from_env() {
-  const char *value = std::getenv("RIPPLES_VERIFY_COLLECTIVES");
-  if (value == nullptr) return false;
-  return std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0 ||
-         std::strcmp(value, "true") == 0 || std::strcmp(value, "yes") == 0;
 }
 
 namespace {

@@ -63,9 +63,6 @@ private:
   BackoffHook previous_;
 };
 
-/// `RIPPLES_VERIFY_COLLECTIVES` truthy values: 1/on/true/yes.
-[[nodiscard]] bool verify_collectives_from_env();
-
 /// Thrown by a rank whose own payload kept failing verification after the
 /// full retry budget — the producer of the bad bytes, not its detectors.
 /// The message is a pure function of the coordinates, so repeated runs of

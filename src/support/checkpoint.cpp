@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -309,46 +308,6 @@ void require_matching_fingerprint(const Snapshot &snapshot,
       "ripples checkpoint: snapshot belongs to a different run; mismatched "
       "fields: " +
           expected.describe_mismatch(snapshot.fingerprint));
-}
-
-// ---------------------------------------------------------------------------
-// Environment defaults
-
-namespace {
-
-std::uint32_t env_u32(const char *name, std::uint32_t fallback) {
-  const char *value = std::getenv(name);
-  if (value == nullptr || *value == '\0')
-    return fallback;
-  char *end = nullptr;
-  errno = 0;
-  unsigned long parsed = std::strtoul(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0') {
-    std::fprintf(stderr, "ripples: %s must be a non-negative integer, got %s\n",
-                 name, value);
-    std::exit(2);
-  }
-  return static_cast<std::uint32_t>(parsed);
-}
-
-bool env_flag(const char *name) {
-  const char *value = std::getenv(name);
-  if (value == nullptr)
-    return false;
-  return std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0 ||
-         std::strcmp(value, "on") == 0;
-}
-
-} // namespace
-
-Options options_from_env() {
-  Options options;
-  if (const char *dir = std::getenv("RIPPLES_CHECKPOINT_DIR"))
-    options.dir = dir;
-  options.every = std::max(1u, env_u32("RIPPLES_CHECKPOINT_EVERY", 1));
-  options.resume = env_flag("RIPPLES_CHECKPOINT_RESUME");
-  options.keep_last = std::max(1u, env_u32("RIPPLES_CHECKPOINT_KEEP", 3));
-  return options;
 }
 
 // ---------------------------------------------------------------------------

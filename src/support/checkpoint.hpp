@@ -137,10 +137,9 @@ struct Snapshot {
 void require_matching_fingerprint(const Snapshot &snapshot,
                                   const RunFingerprint &expected);
 
-/// Checkpoint/resume knobs carried by ImmOptions.  Defaults come from the
-/// RIPPLES_CHECKPOINT_* environment (see options_from_env), mirroring the
-/// RIPPLES_METRICS / RIPPLES_SAMPLER idiom so benches and test
-/// legs can turn checkpointing on without touching call sites.
+/// Checkpoint/resume knobs carried by ImmOptions, set by code or by the
+/// `--checkpoint-dir`, `--checkpoint-every`, `--checkpoint-keep` and
+/// `--resume` flags (apply_option_flags).  The defaults checkpoint nothing.
 struct Options {
   /// Snapshot directory; empty disables checkpointing entirely.
   std::string dir;
@@ -152,10 +151,6 @@ struct Options {
   /// Snapshots retained on disk; older ones are pruned after each write.
   std::uint32_t keep_last = 3;
 };
-
-/// Reads RIPPLES_CHECKPOINT_DIR / _EVERY / _RESUME / _KEEP ("1", "true",
-/// "on" enable _RESUME; malformed numbers terminate with a diagnostic).
-[[nodiscard]] Options options_from_env();
 
 /// Owns one snapshot directory: atomic write-rename, last-N retention,
 /// boundary thinning, and diagnosed (never crashing) recovery of the newest

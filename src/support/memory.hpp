@@ -66,8 +66,8 @@ struct OomFaultSpec {
 /// The tracker doubles as the budget authority (DESIGN.md §12): consumers
 /// that can react to memory pressure route their growth through
 /// try_reserve()/release() and the reserved total is checked against the
-/// enforced budget (`--mem-budget` / RIPPLES_MEM_BUDGET).  Reservations are
-/// *cooperative* — an untracked allocation is not stopped — which keeps
+/// enforced budget (`--mem-budget` / ImmOptions::mem_budget).  Reservations
+/// are *cooperative* — an untracked allocation is not stopped — which keeps
 /// refusal a catchable decision point on the requesting thread instead of a
 /// bad_alloc inside a parallel region.
 class MemoryTracker {

@@ -300,25 +300,6 @@ TEST_F(CheckpointDir, ForeignFilesAreIgnoredNotDeleted) {
   EXPECT_TRUE(fs::exists(dir() + "/notes.txt"));
 }
 
-TEST(CheckpointEnv, OptionsComeFromTheEnvironment) {
-  ::setenv("RIPPLES_CHECKPOINT_DIR", "/tmp/ripples-env-ckpt", 1);
-  ::setenv("RIPPLES_CHECKPOINT_EVERY", "4", 1);
-  ::setenv("RIPPLES_CHECKPOINT_RESUME", "1", 1);
-  ::setenv("RIPPLES_CHECKPOINT_KEEP", "7", 1);
-  checkpoint::Options options = checkpoint::options_from_env();
-  ::unsetenv("RIPPLES_CHECKPOINT_DIR");
-  ::unsetenv("RIPPLES_CHECKPOINT_EVERY");
-  ::unsetenv("RIPPLES_CHECKPOINT_RESUME");
-  ::unsetenv("RIPPLES_CHECKPOINT_KEEP");
-  EXPECT_EQ(options.dir, "/tmp/ripples-env-ckpt");
-  EXPECT_EQ(options.every, 4u);
-  EXPECT_TRUE(options.resume);
-  EXPECT_EQ(options.keep_last, 7u);
-  checkpoint::Options defaults = checkpoint::options_from_env();
-  EXPECT_TRUE(defaults.dir.empty());
-  EXPECT_FALSE(defaults.resume);
-}
-
 // --- kill/resume equivalence -------------------------------------------------
 
 CsrGraph checkpoint_graph(
@@ -351,7 +332,6 @@ ImmOptions cell_options(const ResumeCell &cell) {
   // Counter streams key every draw by its global sample index, so a rank's
   // thread team changes who draws a sample, never which sample it is.
   options.num_threads = std::get<4>(cell);
-  options.checkpoint = {}; // isolate from any ambient RIPPLES_CHECKPOINT_*
   return options;
 }
 

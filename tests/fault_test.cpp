@@ -168,7 +168,7 @@ TEST(FaultPlan, InjectedFaultMessageIsDeterministic) {
 TEST(FaultEnv, DefaultRunOptionsIgnoreTheEnvironment) {
   // RunOptions and the drivers' fault plan are explicit: an empty plan, a
   // zero watchdog and verification off stay off whatever the environment
-  // says.  Only ImmOptions reads RIPPLES_VERIFY_COLLECTIVES, as a default.
+  // says (imm_test pins the same for ImmOptions).
   setenv("RIPPLES_FAULTS", "rank=1,site=0;rank=0,site=1,kind=oom", 1);
   setenv("RIPPLES_WATCHDOG_MS", "1", 1);
   setenv("RIPPLES_VERIFY_COLLECTIVES", "1", 1);

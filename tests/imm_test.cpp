@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "diffusion/simulate.hpp"
 #include "graph/generators.hpp"
@@ -220,6 +224,59 @@ TEST(ImmDeterminism, DifferentSeedsUsuallyDiffer) {
   // Not guaranteed to differ, but with k=10 over 600 vertices a collision of
   // the full ordered seed vector would be extraordinary.
   EXPECT_NE(a.seeds, b.seeds);
+}
+
+// --- no environment defaults --------------------------------------------------
+
+TEST(ImmOptionsEnv, RetiredVariablesReachNeitherDefaultsNorRuns) {
+  // ImmOptions is plain data apart from `sampler`: these variables once set
+  // its defaults and now mean nothing.  Each is set off its default here.
+  const std::string checkpoint_dir =
+      ::testing::TempDir() + "ripples_imm_options_env_ckpt";
+  std::filesystem::remove_all(checkpoint_dir);
+  const std::pair<const char *, std::string> retired[] = {
+      {"RIPPLES_STEAL", "on"},
+      {"RIPPLES_STEAL_CHUNK", "17"},
+      {"RIPPLES_STEAL_SKEW", "1"},
+      {"RIPPLES_MEM_BUDGET", "-1"},
+      {"RIPPLES_RRR_COMPRESS", "always"},
+      {"RIPPLES_SCRUB_RRR", "paranoid"},
+      {"RIPPLES_VERIFY_COLLECTIVES", "1"},
+      {"RIPPLES_CHECKPOINT_DIR", checkpoint_dir},
+      {"RIPPLES_CHECKPOINT_EVERY", "4"},
+      {"RIPPLES_CHECKPOINT_KEEP", "7"},
+      {"RIPPLES_CHECKPOINT_RESUME", "1"},
+  };
+  for (const auto &[name, value] : retired) setenv(name, value.c_str(), 1);
+  const ImmOptions defaults;
+  CsrGraph graph = test_graph(DiffusionModel::IndependentCascade);
+  ImmOptions options = base_options(DiffusionModel::IndependentCascade);
+  options.num_ranks = 2;
+  const ImmResult result = imm_distributed(graph, options);
+  for (const auto &[name, value] : retired) unsetenv(name);
+
+  EXPECT_EQ(defaults.mem_budget, 0u);
+  EXPECT_EQ(defaults.rrr_compress, CompressMode::Auto);
+  EXPECT_EQ(defaults.steal, StealMode::Off);
+  EXPECT_EQ(defaults.steal_chunk, 64u);
+  EXPECT_FALSE(defaults.steal_skew);
+  EXPECT_FALSE(defaults.verify_collectives);
+  EXPECT_EQ(defaults.scrub_rrr, ScrubMode::Off);
+  EXPECT_TRUE(defaults.checkpoint.dir.empty());
+  EXPECT_EQ(defaults.checkpoint.every, 1u);
+  EXPECT_EQ(defaults.checkpoint.keep_last, 3u);
+  EXPECT_FALSE(defaults.checkpoint.resume);
+
+  const metrics::RunReport &report = result.report;
+  EXPECT_EQ(report.mem_budget, 0u);
+  EXPECT_EQ(report.rrr_compress, "auto");
+  EXPECT_EQ(report.steal, "off");
+  EXPECT_EQ(report.steal_chunk, 64u);
+  EXPECT_FALSE(report.steal_skew);
+  EXPECT_FALSE(report.verify_collectives);
+  EXPECT_EQ(report.scrub_rrr, "off");
+  EXPECT_FALSE(std::filesystem::exists(checkpoint_dir))
+      << "the run wrote snapshots to RIPPLES_CHECKPOINT_DIR";
 }
 
 TEST(ImmEdgeCases, KEqualsOneWorks) {

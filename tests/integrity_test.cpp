@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <random>
@@ -81,19 +80,6 @@ TEST(Backoff, ScopedHooksNestAndRestore) {
   backoff_sleep(1);
   EXPECT_EQ(inner, 1);
   EXPECT_EQ(outer, 1);
-}
-
-// --- environment readers -----------------------------------------------------
-
-TEST(IntegrityEnv, VerifyCollectivesAcceptsTheUsualTruthySpellings) {
-  for (const char *value : {"1", "on", "true", "yes"}) {
-    setenv("RIPPLES_VERIFY_COLLECTIVES", value, 1);
-    EXPECT_TRUE(verify_collectives_from_env()) << value;
-  }
-  setenv("RIPPLES_VERIFY_COLLECTIVES", "0", 1);
-  EXPECT_FALSE(verify_collectives_from_env());
-  unsetenv("RIPPLES_VERIFY_COLLECTIVES");
-  EXPECT_FALSE(verify_collectives_from_env());
 }
 
 // --- verified collectives: detect, retry, escalate ---------------------------
@@ -295,20 +281,6 @@ namespace {
 
 std::uint64_t counter_value(const char *name) {
   return metrics::Registry::instance().counter(name).value();
-}
-
-TEST(ScrubEnv, ModeReaderParsesTheThreeSpellings) {
-  setenv("RIPPLES_SCRUB_RRR", "off", 1);
-  EXPECT_EQ(scrub_mode_from_env(), ScrubMode::Off);
-  setenv("RIPPLES_SCRUB_RRR", "on", 1);
-  EXPECT_EQ(scrub_mode_from_env(), ScrubMode::On);
-  setenv("RIPPLES_SCRUB_RRR", "paranoid", 1);
-  EXPECT_EQ(scrub_mode_from_env(), ScrubMode::Paranoid);
-  unsetenv("RIPPLES_SCRUB_RRR");
-  EXPECT_EQ(scrub_mode_from_env(), ScrubMode::Off);
-  EXPECT_STREQ(to_string(ScrubMode::Off), "off");
-  EXPECT_STREQ(to_string(ScrubMode::On), "on");
-  EXPECT_STREQ(to_string(ScrubMode::Paranoid), "paranoid");
 }
 
 std::vector<RRRSet> random_sets(std::size_t count, std::uint64_t seed,

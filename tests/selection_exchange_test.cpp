@@ -43,8 +43,8 @@ CsrGraph pick_graph(DiffusionModel model) {
 }
 
 /// (ranks, k, diffusion model, threads per rank, stored representation).
-/// The matrix keeps the ambient representation (CompressMode::Auto leaves
-/// it to RIPPLES_RRR_COMPRESS) with one and two threads per rank; the
+/// The matrix keeps the default representation (CompressMode::Auto leaves
+/// ImmOptions' default in place) with one and two threads per rank; the
 /// threaded-rank cells also force each representation.  LT's sets are a
 /// few vertices long, so its counters are sparse and its rounds are
 /// decided by small margins.

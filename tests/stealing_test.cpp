@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -311,94 +309,6 @@ TEST(StealLedger, ForcedStealChargesExecutingRanksConsistently) {
   // Skew homes every draw on one rank; with stealing forced on, at least
   // one thief must have executed (and been charged for) stolen chunks.
   EXPECT_GT(executing_ranks, 1);
-}
-
-// --- environment defaults -----------------------------------------------------
-
-/// Sets (or, for nullptr, unsets) one variable for the test's lifetime and
-/// restores the ambient value afterwards.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *name, const char *value) : name_(name) {
-    if (const char *ambient = std::getenv(name)) saved_ = ambient;
-    if (value != nullptr)
-      setenv(name, value, 1);
-    else
-      unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (saved_)
-      setenv(name_, saved_->c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv &) = delete;
-  ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-private:
-  const char *name_;
-  std::optional<std::string> saved_;
-};
-
-TEST(StealEnv, ReadersAcceptEverySpellingAndDefaultWhenUnsetOrEmpty) {
-  {
-    ScopedEnv unset("RIPPLES_STEAL", nullptr);
-    EXPECT_EQ(steal_mode_from_env(), StealMode::Off);
-  }
-  const std::pair<const char *, StealMode> spellings[] = {
-      {"", StealMode::Off}, {"off", StealMode::Off}, {"on", StealMode::On}};
-  for (const auto &[spelling, mode] : spellings) {
-    ScopedEnv set("RIPPLES_STEAL", spelling);
-    EXPECT_EQ(steal_mode_from_env(), mode) << "'" << spelling << "'";
-  }
-  {
-    ScopedEnv unset("RIPPLES_STEAL_CHUNK", nullptr);
-    EXPECT_EQ(steal_chunk_from_env(), 64u);
-  }
-  {
-    ScopedEnv empty("RIPPLES_STEAL_CHUNK", "");
-    EXPECT_EQ(steal_chunk_from_env(), 64u);
-  }
-  ScopedEnv chunk("RIPPLES_STEAL_CHUNK", "17");
-  EXPECT_EQ(steal_chunk_from_env(), 17u);
-}
-
-using StealEnvDeathTest = ::testing::Test;
-
-TEST(StealEnvDeathTest, TypoedModeIsRejected) {
-  EXPECT_EXIT(
-      {
-        setenv("RIPPLES_STEAL", "onn", 1);
-        (void)steal_mode_from_env();
-      },
-      ::testing::ExitedWithCode(2),
-      "RIPPLES_STEAL: expected off.on, got 'onn'");
-}
-
-TEST(StealEnvDeathTest, RetiredScopeSpellingsAreRejected) {
-  // Scripts written for the four-scope knob must fail loudly: silently
-  // mapping either spelling onto `on` or `off` would change what they run.
-  for (const char *retired : {"intra", "inter"})
-    EXPECT_EXIT(
-        {
-          setenv("RIPPLES_STEAL", retired, 1);
-          (void)steal_mode_from_env();
-        },
-        ::testing::ExitedWithCode(2),
-        "RIPPLES_STEAL: expected off.on, got")
-        << "'" << retired << "'";
-}
-
-TEST(StealEnvDeathTest, NonPositiveOrMalformedChunkIsRejected) {
-  for (const char *bad : {"0", "-3", "12x", " 8", "99999999999999999999999"})
-    EXPECT_EXIT(
-        {
-          setenv("RIPPLES_STEAL_CHUNK", bad, 1);
-          (void)steal_chunk_from_env();
-        },
-        ::testing::ExitedWithCode(2),
-        "RIPPLES_STEAL_CHUNK: expected a positive integer")
-        << "'" << bad << "'";
 }
 
 } // namespace
