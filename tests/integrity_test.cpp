@@ -28,6 +28,7 @@
 #include "imm/select.hpp"
 #include "mpsim/communicator.hpp"
 #include "mpsim/integrity.hpp"
+#include "support/cli.hpp"
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
@@ -281,6 +282,25 @@ namespace {
 
 std::uint64_t counter_value(const char *name) {
   return metrics::Registry::instance().counter(name).value();
+}
+
+// `--scrub-rrr` replaced the RIPPLES_SCRUB_RRR variable; this cell keeps its
+// reader's name and pins the same three spellings on apply_option_flags.
+TEST(ScrubEnv, ModeReaderParsesTheThreeSpellings) {
+  const auto scrub_from_flags = [](std::vector<const char *> flags) {
+    flags.insert(flags.begin(), "integrity_test");
+    const CommandLine cli(static_cast<int>(flags.size()), flags.data());
+    ImmOptions options;
+    apply_option_flags(cli, options);
+    return options.scrub_rrr;
+  };
+  EXPECT_EQ(scrub_from_flags({"--scrub-rrr", "off"}), ScrubMode::Off);
+  EXPECT_EQ(scrub_from_flags({"--scrub-rrr", "on"}), ScrubMode::On);
+  EXPECT_EQ(scrub_from_flags({"--scrub-rrr", "paranoid"}), ScrubMode::Paranoid);
+  EXPECT_EQ(scrub_from_flags({}), ScrubMode::Off);
+  EXPECT_STREQ(to_string(ScrubMode::Off), "off");
+  EXPECT_STREQ(to_string(ScrubMode::On), "on");
+  EXPECT_STREQ(to_string(ScrubMode::Paranoid), "paranoid");
 }
 
 std::vector<RRRSet> random_sets(std::size_t count, std::uint64_t seed,

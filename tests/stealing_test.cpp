@@ -23,6 +23,7 @@
 #include "imm/sampler.hpp"
 #include "imm/steal.hpp"
 #include "mpsim/communicator.hpp"
+#include "support/cli.hpp"
 #include "support/metrics.hpp"
 #include "support/steal_schedule.hpp"
 
@@ -309,6 +310,68 @@ TEST(StealLedger, ForcedStealChargesExecutingRanksConsistently) {
   // Skew homes every draw on one rank; with stealing forced on, at least
   // one thief must have executed (and been charged for) stolen chunks.
   EXPECT_GT(executing_ranks, 1);
+}
+
+// --- option flags ---------------------------------------------------------------
+//
+// `--steal` and `--steal-chunk` replaced the RIPPLES_STEAL and
+// RIPPLES_STEAL_CHUNK variables; these cells keep those readers' names and
+// pin the same spelling rules on apply_option_flags.
+
+/// The ImmOptions that apply_option_flags makes of \p flags.
+ImmOptions options_from_flags(std::vector<const char *> flags) {
+  flags.insert(flags.begin(), "stealing_test");
+  const CommandLine cli(static_cast<int>(flags.size()), flags.data());
+  ImmOptions options;
+  apply_option_flags(cli, options);
+  return options;
+}
+
+TEST(StealEnv, ReadersAcceptEverySpellingAndDefaultWhenUnsetOrEmpty) {
+  const ImmOptions unset = options_from_flags({});
+  EXPECT_EQ(unset.steal, StealMode::Off);
+  EXPECT_EQ(unset.steal_chunk, 64u);
+  const std::pair<const char *, StealMode> spellings[] = {
+      {"off", StealMode::Off}, {"on", StealMode::On}};
+  for (const auto &[spelling, mode] : spellings) {
+    EXPECT_EQ(options_from_flags({"--steal", spelling}).steal, mode)
+        << "'" << spelling << "'";
+    EXPECT_STREQ(to_string(mode), spelling);
+  }
+  EXPECT_EQ(options_from_flags({"--steal-chunk", "17"}).steal_chunk, 17u);
+  EXPECT_EQ(options_from_flags({"--steal-chunk=17"}).steal_chunk, 17u);
+}
+
+using StealEnvDeathTest = ::testing::Test;
+
+TEST(StealEnvDeathTest, TypoedModeIsRejected) {
+  EXPECT_EXIT((void)options_from_flags({"--steal", "onn"}),
+              ::testing::ExitedWithCode(2),
+              "--steal: expected off.on, got 'onn'");
+  // An empty value is refused too: it would otherwise run with the default.
+  EXPECT_EXIT((void)options_from_flags({"--steal="}),
+              ::testing::ExitedWithCode(2), "--steal: expected off.on, got ''");
+}
+
+TEST(StealEnvDeathTest, RetiredScopeSpellingsAreRejected) {
+  // Scripts written for the four-scope knob must fail loudly: silently
+  // mapping either spelling onto `on` or `off` would change what they run.
+  for (const char *retired : {"intra", "inter"})
+    EXPECT_EXIT((void)options_from_flags({"--steal", retired}),
+                ::testing::ExitedWithCode(2), "--steal: expected off.on, got")
+        << "'" << retired << "'";
+}
+
+TEST(StealEnvDeathTest, NonPositiveOrMalformedChunkIsRejected) {
+  for (const char *bad : {"0", "-3"})
+    EXPECT_EXIT((void)options_from_flags({"--steal-chunk", bad}),
+                ::testing::ExitedWithCode(2),
+                "option --steal-chunk expects a value in")
+        << "'" << bad << "'";
+  for (const char *bad : {"12x", "99999999999999999999999"})
+    EXPECT_EXIT((void)options_from_flags({"--steal-chunk", bad}),
+                ::testing::ExitedWithCode(2), "option --steal-chunk")
+        << "'" << bad << "'";
 }
 
 } // namespace
