@@ -16,7 +16,7 @@ using namespace ripples::bench;
 int main(int argc, char **argv) {
   CommandLine cli(argc, argv);
   BenchConfig config = BenchConfig::parse(cli, /*default_scale=*/0.02);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
   const auto k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{20}));
 
   CsrGraph graph = build_input("soc-Epinions1", config,

@@ -21,7 +21,7 @@ inline int run_dist_scaling(int argc, char **argv,
                             const char *figure_name, double default_scale) {
   CommandLine cli(argc, argv);
   BenchConfig config = BenchConfig::parse(cli, default_scale);
-  const double epsilon = cli.get("epsilon", config.full ? 0.13 : 0.30);
+  const double epsilon = epsilon_flag(cli, config.full ? 0.13 : 0.30);
   const auto k = static_cast<std::uint32_t>(
       cli.get_bounded("k", config.full ? 200 : 50, 1, UINT32_MAX));
 

@@ -12,7 +12,7 @@ using namespace ripples::bench;
 int main(int argc, char **argv) {
   CommandLine cli(argc, argv);
   BenchConfig config = BenchConfig::parse(cli, /*default_scale=*/0.01);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
 
   std::vector<std::string> datasets = {"cit-HepTh", "soc-Epinions1",
                                        "com-DBLP", "com-YouTube"};

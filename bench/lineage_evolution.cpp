@@ -15,7 +15,7 @@ using namespace ripples::bench;
 int main(int argc, char **argv) {
   CommandLine cli(argc, argv);
   BenchConfig config = BenchConfig::parse(cli, /*default_scale=*/0.02);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
   const auto k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{25}));
   const auto trials =
       static_cast<std::uint32_t>(cli.get("trials", std::int64_t{400}));

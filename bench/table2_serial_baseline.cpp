@@ -29,7 +29,7 @@ int main(int argc, char **argv) {
       datasets.push_back(name);
 
   ImmOptions options = config.options;
-  options.epsilon = cli.get("epsilon", 0.5);
+  options.epsilon = epsilon_flag(cli, 0.5);
   options.k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{50}));
   options.seed = config.seed;
 

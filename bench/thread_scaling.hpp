@@ -19,7 +19,7 @@ inline int run_thread_scaling(int argc, char **argv, DiffusionModel model,
                               const char *figure_name) {
   CommandLine cli(argc, argv);
   BenchConfig config = BenchConfig::parse(cli, /*default_scale=*/0.01);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
   const auto k =
       static_cast<std::uint32_t>(cli.get_bounded("k", 100, 1, UINT32_MAX));
 

@@ -18,7 +18,7 @@ int main(int argc, char **argv) {
 
   const std::string dataset = cli.get("dataset", std::string("com-YouTube"));
   const double scale = cli.get("scale", 0.002);
-  const double epsilon = cli.get("epsilon", 0.3);
+  const double epsilon = epsilon_flag(cli, 0.3);
   const auto k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{50}));
   const int max_ranks = static_cast<int>(cli.get("max-ranks", std::int64_t{8}));
   const auto seed = static_cast<std::uint64_t>(cli.get("seed", std::int64_t{3}));

@@ -271,15 +271,9 @@ int main(int argc, char **argv) {
     }
   }
   ImmOptions options;
-  options.epsilon = cli.get("epsilon", 0.5);
   // The theta schedule asserts epsilon in (0, 1), n >= 2 and k <= n: each
   // is refused with exit 2 instead (n and k once the graph is loaded).
-  if (!(options.epsilon > 0.0 && options.epsilon < 1.0)) {
-    std::fprintf(stderr, "option --epsilon expects a value in (0, 1), got "
-                         "'%s'\n",
-                 cli.get("epsilon", std::string()).c_str());
-    return 2;
-  }
+  options.epsilon = epsilon_flag(cli, 0.5);
   options.k = static_cast<std::uint32_t>(
       cli.get_bounded("k", 50, 1, UINT32_MAX));
   options.model = model;

@@ -15,7 +15,7 @@ int main(int argc, char **argv) {
 
   const std::string dataset = cli.get("dataset", std::string("cit-HepTh"));
   const double scale = cli.get("scale", 0.1);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
   const auto k = static_cast<std::uint32_t>(cli.get("k", std::int64_t{50}));
   const DiffusionModel model = parse_model(cli.get("model", std::string("IC")));
   const auto threads = static_cast<unsigned>(cli.get("threads", std::int64_t{2}));

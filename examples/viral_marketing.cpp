@@ -23,7 +23,7 @@ int main(int argc, char **argv) {
 
   const std::string dataset = cli.get("dataset", std::string("soc-Pokec"));
   const double scale = cli.get("scale", 0.005);
-  const double epsilon = cli.get("epsilon", 0.5);
+  const double epsilon = epsilon_flag(cli, 0.5);
   const auto kmax = static_cast<std::uint32_t>(cli.get("kmax", std::int64_t{50}));
   const auto threads = static_cast<unsigned>(cli.get("threads", std::int64_t{2}));
   const auto trials =

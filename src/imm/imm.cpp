@@ -113,6 +113,17 @@ void apply_option_flags(const CommandLine &cli, ImmOptions &options) {
   if (cli.has_flag("resume")) checkpoint.resume = true;
 }
 
+double epsilon_flag(const CommandLine &cli, double fallback) {
+  const double epsilon = cli.get("epsilon", fallback);
+  if (!(epsilon > 0.0 && epsilon < 1.0)) {
+    std::fprintf(stderr,
+                 "option --epsilon expects a value in (0, 1), got '%s'\n",
+                 cli.get("epsilon", std::string()).c_str());
+    std::exit(2);
+  }
+  return epsilon;
+}
+
 namespace detail {
 
 void finalize_run_report(ImmResult &result, const char *driver,
@@ -239,6 +250,9 @@ ImmResult imm_shared_memory(const CsrGraph &graph, const ImmOptions &options,
   // the scalar kernel (same bytes out) when refused.
   auto generate = [&](RRRCollection &out, std::uint64_t first,
                       std::uint64_t count) {
+    // The window appends exactly count sets: reserve the headers exactly,
+    // where growing by resize could double them.
+    out.mutable_sets().reserve(out.size() + count);
     auto run = [&](const FusedEdgeTable *table) {
       if (table != nullptr)
         detail::sample_counter_range_fused(*table, options.seed, first, count,

@@ -200,6 +200,11 @@ class CommandLine;
 /// (exit 2).
 void apply_option_flags(const CommandLine &cli, ImmOptions &options);
 
+/// The value of `--epsilon`, or \p fallback when it is absent.  A value
+/// outside (0, 1), the domain of the theta schedule, terminates with a
+/// diagnostic naming the flag (exit 2) instead of reaching its assertion.
+[[nodiscard]] double epsilon_flag(const CommandLine &cli, double fallback);
+
 struct ImmResult {
   std::vector<vertex_t> seeds;
   /// The final sample-count estimate theta = lambda* / LB.

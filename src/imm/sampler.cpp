@@ -25,8 +25,9 @@ void count_generated(std::uint64_t batch) {
 /// becomes the record of the RRR set at global index index_of(j), j in
 /// [0, count), in \p records' kinds.  A set is generated as a list in its
 /// slot, with the capacity push_back growth gives it (the footprint of the
-/// paper's IMMOPT lists), and a set reaching the bitmap size is rewritten
-/// as its bitmap, which frees the list.
+/// paper's IMMOPT lists, which Table 2 measures; the fused engine stores
+/// the same lists at their exact size), and a set reaching the bitmap size
+/// is rewritten as its bitmap, which frees the list.
 /// Dynamic schedule: RRR-set sizes are heavy-tailed under IC, so static
 /// chunking would leave threads idle behind one giant traversal.
 /// kWorkerSpans gives each thread one span over its share of the batch;

@@ -121,26 +121,27 @@ void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
     rng_[l].reset(seed, sample_indices[l] + 1);
     auto root = static_cast<vertex_t>(uniform_index(rng_[l], n));
     if (visited_.set_first(root, l)) touched_[touched_len_++] = root;
-    if (model == DiffusionModel::IndependentCascade) {
-      // run_ic emits the whole sorted set (root included) from the lane
-      // masks at the end, so outs is not touched during the traversal.
-      frontier_[l].ensure(1);
-      frontier_[l].data[0] = root;
-      frontier_[l].len = 1;
-    } else {
-      outs[l].clear();
-      outs[l].push_back(root);
-      current_[l] = root;
-    }
+    // Lane l's frontier buffer starts with the root: IC's BFS frontier, or
+    // the whole LT walk.  Neither model touches outs during the traversal.
+    frontier_[l].ensure(1);
+    frontier_[l].data[0] = root;
+    frontier_[l].len = 1;
+    current_[l] = root;
   }
   if (model == DiffusionModel::IndependentCascade) {
     run_ic(lanes, bitmap_words, outs);
   } else {
-    run_lt(lanes, outs);
+    run_lt(lanes);
+    // Sorted in the scratch buffer, then written once at its exact size:
+    // appending to the slot would leave it with push_back's growth slack.
     for (unsigned l = 0; l < lanes; ++l) {
-      std::sort(outs[l].begin(), outs[l].end());
-      if (bitmap_words != 0 && outs[l].size() >= bitmap_words)
-        outs[l] = RRRCollection::to_bitmap(outs[l], bitmap_words);
+      vertex_t *walk = frontier_[l].data.get();
+      const std::size_t len = frontier_[l].len;
+      std::sort(walk, walk + len);
+      if (bitmap_words != 0 && len >= bitmap_words)
+        outs[l] = RRRCollection::to_bitmap({walk, len}, bitmap_words);
+      else
+        outs[l] = RRRSet(walk, walk + len);
     }
   }
   words_ += touched_len_;
@@ -365,7 +366,7 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
                          out_pos[l] == counts[l]);
 }
 
-void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
+void FusedSampler::run_lt(unsigned lanes) {
   // Each pass advances every live reverse walk by one step; a lane's draw
   // order (one uniform per step, consumed before the edge pick) is exactly
   // RRRGenerator::reverse_walk_lt's.  The pick is the first row prefix
@@ -426,7 +427,9 @@ void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
       __builtin_prefetch(offsets + selected);
       __builtin_prefetch(totals + selected);
       if (visited_.set_first(selected, l)) touched_[touched_len_++] = selected;
-      outs[l].push_back(selected);
+      FrontierBuffer &walk = frontier_[l];
+      walk.ensure(walk.len + 1);
+      walk.data[walk.len++] = selected;
       current_[l] = selected;
     }
   }

@@ -13,8 +13,12 @@
 /// (rng/philox_buffered.hpp), the per-edge Bernoulli test is a precomputed
 /// integer compare, each LT walk step is a prefetched search over its row's
 /// precomputed cumulative weights guided by the row's total, and the sorted
-/// output lists are *emitted* from the lane masks in vertex order instead
-/// of sorted per set.
+/// IC output lists are *emitted* from the lane masks in vertex order instead
+/// of sorted per set.  Every list is written once, at its exact size: an IC
+/// list is sized from its lane's member count before the emission, and an
+/// LT walk is appended to per-lane scratch, sorted there and then copied
+/// into its slot, so no stored list carries push_back's growth slack (the
+/// scalar engine's lists do — DESIGN.md §4).
 /// A lane whose IC set reaches the bitmap size of its collection
 /// (rrr_collection.hpp) is emitted as that bitmap straight from the masks,
 /// one 64×64 bit transpose per 64-vertex block, without building its list.
@@ -181,6 +185,8 @@ public:
   /// table's model (asserted: each model reads only its own edge arrays).
   /// An LT step picks its in-edge by detail::lt_row_search over the
   /// table's row prefix, where the scalar engine scans the row.
+  /// Each outs[l] is assigned once, a list of exactly its size
+  /// (capacity() == size()) or a bitmap record.
   /// With \p bitmap_words = W > 0 (RRRCollection::bitmap_words), a set of
   /// at least W members comes out as its W-word bitmap record instead.
   void generate(DiffusionModel model, std::uint64_t seed,
@@ -209,7 +215,8 @@ public:
                                                 unsigned num_threads);
 
 private:
-  /// Growable uninitialized append buffer for the per-lane BFS frontiers.
+  /// Growable uninitialized append buffer for the per-lane BFS frontiers
+  /// (IC) and the per-lane walks (LT).
   /// std::vector::resize would value-initialize the headroom the branchless
   /// appends need — one wasted store per scanned edge — so this keeps raw
   /// storage and a separate length.
@@ -229,7 +236,10 @@ private:
   };
 
   void run_ic(unsigned lanes, std::size_t bitmap_words, RRRSet *outs);
-  void run_lt(unsigned lanes, RRRSet *outs);
+  /// Advances lanes [0, lanes) from current_ to the ends of their LT
+  /// walks, appending each lane's visited vertices to frontier_[l] (which
+  /// generate seeded with the root) in walk order.
+  void run_lt(unsigned lanes);
   /// Rebuilds outs[0..lanes) sorted from the visited lane masks: one
   /// vertex-ordered scan replaces 64 per-set sorts (counts[l] = final size
   /// of lane l's set, accumulated during the traversal).  Lanes of at

@@ -625,6 +625,11 @@ void Communicator::sync(Collective collective, std::uint64_t site, bool flow) {
         shared_.wake_everyone();
         throw failure;
       }
+      // Abort under the lock: a peer whose deadline expires next would
+      // otherwise diagnose too, and name this rank, which has just
+      // withdrawn, as a laggard.  It sees the flag after its next wait and
+      // unwinds instead.
+      shared_.aborted.store(true, std::memory_order_release);
       throw CollectiveTimeout(to_string(collective), site, std::move(laggards),
                               watchdog.elapsed());
     }

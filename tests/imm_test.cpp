@@ -205,6 +205,23 @@ TEST(ImmParameters, LtProducesSmallerSamplesThanIc) {
   EXPECT_LT(lt_avg, ic_avg);
 }
 
+TEST(ImmMemory, FusedLtStoreHoldsNoGrowthSlack) {
+  // The fused LT walk writes each list at its exact size and each window
+  // reserves exactly its headers, so the store's peak is the final |R|
+  // headers plus 4 bytes per association.  LT walks here stay far below
+  // the bitmap size (W = 125), so every record is a list.
+  CsrGraph graph(barabasi_albert(4000, 3, 5));
+  assign_uniform_weights(graph, 6);
+  renormalize_linear_threshold(graph);
+  ImmOptions options = base_options(DiffusionModel::LinearThreshold);
+  options.sampler = SamplerEngine::Fused;
+  options.num_threads = 4;
+  const ImmResult result = imm_multithreaded(graph, options);
+  EXPECT_EQ(result.rrr_peak_bytes,
+            result.num_samples * sizeof(RRRSet) +
+                result.total_associations * sizeof(vertex_t));
+}
+
 TEST(ImmDeterminism, SameSeedSameResult) {
   CsrGraph graph = test_graph(DiffusionModel::IndependentCascade);
   ImmOptions options = base_options(DiffusionModel::IndependentCascade);

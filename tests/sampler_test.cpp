@@ -232,6 +232,49 @@ TEST(FusedSamplerEngine, IncrementalExtensionMatchesOneShot) {
     EXPECT_EQ(one_shot.sets()[i], incremental.sets()[i]) << "sample " << i;
 }
 
+// The fused LT walk writes each list once, at its exact size: the
+// footprint is the slot headers plus 4 bytes per list member and 4W bytes
+// per bitmap, with no growth slack.  A graph of 400 vertices (W = 13)
+// holds LT walks both shorter and longer than the bitmap size.
+TEST(FusedSamplerEngine, LtListsAreStoredAtTheirExactSize) {
+  CsrGraph graph = test_graph(14);
+  renormalize_linear_threshold(graph);
+  const std::uint64_t n = graph.num_vertices();
+  for (unsigned threads : {1u, 4u}) {
+    for (bool hybrid : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, "
+                                        << (hybrid ? "hybrid" : "list-only"));
+      RRRCollection collection = hybrid ? RRRCollection(n) : RRRCollection();
+      sample_multithreaded_fused(graph, DiffusionModel::LinearThreshold, 600,
+                                 47, threads, collection);
+      ASSERT_EQ(collection.size(), 600u);
+      std::size_t members = 0;
+      std::size_t bitmaps = 0;
+      std::size_t longest = 0;
+      for (const RRRSet &set : collection.sets()) {
+        if (collection.is_bitmap(set)) {
+          ++bitmaps;
+          continue;
+        }
+        EXPECT_EQ(set.capacity(), set.size());
+        members += set.size();
+        longest = std::max(longest, set.size());
+      }
+      const std::size_t words = collection.bitmap_words();
+      EXPECT_EQ(collection.footprint_bytes(),
+                collection.sets().capacity() * sizeof(RRRSet) +
+                    members * sizeof(vertex_t) +
+                    bitmaps * words * sizeof(vertex_t));
+      // A list of 3 or more members is one push_back growth would leave
+      // with slack, and the hybrid collection must hold both record kinds.
+      ASSERT_GT(longest, 2u);
+      if (hybrid) {
+        ASSERT_GT(bitmaps, 0u);
+      }
+    }
+  }
+}
+
 class FusedThreadInvariance
     : public ::testing::TestWithParam<std::tuple<DiffusionModel, unsigned>> {};
 
